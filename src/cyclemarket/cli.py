@@ -239,8 +239,6 @@ def main(argv=None):
     p_run.add_argument("--demand", help="demand CSV (default: bundled fixture)")
     p_run.add_argument("--mode", choices=["aware", "unaware"], default="aware")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--seed", type=int, default=0,
-                       help="reserved; the pipeline is deterministic")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep over B or E")
     p_sweep.add_argument("--spec", required=True, help="sweep spec JSON")
@@ -249,8 +247,6 @@ def main(argv=None):
     p_sweep.add_argument("--mode", choices=["aware", "unaware"], default="aware")
     p_sweep.add_argument("--out", default="out", help="output directory")
     p_sweep.add_argument("--parallel", type=int, default=1, help="worker count")
-    p_sweep.add_argument("--seed", type=int, default=0,
-                         help="reserved; the pipeline is deterministic")
 
     args = parser.parse_args(argv)
     try:

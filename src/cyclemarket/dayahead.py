@@ -2,10 +2,12 @@
 
 Generators bid an affine supply function g = alpha * lambda; storage bids an
 energy-cycling function nu = beta * theta mapping per-cycle prices to cycle
-depths.  ``clear_uniform`` implements the reduced single-profile convex
-program whose optimum splits across storage units in proportion to their bid
-slopes, yielding one shared per-cycle price vector.  ``clear_general`` clears
-the full problem with stage-wise limits through the active-set dispatch core.
+depths.  Both clearings run through the shared dispatch solve
+``qp.solve_market_qp``.  ``clear_uniform`` clears one aggregate storage unit
+(slopes sum alpha and sum beta, the common capacity) and splits its dispatch
+across storage units in proportion to their bid slopes, yielding one shared
+per-cycle price vector.  ``clear_general`` clears the full problem with
+stage-wise limits.
 """
 
 from dataclasses import dataclass, field
@@ -115,9 +117,10 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8, max_
         min  ||w||^2/(2 sum alpha) - <d, w>/sum alpha + ||N(w) w||^2/(2 sum beta)
         s.t. 1'w = 0,
 
-    by fixed-map alternation with a direct KKT solve per map, then splits
-    w across storage units by epsilon_s = beta_s / sum beta.  All storage
-    units see the same per-cycle price vector theta = N(w) w / sum beta.
+    as the dispatch template with one aggregate generator and one aggregate
+    storage (``qp.solve_market_qp``, no power limits), then splits w across
+    storage units by epsilon_s = beta_s / sum beta.  All storage units see
+    the same per-cycle price vector theta = N(w) w / sum beta.
     """
     d = np.asarray(d_da, dtype=float)
     T = d.size
@@ -142,59 +145,28 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8, max_
         result.kkt_residual = verify_kkt_dayahead(result, bids, d, params).max_residual
         return result
 
-    E = _common_capacity(params)
-    x0 = params.storages[0].x0
-
-    w = d - d.mean()  # proportional-split initialization projected on 1'w = 0
-    seen = set()
-    best = None
-    converged = False
-    pieces = None
-    for _ in range(max_outer):
-        dec = rainflow_map(w, E, x0)
-        sig = dec.signature()
-        w_new, delta = _uniform_kkt_solve(dec.map, d, sum_alpha, sum_beta)
-        dec_new = rainflow_map(w_new, E, x0)
-        obj = _uniform_objective(w_new, dec_new, d, sum_alpha, sum_beta)
-        if best is None or obj < best[0]:
-            best = (obj, w_new.copy(), delta)
-        if dec_new.signature() == sig:
-            w = w_new
-            converged = True
-            break
-        if dec_new.signature() in seen:
-            # map cycling: the optimum sits at an assignment kink
-            kink = _uniform_kink_bisection(dec.map, dec_new.map, d, E, x0, sum_alpha, sum_beta)
-            if kink is not None:
-                w, delta, pieces = kink
-                converged = True
-            break
-        seen.add(sig)
-        seen.add(dec_new.signature())
-        w = w_new
-
-    if not converged:
-        w, delta = _uniform_subgradient(best, d, E, x0, sum_alpha, sum_beta)
-
-    dec = rainflow_map(w, E, x0)
-    N = dec.map
-    lam = (d - w) / sum_alpha
-    theta = (N @ w) / sum_beta  # one shared per-cycle price vector
+    res = solve_market_qp(
+        alphas=[sum_alpha], a_lin=[0.0], betas=[sum_beta],
+        capacities=[_common_capacity(params)], x0s=[params.storages[0].x0],
+        demand=d, g_lo=-np.inf, g_hi=np.inf, u_lo=-np.inf, u_hi=np.inf,
+        periodic=True, soc_bounds=False, tol=tol, max_outer=max_outer,
+    )
+    w = res.u[0]
+    dec = res.maps[0]
+    lam = res.price
+    theta = (dec.map @ w) / sum_beta  # one shared per-cycle price vector
     eps = bids.beta / sum_beta
     u = np.outer(eps, w)
-    nu = [eps_s * (N @ w) for eps_s in eps]
+    nu = [eps_s * (dec.map @ w) for eps_s in eps]
     g = np.outer(bids.alpha, lam)
-    if pieces is None:
-        delta = _recover_delta(lam, N, theta)
-        pieces = [(1.0, N)]
     objective = float(np.sum(g * g / (2 * bids.alpha[:, None]))) + sum(
         float(nu_s @ nu_s) / (2 * bids.beta[s]) for s, nu_s in enumerate(nu)
     )
     result = DayAheadResult(
         g=g, u=u, nu=nu, energy_price=lam, cycle_prices=[theta] * S,
-        periodicity_duals=np.full(S, delta), shares=eps, objective=objective,
-        kkt_residual=0.0, maps=[dec] * S, demand=d, uniform=True,
-        stationarity_pieces=[pieces] * S,
+        periodicity_duals=np.full(S, res.periodicity_duals[0]), shares=eps,
+        objective=objective, kkt_residual=0.0, maps=[dec] * S, demand=d, uniform=True,
+        stationarity_pieces=[res.stationarity_pieces[0]] * S,
     )
     report = verify_kkt_dayahead(result, bids, d, params)
     result.kkt_residual = report.max_residual
@@ -204,77 +176,6 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8, max_
             best_iterate=result, residual=report.max_residual,
         )
     return result
-
-
-def _uniform_kkt_solve(N, d, sum_alpha, sum_beta, N_second=None, gamma=1.0):
-    """Direct KKT solve of the reduced program at a frozen (or blended) map."""
-    T = d.size
-    M = N.T @ N if N_second is None else gamma * (N.T @ N) + (1 - gamma) * (N_second.T @ N_second)
-    H = np.eye(T) / sum_alpha + M / sum_beta
-    K = np.zeros((T + 1, T + 1))
-    K[:T, :T] = H
-    K[:T, T] = 1.0
-    K[T, :T] = 1.0
-    rhs = np.concatenate([d / sum_alpha, [0.0]])
-    sol = np.linalg.solve(K, rhs)
-    return sol[:T], float(sol[T])
-
-
-def _uniform_kink_bisection(N_a, N_b, d, E, x0, sum_alpha, sum_beta):
-    """Bisect the subgradient weight between two adjacent maps to the boundary."""
-
-    def region(w):
-        return rainflow_map(w, E, x0).signature()
-
-    w_a, _ = _uniform_kkt_solve(N_a, d, sum_alpha, sum_beta)
-    w_b, _ = _uniform_kkt_solve(N_b, d, sum_alpha, sum_beta)
-    ref = region(w_a)  # bisect on membership in the gamma=1 endpoint's region
-    if ref == region(w_b):
-        return None
-    lo, hi = 0.0, 1.0  # gamma = weight on N_a
-    w, delta = w_a, 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        w, delta = _uniform_kkt_solve(N_a, d, sum_alpha, sum_beta, N_second=N_b, gamma=mid)
-        if region(w) == ref:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15:
-            break
-    gamma = 0.5 * (lo + hi)
-    return w, delta, [(gamma, N_a), (1.0 - gamma, N_b)]
-
-
-def _uniform_objective(w, dec, d, sum_alpha, sum_beta):
-    nu = dec.map @ w
-    return float(w @ w / (2 * sum_alpha) - (d @ w) / sum_alpha + (nu @ nu) / (2 * sum_beta))
-
-
-def _recover_delta(lam, N, theta):
-    # stationarity lambda = N' theta + delta * 1 in the mean
-    return float(np.mean(lam - N.T @ theta))
-
-
-def _uniform_subgradient(best, d, E, x0, sum_alpha, sum_beta):
-    obj_best, w, _ = best
-    w = w.copy()
-    w_best = w.copy()
-    for k in range(1, 501):
-        dec = rainflow_map(w, E, x0)
-        N = dec.map
-        grad = (w - d) / sum_alpha + (N.T @ (N @ w)) / sum_beta
-        grad = grad - grad.mean()  # project onto 1'w = 0
-        step = 0.1 * max(1.0, float(np.linalg.norm(w))) / max(1.0, float(np.linalg.norm(grad))) / k
-        w = w - step * grad
-        w = w - w.mean()
-        obj = _uniform_objective(w, rainflow_map(w, E, x0), d, sum_alpha, sum_beta)
-        if obj < obj_best:
-            obj_best, w_best = obj, w.copy()
-    dec = rainflow_map(w_best, E, x0)
-    lam = (d - w_best) / sum_alpha
-    delta = _recover_delta(lam, dec.map, (dec.map @ w_best) / sum_beta)
-    return w_best, delta
 
 
 def clear_general(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8,

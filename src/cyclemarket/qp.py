@@ -15,8 +15,8 @@ active-set method, recompute the maps, and repeat until the assignment is
 stable and the KKT residual of the true problem meets tolerance.  A two-map
 assignment cycle means the optimum sits on an assignment boundary; a
 bisection over the blended-curvature weight lands on it with the matching
-convex subgradient weights.  Anything messier falls back to projected
-subgradient with diminishing steps from the best iterate.
+convex subgradient weights.  A solve that settles neither way within its
+round budget raises ``SolverFailureError`` carrying the best iterate.
 """
 
 from dataclasses import dataclass, field
@@ -167,8 +167,7 @@ class MarketQPResult:
     objective: float
     kkt_residual: float
     iterations: int
-    fallback_used: bool = False
-    box_duals: dict = field(default_factory=dict)
+    fallback_used: bool = False  # no fallback path remains; perfbench's tracing still reads it
     stationarity_pieces: list = field(default_factory=list)  # per storage: [(weight, map)]
 
 
@@ -252,7 +251,9 @@ class _Problem:
         self.h = np.asarray(rhs, float)
         self.tags = tags
 
-    def hessian(self, maps):
+    def hessian(self, maps, other=None, gamma=1.0):
+        """Fixed-map Hessian; with ``other`` each storage block blends the two
+        maps' curvatures with weight ``gamma`` on ``maps``."""
         H = np.zeros((self.n, self.n))
         q = np.zeros(self.n)
         for j in range(self.J):
@@ -267,7 +268,11 @@ class _Problem:
         for s in range(self.S):
             sl = self.u_slice(s)
             N = maps[s].map
-            Hu = (N.T @ N) / self.betas[s]
+            M = N.T @ N
+            if other is not None:
+                Nb = other[s].map
+                M = gamma * M + (1.0 - gamma) * (Nb.T @ Nb)
+            Hu = M / self.betas[s]
             block_scale = max(scale, np.abs(Hu).max() if Hu.size else 0.0, 1e-12)
             H[sl, sl] = Hu + ridge_rel * block_scale * np.eye(self.T)
         return H, q
@@ -295,9 +300,7 @@ class _Problem:
         for t in range(T):
             residual = self.demand[t] - (g[:, t].sum() if J else 0.0)
             if residual < -_FEAS_TOL * max(1.0, abs(self.demand[t])):
-                raise InfeasibleError(
-                    f"demand at interval {t} is below the total generator minimum", interval=t
-                )
+                return None  # below the generator minimum; storage may absorb it
             for j in range(J):
                 room = self.g_hi[j, t] - g[j, t]
                 add = min(residual, room)
@@ -330,9 +333,7 @@ class _Problem:
         x0 = np.zeros(n_el)
         lo_start = np.zeros(n)
         for j in range(self.J):
-            lo = np.where(np.isfinite(self.g_lo[j]), self.g_lo[j], 0.0)
-            hi = np.where(np.isfinite(self.g_hi[j]), self.g_hi[j], 0.0)
-            lo_start[self.g_slice(j)] = np.clip(0.0, lo, hi)
+            lo_start[self.g_slice(j)] = np.clip(0.0, self.g_lo[j], self.g_hi[j])
         x0[:n] = lo_start
         x0[n:] = self.demand - self.A[:T, :] @ lo_start
         sol = solve_qp(H, q, A, self.b, G, self.h, x0)
@@ -436,34 +437,14 @@ def _evaluate(prob, x, sol, pieces=None):
             "pieces": pieces or [[(1.0, m.map)] for m in maps]}
 
 
-def _result_from(state, iterations, fallback):
+def _result_from(state, iterations):
     return MarketQPResult(g=state["g"], u=state["u"], price=state["price"],
                           periodicity_duals=state["per_duals"], maps=state["maps"],
                           objective=state["obj"], kkt_residual=state["resid"],
-                          iterations=iterations, fallback_used=fallback,
-                          stationarity_pieces=state["pieces"])
+                          iterations=iterations, stationarity_pieces=state["pieces"])
 
 
-def _blend_hessians(prob, maps_a, maps_b, gamma):
-    H = np.zeros((prob.n, prob.n))
-    q = np.zeros(prob.n)
-    for j in range(prob.J):
-        sl = prob.g_slice(j)
-        H[sl, sl] = np.eye(prob.T) / prob.alphas[j]
-        q[sl] = prob.a_lin[j]
-    ridge_rel = 1e-12 if prob.S >= 2 else 0.0
-    scale = (1.0 / prob.alphas).max() if prob.J else 1.0
-    for s in range(prob.S):
-        sl = prob.u_slice(s)
-        Na, Nb = maps_a[s].map, maps_b[s].map
-        M = gamma * (Na.T @ Na) + (1.0 - gamma) * (Nb.T @ Nb)
-        Hu = M / prob.betas[s]
-        block_scale = max(scale, np.abs(Hu).max() if Hu.size else 0.0, 1e-12)
-        H[sl, sl] = Hu + ridge_rel * block_scale * np.eye(prob.T)
-    return H, q
-
-
-def _kink_bisection(prob, x, maps_a, maps_b, tol):
+def _kink_bisection(prob, x, maps_a, maps_b):
     """Resolve a two-map assignment cycle by bisecting the subgradient weight.
 
     At a kink-seated optimum the stationarity holds with a convex combination
@@ -472,7 +453,7 @@ def _kink_bisection(prob, x, maps_a, maps_b, tol):
     """
 
     def solve_at(gamma):
-        H, q = _blend_hessians(prob, maps_a, maps_b, gamma)
+        H, q = prob.hessian(maps_a, maps_b, gamma)
         sol = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
         _, u_new = prob.split(sol.x)
         sig = tuple(rainflow_map(u_new[s], prob.capacities[s], prob.x0s[s]).signature()
@@ -501,20 +482,13 @@ def _kink_bisection(prob, x, maps_a, maps_b, tol):
 
 def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic=True, soc_bounds=False,
-                    tol=1e-8, max_outer=200, u_init=None):
+                    tol=1e-8, max_outer=200):
     """Alternating fixed-map solve of the dispatch template (see module doc)."""
     prob = _Problem(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds)
     x = prob.feasible_start()
     if x is None:
         x = prob.elastic_start()
-    if u_init is not None and prob.S:
-        cand = x.copy()
-        for s in range(prob.S):
-            cand[prob.u_slice(s)] = u_init[s]
-        ok = (np.max(np.abs(prob.A @ cand - prob.b)) < 1e-9) if prob.A.shape[0] else True
-        if ok and (prob.G.shape[0] == 0 or (prob.G @ cand - prob.h).max() < 1e-9):
-            x = cand
 
     seen = set()
     best = None
@@ -532,53 +506,20 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
             best = state
         if state["sig"] == sig:
             if state["resid"] <= tol:
-                return _result_from(state, total_iters, False)
-            break  # assignment is stable but the residual is stuck: fall back
+                return _result_from(state, total_iters)
+            break  # assignment is stable but the residual is stuck
         if state["sig"] in seen:
-            # assignment cycling: try the two-piece kink resolution first
-            kink = _kink_bisection(prob, x, maps, state["maps"], tol)
+            # assignment cycling: the optimum sits on a two-piece kink
+            kink = _kink_bisection(prob, x, maps, state["maps"])
             if kink is not None and kink["resid"] <= tol:
-                return _result_from(kink, total_iters, False)
-            if kink is not None and (best is None or kink["obj"] < best["obj"]):
+                return _result_from(kink, total_iters)
+            if kink is not None and kink["obj"] < best["obj"]:
                 best = kink
             break
         seen.add(sig)
         seen.add(state["sig"])
 
-    # Projected-subgradient fallback on the true objective, diminishing steps
-    # 1/k from the best iterate; projections reuse the active-set core.
-    x = best["x"].copy()
-    proj_H = np.eye(prob.n)
-    for k in range(1, 301):
-        g_cur, u_cur = prob.split(x)
-        maps = [rainflow_map(u_cur[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
-        grad = np.zeros(prob.n)
-        for j in range(prob.J):
-            grad[prob.g_slice(j)] = g_cur[j] / prob.alphas[j] + prob.a_lin[j]
-        for s in range(prob.S):
-            N = maps[s].map
-            grad[prob.u_slice(s)] = (N.T @ (N @ u_cur[s])) / prob.betas[s]
-        step = 0.1 * max(1.0, float(np.linalg.norm(x))) / max(1.0, float(np.linalg.norm(grad))) / k
-        target = x - step * grad
-        proj = solve_qp(proj_H, -target, prob.A, prob.b, prob.G, prob.h, x)
-        x = proj.x
-        obj = prob.objective(*prob.split(x))
-        if obj < best["obj"]:
-            # refine prices with one fixed-map QP at the improved assignment
-            g_new, u_new = prob.split(x)
-            new_maps = [rainflow_map(u_new[s], prob.capacities[s], prob.x0s[s])
-                        for s in range(prob.S)]
-            H, q = prob.hessian(new_maps)
-            ref = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
-            state = _evaluate(prob, ref.x, ref)
-            if state["obj"] < best["obj"]:
-                best = state
-                x = ref.x.copy()
-            if best["resid"] <= tol:
-                return _result_from(best, total_iters + k, True)
-    if best["resid"] <= tol:
-        return _result_from(best, total_iters, True)
     raise SolverFailureError(
-        "dispatch solve did not reach tolerance (alternation and subgradient fallback)",
+        "dispatch solve did not reach tolerance within its alternation rounds",
         best_iterate=(best["g"], best["u"]), residual=best["resid"],
     )

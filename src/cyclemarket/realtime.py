@@ -127,8 +127,8 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     return bids, result
 
 
-def _unaware_from_price(params, da, d_r, price, storage_terms):
-    """Evaluate the bid first-order conditions at a price and clear."""
+def _unaware_slopes(params, da, price, storage_terms):
+    """Both bid first-order conditions evaluated at a clearing price."""
     p2 = float(price @ price)
     alpha_r = np.array([
         1.0 / gen.c - float(da.g[j] @ price) / p2
@@ -144,6 +144,12 @@ def _unaware_from_price(params, da, d_r, price, storage_terms):
                 f"price vector produces no cycling through storage {s}'s day-ahead map"
             )
         beta_r[s] = (p2 - float(theta @ Np)) / (st.b * denom)
+    return alpha_r, beta_r
+
+
+def _unaware_from_price(params, da, d_r, price, storage_terms):
+    """Evaluate the bid first-order conditions at a price and clear."""
+    alpha_r, beta_r = _unaware_slopes(params, da, price, storage_terms)
     g_r = np.outer(alpha_r, price)
     u_r = np.outer(beta_r, price)
     map_stable = True
@@ -179,25 +185,6 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
         raise DegenerateDemandError("zero residual demand: proportional price undefined")
     storage_terms = _storage_da_quantities(params, da, d_r)
 
-    def respond(price):
-        """Both bid first-order conditions evaluated at a clearing price."""
-        p2 = float(price @ price)
-        alpha = np.array([
-            1.0 / gen.c - float(da.g[j] @ price) / p2
-            for j, gen in enumerate(params.generators)
-        ])
-        beta = np.zeros(params.n_storages)
-        for s, st in enumerate(params.storages):
-            dec, theta, _ = storage_terms[s]
-            Np = dec.map @ price
-            denom = float(Np @ Np)
-            if denom <= 0.0:
-                raise DegeneratePriceError(
-                    f"price vector produces no cycling through storage {s}'s day-ahead map"
-                )
-            beta[s] = (p2 - float(theta @ Np)) / (st.b * denom)
-        return alpha, beta
-
     if initial_bids is not None:
         alpha_r = np.atleast_1d(np.asarray(initial_bids.alpha_r, dtype=float)).copy()
         beta_r = np.atleast_1d(np.asarray(initial_bids.beta_r, dtype=float)).copy() \
@@ -223,7 +210,7 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
         if price_prev is not None:
             trace.append(float(np.max(np.abs(price - price_prev))))
         price_prev = price
-        alpha_r, beta_r = respond(price)
+        alpha_r, beta_r = _unaware_slopes(params, da, price, storage_terms)
         F = float(alpha_r.sum() + beta_r.sum())
         if abs(F - xi) <= tol * max(1.0, xi) or (
                 trace and trace[-1] <= tol * max(1.0, float(np.max(np.abs(price))))):

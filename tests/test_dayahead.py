@@ -13,7 +13,7 @@ from cyclemarket.dayahead import (
     equilibrium_bids_dayahead,
     verify_kkt_dayahead,
 )
-from cyclemarket.errors import InvalidInputError
+from cyclemarket.errors import InvalidInputError, SolverFailureError
 from cyclemarket.planner import solve_planner
 
 
@@ -71,6 +71,10 @@ class TestClearUniform:
         assert np.max(ratio_err) < 1e-8
         assert res.shares == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
         assert res.kkt_residual <= 1e-8
+        # the optimum sits on a two-piece kink of the aggregate map
+        for pieces in res.stationarity_pieces:
+            assert len(pieces) == 2
+            assert sum(w for w, _ in pieces) == pytest.approx(1.0, abs=1e-12)
 
     def test_price_consistency(self):
         rng = np.random.default_rng(3)
@@ -112,6 +116,16 @@ class TestClearUniform:
         cost = 0.5 * 20.0 * float(res.g[0] @ res.g[0])
         assert revenue >= cost - 1e-9
 
+    def test_round_budget_exhausted_raises(self):
+        params = MarketParams(generators=[GeneratorParams(c=20.0)],
+                              storages=[StorageParams(capacity_E=100.0, b=2.0)])
+        d = 5 + np.array([0.0, 2.0, 4.0, 2.0, 0.0, -2.0, -4.0, -2.0])
+        with pytest.raises(SolverFailureError) as err:
+            clear_uniform(equilibrium_bids_dayahead(params), d, params, max_outer=1)
+        g, u = err.value.best_iterate
+        assert g.shape == u.shape == (1, d.size)
+        assert err.value.residual > 1e-8
+
     def test_heterogeneous_capacity_rejected(self):
         params = MarketParams(
             generators=[GeneratorParams(c=20.0)],
@@ -149,6 +163,20 @@ class TestClearGeneral:
         assert res.g[0][1] == pytest.approx(4.0, abs=1e-7)
         assert res.g.sum(axis=0) + res.u.sum(axis=0) == pytest.approx(d)
         assert res.kkt_residual <= 1e-8
+
+    def test_negative_demand_hour_clears_under_both(self):
+        # storage must charge through the hour whose demand is below zero
+        t = np.arange(24)
+        d = 20 + 8 * np.exp(-((t - 8) / 2.5) ** 2) + 12 * np.exp(-((t - 19) / 2.5) ** 2)
+        d[5] = -2.0
+        params = MarketParams(generators=[GeneratorParams(c=20.0)],
+                              storages=[StorageParams(capacity_E=50.0, b=2.0)])
+        bids = equilibrium_bids_dayahead(params)
+        for clear in (clear_uniform, clear_general):
+            res = clear(bids, d, params)
+            assert res.g.sum(axis=0) + res.u.sum(axis=0) == pytest.approx(d, abs=1e-9)
+            assert res.kkt_residual <= 1e-8
+        assert res.g[0][5] >= -1e-9  # the general clearing keeps g_min = 0
 
     def test_small_capacity_approaches_generator_only(self):
         params_small = MarketParams(

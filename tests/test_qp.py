@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cyclemarket.errors import InfeasibleError
+from cyclemarket.errors import InfeasibleError, SolverFailureError
 from cyclemarket.qp import solve_qp, solve_market_qp
 
 
@@ -68,6 +68,32 @@ class TestMarketQP:
                             demand=np.array([1.0, 5.0]), g_lo=0.0, g_hi=2.0,
                             u_lo=0.0, u_hi=0.0, periodic=False)
         assert err.value.interval == 1
+
+    def test_storage_absorbs_demand_below_generator_minimum(self):
+        res = solve_market_qp(alphas=[1.0], a_lin=[0.0], betas=[1.0], capacities=[2.0],
+                              x0s=[0.5], demand=np.array([10.0, 4.5, 10.0]), g_lo=5.0,
+                              g_hi=np.inf, u_lo=-1.0, u_hi=1.0, periodic=False)
+        assert np.all(res.g[0] >= 5.0 - 1e-9)
+        assert res.u[0][1] == pytest.approx(-0.5, abs=1e-9)
+        assert res.kkt_residual <= 1e-8
+
+    def test_demand_below_generator_minimum_names_interval(self):
+        with pytest.raises(InfeasibleError) as err:
+            solve_market_qp(alphas=[1.0], a_lin=[0.0], betas=[1.0], capacities=[2.0],
+                            x0s=[0.5], demand=np.array([10.0, 1.0, 10.0]), g_lo=5.0,
+                            g_hi=np.inf, u_lo=-1.0, u_hi=1.0, periodic=False)
+        assert err.value.interval == 1
+
+    def test_round_budget_exhausted_raises_with_best_iterate(self):
+        # from u = 0 the first round moves the map, so one round cannot certify
+        with pytest.raises(SolverFailureError) as err:
+            solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
+                            g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0,
+                            periodic=True, max_outer=1)
+        g, u = err.value.best_iterate
+        assert g.shape == u.shape == (1, 4)
+        assert err.value.residual > 1e-8
 
     def test_soc_corridor_enforced(self):
         # long discharge pull: the corridor caps cumulative output at x0 * E
