@@ -46,6 +46,7 @@ from .realtime import (
     RealTimeResult,
     equilibrium_unaware,
     best_response_unaware,
+    aware_bids,
     equilibrium_aware,
     clear_constrained_aware,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "RealTimeResult",
     "equilibrium_unaware",
     "best_response_unaware",
+    "aware_bids",
     "equilibrium_aware",
     "clear_constrained_aware",
     "PlannerResult",

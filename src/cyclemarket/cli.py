@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -98,16 +99,12 @@ def cmd_run(args):
 
 def _sweep_point(task):
     """One (axis value, strategy) evaluation; runs in its own worker."""
-    config = MarketConfig.from_dict(task["config_doc"])
-    scenario = load_demand_csv(task["demand_path"])
+    config, scenario = task["config"], task["scenario"]
     axis, value = task["axis"], task["value"]
     store = dict(config.storages[0])
-    if axis == "B":
-        store["capital_cost_B"] = value
-    else:
-        store["capacity_E"] = value
-    config.storages[0] = store
-    params = build_params(config, scenario)
+    store["capital_cost_B" if axis == "B" else "capacity_E"] = value
+    params = build_params(
+        dataclasses.replace(config, storages=[store] + config.storages[1:]), scenario)
     strategy = task["strategy"]
     try:
         if strategy == "mechanism":
@@ -157,7 +154,7 @@ def _load_sweep_spec(path):
 
 def cmd_sweep(args):
     spec = _load_sweep_spec(args.spec)
-    config = MarketConfig.from_json(args.config) if args.config else default_config()
+    config, scenario = _load_inputs(args)
     if not config.storages:
         raise ConfigError("sweeps need at least one storage unit in the config")
     store = dict(config.storages[0])
@@ -166,17 +163,10 @@ def cmd_sweep(args):
         store["capacity_E"] = float(fixed["E"])
     if spec["axis"] == "E" and "B" in fixed:
         store["capital_cost_B"] = float(fixed["B"])
-    config.storages[0] = store
-    demand_path = args.demand or bundled_demand_path()
-    config_doc = {
-        "generators": config.generators, "storages": config.storages,
-        "horizon": config.horizon, "tolerances": {"tol": config.tol},
-        "mode": {"enforce_soc_bounds": config.enforce_soc_bounds,
-                 "realtime": config.realtime_mode},
-    }
+    config = dataclasses.replace(config, storages=[store] + config.storages[1:])
     tasks = [
-        {"axis": spec["axis"], "value": v, "strategy": strat, "config_doc": config_doc,
-         "demand_path": demand_path, "mode": args.mode}
+        {"axis": spec["axis"], "value": v, "strategy": strat, "config": config,
+         "scenario": scenario, "mode": args.mode}
         for v in spec["values"] for strat in spec["strategies"]
     ]
     if args.parallel > 1:

@@ -137,21 +137,15 @@ def _parse_demand(fh, name):
 
 def write_demand_csv(scenario, path):
     """Serialize a scenario back to the CSV contract (ISO-8601 timestamps)."""
-    start = scenario.timestamps[0] if scenario.timestamps else datetime(2023, 8, 25, 0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "forecast_mw", "actual_mw"])
-        for h in range(scenario.horizon):
-            ts = scenario.timestamps[h] if scenario.timestamps else start + timedelta(hours=h)
-            ac = f"{scenario.actual[h]:.6f}" if h < scenario.n_realized else ""
-            writer.writerow([ts.isoformat(), f"{scenario.forecast[h]:.6f}", ac])
+        fh.write(scenario_to_csv_text(scenario))
 
 
 _GENERATOR_KEYS = {"c", "a", "g_min", "g_max"}
 _STORAGE_KEYS = {"capacity_E", "capital_cost_B", "rho", "x0", "duration_hours"}
-_CONFIG_KEYS = {"generators", "storages", "horizon", "tolerances", "mode"}
+_CONFIG_KEYS = {"generators", "storages", "tolerances", "mode"}
 _TOL_KEYS = {"tol"}
-_MODE_KEYS = {"enforce_soc_bounds", "realtime"}
+_MODE_KEYS = {"enforce_soc_bounds"}
 
 
 @dataclass
@@ -160,10 +154,8 @@ class MarketConfig:
 
     generators: list
     storages: list
-    horizon: int = 48
     tol: float = 1e-8
     enforce_soc_bounds: bool = True
-    realtime_mode: str = "aware"
 
     @classmethod
     def from_dict(cls, doc):
@@ -207,21 +199,13 @@ class MarketConfig:
         bad = set(mode_doc) - _MODE_KEYS
         if bad:
             violations.append(f"mode: unknown keys {sorted(bad)}")
-        rt = mode_doc.get("realtime", "aware")
-        if rt not in ("aware", "unaware"):
-            violations.append("mode.realtime must be 'aware' or 'unaware'")
-        horizon = doc.get("horizon", 48)
-        if not (isinstance(horizon, int) and horizon >= 1):
-            violations.append("horizon must be a positive integer")
         if violations:
             raise ConfigError(violations)
         return cls(
             generators=[dict(g) for g in gens],
             storages=[dict(s) for s in stores],
-            horizon=horizon,
             tol=float(tol_doc.get("tol", 1e-8)),
             enforce_soc_bounds=bool(mode_doc.get("enforce_soc_bounds", True)),
-            realtime_mode=rt,
         )
 
     @classmethod

@@ -98,8 +98,6 @@ def equilibrium_bids_dayahead(params: MarketParams) -> DayAheadBids:
 
 def _common_capacity(params):
     caps = [st.capacity_E for st in params.storages]
-    if not caps:
-        return None
     if max(caps) - min(caps) > 1e-12 * max(caps):
         raise InvalidInputError(
             "uniform-price clearing requires storage units with a common capacity; "
@@ -193,14 +191,6 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8,
         raise InvalidInputError("bid vector sizes must match the participant lists")
     if np.any(bids.alpha <= 0):
         raise InvalidInputError("general clearing requires positive generator slopes")
-    g_lo = np.array([[gen.g_min] * d.size for gen in params.generators], dtype=float) \
-        if J else np.zeros((0, d.size))
-    g_hi = np.array([[gen.g_max] * d.size for gen in params.generators], dtype=float) \
-        if J else np.zeros((0, d.size))
-    u_lo = np.array([[st.u_min] * d.size for st in params.storages], dtype=float) \
-        if S else np.zeros((0, d.size))
-    u_hi = np.array([[st.u_max] * d.size for st in params.storages], dtype=float) \
-        if S else np.zeros((0, d.size))
     if S and np.any(bids.beta <= 0):
         raise InvalidInputError("general clearing requires positive storage slopes")
 
@@ -208,7 +198,11 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8,
         alphas=bids.alpha, a_lin=np.zeros(J), betas=bids.beta,
         capacities=[st.capacity_E for st in params.storages],
         x0s=[st.x0 for st in params.storages],
-        demand=d, g_lo=g_lo, g_hi=g_hi, u_lo=u_lo, u_hi=u_hi,
+        demand=d,
+        g_lo=[gen.g_min for gen in params.generators],
+        g_hi=[gen.g_max for gen in params.generators],
+        u_lo=[st.u_min for st in params.storages],
+        u_hi=[st.u_max for st in params.storages],
         periodic=True, soc_bounds=enforce_soc_bounds, tol=tol, max_outer=max_outer,
     )
     nu = [res.maps[s].map @ res.u[s] for s in range(S)]

@@ -40,15 +40,6 @@ def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
     """
     d = np.asarray(d, dtype=float)
     J, S = params.n_generators, params.n_storages
-    T = d.size
-    g_lo = np.array([[gen.g_min] * T for gen in params.generators], dtype=float) \
-        if J else np.zeros((0, T))
-    g_hi = np.array([[gen.g_max] * T for gen in params.generators], dtype=float) \
-        if J else np.zeros((0, T))
-    u_lo = np.array([[st.u_min] * T for st in params.storages], dtype=float) \
-        if S else np.zeros((0, T))
-    u_hi = np.array([[st.u_max] * T for st in params.storages], dtype=float) \
-        if S else np.zeros((0, T))
 
     res = solve_market_qp(
         alphas=[1.0 / gen.c for gen in params.generators],
@@ -56,7 +47,11 @@ def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
         betas=[1.0 / st.b for st in params.storages],
         capacities=[st.capacity_E for st in params.storages],
         x0s=[st.x0 for st in params.storages],
-        demand=d, g_lo=g_lo, g_hi=g_hi, u_lo=u_lo, u_hi=u_hi,
+        demand=d,
+        g_lo=[gen.g_min for gen in params.generators],
+        g_hi=[gen.g_max for gen in params.generators],
+        u_lo=[st.u_min for st in params.storages],
+        u_hi=[st.u_max for st in params.storages],
         periodic=periodic, soc_bounds=enforce_soc_bounds, tol=tol, max_outer=max_outer,
     )
     objective = sum(generator_cost(res.g[j], params.generators[j]) for j in range(J)) + sum(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, SolverFailureError
+from .errors import InfeasibleError, InvalidInputError, SolverFailureError
 from .rainflow import rainflow_map
 
 __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual"]
@@ -222,22 +222,22 @@ class _Problem:
         self.A = A
         self.b = np.concatenate([self.demand, np.zeros(S)]) if self.periodic else self.demand.copy()
 
-        rows, rhs, tags = [], [], []
+        rows, rhs = [], []
         eye = np.eye(n)
         for j in range(J):
             sl = self.g_slice(j)
             for t in range(T):
                 if np.isfinite(self.g_hi[j, t]):
-                    rows.append(eye[sl][t]); rhs.append(self.g_hi[j, t]); tags.append(("g_hi", j, t))
+                    rows.append(eye[sl][t]); rhs.append(self.g_hi[j, t])
                 if np.isfinite(self.g_lo[j, t]):
-                    rows.append(-eye[sl][t]); rhs.append(-self.g_lo[j, t]); tags.append(("g_lo", j, t))
+                    rows.append(-eye[sl][t]); rhs.append(-self.g_lo[j, t])
         for s in range(S):
             sl = self.u_slice(s)
             for t in range(T):
                 if np.isfinite(self.u_hi[s, t]):
-                    rows.append(eye[sl][t]); rhs.append(self.u_hi[s, t]); tags.append(("u_hi", s, t))
+                    rows.append(eye[sl][t]); rhs.append(self.u_hi[s, t])
                 if np.isfinite(self.u_lo[s, t]):
-                    rows.append(-eye[sl][t]); rhs.append(-self.u_lo[s, t]); tags.append(("u_lo", s, t))
+                    rows.append(-eye[sl][t]); rhs.append(-self.u_lo[s, t])
         if self.soc_bounds:
             for s in range(S):
                 E, x0 = self.capacities[s], self.x0s[s]
@@ -245,11 +245,10 @@ class _Problem:
                 block = np.zeros((T, n))
                 block[:, self.u_slice(s)] = prefix
                 for t in range(T):
-                    rows.append(block[t]); rhs.append(x0 * E); tags.append(("soc_lo", s, t))
-                    rows.append(-block[t]); rhs.append((1.0 - x0) * E); tags.append(("soc_hi", s, t))
+                    rows.append(block[t]); rhs.append(x0 * E)
+                    rows.append(-block[t]); rhs.append((1.0 - x0) * E)
         self.G = np.vstack(rows) if rows else np.zeros((0, n))
         self.h = np.asarray(rhs, float)
-        self.tags = tags
 
     def hessian(self, maps, other=None, gamma=1.0):
         """Fixed-map Hessian; with ``other`` each storage block blends the two
@@ -351,8 +350,8 @@ class _Problem:
             residual = self.demand[t] - float(self.A[t, :] @ x)
             for j in range(self.J):
                 idx = j * T + t
-                room_hi = self.h_box(j, t, "hi") - x[idx]
-                room_lo = x[idx] - self.h_box(j, t, "lo")
+                room_hi = self.g_hi[j, t] - x[idx]
+                room_lo = x[idx] - self.g_lo[j, t]
                 move = np.clip(residual, -room_lo, room_hi)
                 x[idx] += move
                 residual -= move
@@ -362,31 +361,25 @@ class _Problem:
                 )
         return x
 
-    def h_box(self, j, t, which):
-        return self.g_hi[j, t] if which == "hi" else self.g_lo[j, t]
-
 
 def blended_stationarity_gap(target, pieces, u_s, beta):
     """Distance from ``target`` to the piece-gradient hull {sum_k w_k N_k'N_k u / beta}.
 
-    ``pieces`` is a list of (weight, map) pairs; for exactly two pieces the
-    weight is refit by least squares and clamped to [0, 1], since any convex
-    combination of adjacent smooth pieces is a valid subgradient.
+    ``pieces`` holds one (weight, map) pair, or two at a kink; for two pieces
+    the weight is refit by least squares and clamped to [0, 1], since any
+    convex combination of adjacent smooth pieces is a valid subgradient.
     """
     vecs = [(N.T @ (N @ u_s)) / beta for _, N in pieces]
     if len(vecs) == 1:
         return target - vecs[0]
-    if len(vecs) == 2:
-        a, bvec = vecs
-        diff = a - bvec
-        denom = float(diff @ diff)
-        gamma = float(np.clip((target - bvec) @ diff / denom, 0.0, 1.0)) if denom > 0 else 0.5
-        return target - (gamma * a + (1 - gamma) * bvec)
-    blend = sum(wk * v for (wk, _), v in zip(pieces, vecs))
-    return target - blend
+    a, bvec = vecs
+    diff = a - bvec
+    denom = float(diff @ diff)
+    gamma = float(np.clip((target - bvec) @ diff / denom, 0.0, 1.0)) if denom > 0 else 0.5
+    return target - (gamma * a + (1 - gamma) * bvec)
 
 
-def market_kkt_residual(prob, g, u, price, per_duals, maps, mu=None, tags=None, pieces=None):
+def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
     """Relative residual of the true stationarity/feasibility system.
 
     Components are normalized by max(1, scale of the terms entering them) so
@@ -400,10 +393,9 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu=None, tags=None, 
     lam_scale = max(1.0, float(np.max(np.abs(price))))
     # box/soc dual contributions per variable
     grad_extra = np.zeros(prob.n)
-    if mu is not None and tags is not None:
-        for mu_i, row, tag in zip(mu, prob.G, tags):
-            if mu_i > 0:
-                grad_extra += mu_i * row
+    for mu_i, row in zip(mu, prob.G):
+        if mu_i > 0:
+            grad_extra += mu_i * row
     for j in range(prob.J):
         stat = g[j] / prob.alphas[j] + prob.a_lin[j] - price + grad_extra[prob.g_slice(j)]
         res.append(np.max(np.abs(stat)) / lam_scale)
@@ -428,8 +420,7 @@ def _evaluate(prob, x, sol, pieces=None):
     maps = [rainflow_map(u[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
     price = -sol.eq_duals[: prob.T]
     per_duals = sol.eq_duals[prob.T:] if prob.periodic else np.zeros(prob.S)
-    resid = market_kkt_residual(prob, g, u, price, per_duals, maps, sol.ineq_duals, prob.tags,
-                                pieces)
+    resid = market_kkt_residual(prob, g, u, price, per_duals, maps, sol.ineq_duals, pieces)
     obj = prob.objective(g, u, maps)
     sig = tuple(m.signature() for m in maps)
     return {"x": x.copy(), "g": g, "u": u, "maps": maps, "price": price,
@@ -450,6 +441,8 @@ def _kink_bisection(prob, x, maps_a, maps_b):
     At a kink-seated optimum the stationarity holds with a convex combination
     of the two adjacent pieces' curvatures.  Solving the blended QP and
     bisecting the weight to the region boundary lands on that point exactly.
+    ``x`` is the optimum under ``maps_a`` alone (weight 1), whose own maps are
+    ``maps_b``.
     """
 
     def solve_at(gamma):
@@ -460,12 +453,11 @@ def _kink_bisection(prob, x, maps_a, maps_b):
                     for s in range(prob.S))
         return sol, sig
 
-    sol_hi, sig_ref = solve_at(1.0)
-    sol_lo, sig_lo = solve_at(0.0)
+    sig_ref = tuple(m.signature() for m in maps_b)
+    _, sig_lo = solve_at(0.0)
     if sig_ref == sig_lo:
         return None  # both endpoints in one region: not a two-piece kink
     lo, hi = 0.0, 1.0
-    sol = sol_hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         sol, sig = solve_at(mid)
@@ -484,19 +476,21 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic=True, soc_bounds=False,
                     tol=1e-8, max_outer=200):
     """Alternating fixed-map solve of the dispatch template (see module doc)."""
+    if max_outer < 1:
+        raise InvalidInputError("max_outer must be at least 1")
     prob = _Problem(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds)
     x = prob.feasible_start()
     if x is None:
         x = prob.elastic_start()
 
+    _, u = prob.split(x)
+    maps = [rainflow_map(u[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
+    sig = tuple(m.signature() for m in maps)
     seen = set()
     best = None
     total_iters = 0
     for _ in range(max_outer):
-        g_cur, u_cur = prob.split(x)
-        maps = [rainflow_map(u_cur[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
-        sig = tuple(m.signature() for m in maps)
         H, q = prob.hessian(maps)
         sol = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
         total_iters += sol.iterations
@@ -518,6 +512,7 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
             break
         seen.add(sig)
         seen.add(state["sig"])
+        maps, sig = state["maps"], state["sig"]
 
     raise SolverFailureError(
         "dispatch solve did not reach tolerance within its alternation rounds",

@@ -31,6 +31,7 @@ __all__ = [
     "RealTimeResult",
     "equilibrium_unaware",
     "best_response_unaware",
+    "aware_bids",
     "equilibrium_aware",
     "clear_constrained_aware",
 ]
@@ -174,10 +175,11 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
 
     The price clears the affine bids, lambda = d_r / (sum alpha + sum beta);
     each participant then re-solves its slope first-order condition at that
-    price.  Successive prices are damped by 0.5-averaging until contraction
-    is evident, and once three iterates exist the scalar aggregate slope is
-    Aitken-extrapolated (the update is affine in it, so the extrapolation is
-    exact and the loop typically certifies convergence within a few rounds).
+    price.  Every price lies on the d_r ray, so the loop tracks the scalar
+    aggregate slope xi, whose re-bid value F(xi) is affine in xi.  The first
+    step probes 1 % from the start toward F; from then on secant steps solve
+    F(xi) = xi, which is exact for an affine map, so the loop typically
+    certifies convergence within a few rounds.
     """
     d_r = np.asarray(d_r, dtype=float)
     norm2 = float(d_r @ d_r)
@@ -242,20 +244,15 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     )
 
 
-def equilibrium_aware(params: MarketParams, d_total, da):
-    """Closed-form equilibrium with day-ahead-aware bids.
+def aware_bids(params: MarketParams, d_total) -> RealTimeBids:
+    """Equilibrium day-ahead-aware slopes for a total demand vector.
 
-    Slopes are constants: alpha_r = 1/c for each generator and
-    beta_r = ||d||^2 / (b * ||N(d) d||^2) for each storage (the price is
-    proportional to total demand, and the map is scale invariant, so the
-    slope can be evaluated on the demand vector directly).  The price is
-    lambda_r = phi * d with 1/phi the aggregate slope, which clears the
-    market identically: day-ahead commitments cancel out of the balance.
+    alpha_r = 1/c per generator and beta_r = ||d||^2 / (b * ||N(d) d||^2)
+    per storage; raises ``DegeneratePriceError`` when d has no cycling
+    content, since the storage slope is then unbounded.
     """
     d = np.asarray(d_total, dtype=float)
     norm2 = float(d @ d)
-    if norm2 <= 0.0:
-        raise DegenerateDemandError("zero total demand: proportional price undefined")
     alpha_r = np.array([1.0 / gen.c for gen in params.generators])
     beta_r = np.zeros(params.n_storages)
     for s, st in enumerate(params.storages):
@@ -267,14 +264,29 @@ def equilibrium_aware(params: MarketParams, d_total, da):
                 "total demand produces no cycling content; the storage slope is unbounded"
             )
         beta_r[s] = norm2 / (st.b * denom)
-    phi = 1.0 / float(alpha_r.sum() + beta_r.sum())
+    return RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="aware")
+
+
+def equilibrium_aware(params: MarketParams, d_total, da):
+    """Closed-form equilibrium with day-ahead-aware bids.
+
+    Slopes are the constants of ``aware_bids`` (the price is proportional to
+    total demand, and the map is scale invariant, so the storage slope can be
+    evaluated on the demand vector directly).  The price is
+    lambda_r = phi * d with 1/phi the aggregate slope, which clears the
+    market identically: day-ahead commitments cancel out of the balance.
+    """
+    d = np.asarray(d_total, dtype=float)
+    if float(d @ d) <= 0.0:
+        raise DegenerateDemandError("zero total demand: proportional price undefined")
+    bids = aware_bids(params, d)
+    phi = 1.0 / float(bids.alpha_r.sum() + bids.beta_r.sum())
     price = phi * d
-    g_r = np.outer(alpha_r, price) - da.g
-    u_r = np.outer(beta_r, price) - da.u if params.n_storages else np.zeros((0, d.size))
+    g_r = np.outer(bids.alpha_r, price) - da.g
+    u_r = np.outer(bids.beta_r, price) - da.u if params.n_storages else np.zeros((0, d.size))
     clearing_err = np.max(np.abs(g_r.sum(axis=0) + (u_r.sum(axis=0) if u_r.size else 0.0)
                                  - (d - np.asarray(da.demand, dtype=float)
                                     if da.demand is not None else d)))
-    bids = RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="aware")
     result = RealTimeResult(
         g_r=g_r, u_r=u_r, price=price, price_coeff=phi, iterations=0, converged=True,
         kkt_residual=float(clearing_err) / max(1.0, float(np.max(np.abs(d)))),
@@ -308,10 +320,6 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     if x0s is None:
         x0s = [st.x0 for st in params.storages]
 
-    g_lo = np.array([[gen.g_min] * W for gen in params.generators], dtype=float) \
-        if J else np.zeros((0, W))
-    g_hi = np.array([[gen.g_max] * W for gen in params.generators], dtype=float) \
-        if J else np.zeros((0, W))
     u_lo = np.zeros((S, W))
     u_hi = np.zeros((S, W))
     for s, st in enumerate(params.storages):
@@ -322,7 +330,10 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     res = solve_market_qp(
         alphas=bids.alpha_r, a_lin=np.zeros(J), betas=bids.beta_r,
         capacities=[st.capacity_E for st in params.storages],
-        x0s=x0s, demand=w, g_lo=g_lo, g_hi=g_hi, u_lo=u_lo, u_hi=u_hi,
+        x0s=x0s, demand=w,
+        g_lo=[gen.g_min for gen in params.generators],
+        g_hi=[gen.g_max for gen in params.generators],
+        u_lo=u_lo, u_hi=u_hi,
         periodic=False, soc_bounds=True, tol=tol,
     )
     g_r = res.g - g_da

@@ -20,8 +20,8 @@ from .dayahead import DayAheadResult, clear_general, clear_uniform, equilibrium_
 from .errors import DegeneratePriceError, DivergenceError, InfeasibleError
 from .rainflow import rainflow_map
 from .realtime import (
-    RealTimeBids,
     RealTimeResult,
+    aware_bids,
     best_response_unaware,
     clear_constrained_aware,
     equilibrium_unaware,
@@ -165,17 +165,10 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
 
 def _aware_window(w, da, params, hour, end, x0_run, tol):
     # constant slopes; the storage slope tracks the window's total demand
-    alpha_r = np.array([1.0 / gen.c for gen in params.generators])
-    beta_r = np.zeros(params.n_storages)
-    norm2 = float(w @ w)
-    for s, st in enumerate(params.storages):
-        dec = rainflow_map(w, st.capacity_E, st.x0)
-        Nd = dec.map @ w
-        denom = float(Nd @ Nd)
-        if denom <= 0.0:
-            raise DegeneratePriceError(f"window at hour {hour} has no cycling content")
-        beta_r[s] = norm2 / (st.b * denom)
-    bids = RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="aware")
+    try:
+        bids = aware_bids(params, w)
+    except DegeneratePriceError as exc:
+        raise DegeneratePriceError(f"window at hour {hour} has no cycling content") from exc
     try:
         return clear_constrained_aware(
             bids, w, da.g[:, hour:end], da.u[:, hour:end], params, x0s=list(x0_run), tol=tol,
@@ -199,29 +192,23 @@ def _unaware_window(w, da, params, hour, end, tol):
         return zero
     view = _window_da_view(da, params, hour, end)
     try:
-        try:
-            _, res = best_response_unaware(params, d_r, view, tol=max(tol * 1e-2, 1e-12))
-        except DivergenceError:
-            # no positive aggregate slope: the iteration cannot cross zero,
-            # but the closed-form fixed point is still a valid equilibrium
-            _, res = equilibrium_unaware(params, d_r, view)
-        return res
+        return _unaware_equilibrium(params, d_r, view, tol)
     except DegeneratePriceError:
-        # storage schedule is flat inside this window: clear with generators only
-        gen_only = MarketParams(generators=params.generators, storages=[])
-        gview = DayAheadResult(
-            g=view.g, u=np.zeros((0, W)), nu=[], energy_price=view.energy_price,
-            cycle_prices=[], periodicity_duals=np.zeros(0), shares=None, objective=0.0,
-            kkt_residual=0.0, demand=None, uniform=view.uniform,
-        )
-        try:
-            _, res = best_response_unaware(gen_only, d_r, gview, tol=max(tol * 1e-2, 1e-12))
-        except DivergenceError:
-            _, res = equilibrium_unaware(gen_only, d_r, gview)
-        return RealTimeResult(
-            g_r=res.g_r, u_r=np.zeros((S, W)), price=res.price, price_coeff=res.price_coeff,
-            iterations=res.iterations, converged=res.converged, map_stable=res.map_stable,
-        )
+        # storage schedule is flat inside this window: clear with generators
+        # only; without storage units the bids read nothing but view.g
+        res = _unaware_equilibrium(MarketParams(generators=params.generators), d_r, view, tol)
+        res.u_r = np.zeros((S, W))
+        return res
+
+
+def _unaware_equilibrium(params, d_r, view, tol):
+    """Best response on one window, else the closed form it converges to."""
+    try:
+        return best_response_unaware(params, d_r, view, tol=max(tol * 1e-2, 1e-12))[1]
+    except DivergenceError:
+        # no positive aggregate slope: the iteration cannot cross zero,
+        # but the closed-form fixed point is still a valid equilibrium
+        return equilibrium_unaware(params, d_r, view)[1]
 
 
 def settle(da: DayAheadResult, rt_prices, g_rt, u_rt, scenario: DemandScenario,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from cyclemarket.cli import main
+from cyclemarket.data import synthetic_scenario, write_demand_csv
 
 
 def read_rows(path):
@@ -54,6 +55,16 @@ class TestRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("removed", [{"horizon": 48}, {"mode": {"realtime": "unaware"}}])
+    def test_unread_config_keys_exit_two(self, tmp_path, capsys, removed):
+        # the horizon comes from the demand file and the mode from --mode
+        cfg = {"generators": [{"c": 25.0}], "storages": [{"capacity_E": 30.0}], **removed}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--out", str(out1)]) == 0
@@ -99,6 +110,18 @@ class TestSweep:
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out1 / "social_cost_vs_E.svg").read_bytes() == \
             (out2 / "social_cost_vs_E.svg").read_bytes()
+
+    def test_short_realized_day_fails_only_the_mechanism(self, tmp_path):
+        demand = tmp_path / "short.csv"
+        write_demand_csv(synthetic_scenario(n_realized=12), demand)
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["sweep", "--spec", str(spec), "--demand", str(demand), "--out", str(out)])
+        assert code == 1
+        status = {r["strategy"]: r["status"] for r in read_rows(out / "sweep.csv")}
+        assert status == {"mechanism": "error: need 24 realized hours, have 12",
+                          "planner_periodic": "ok", "planner_nonperiodic": "ok"}
 
     def test_invalid_spec_exits_two(self, tmp_path):
         spec = tmp_path / "bad.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cyclemarket.errors import InfeasibleError, SolverFailureError
+from cyclemarket.errors import InfeasibleError, InvalidInputError, SolverFailureError
 from cyclemarket.qp import solve_qp, solve_market_qp
 
 
@@ -94,6 +94,13 @@ class TestMarketQP:
         g, u = err.value.best_iterate
         assert g.shape == u.shape == (1, 4)
         assert err.value.residual > 1e-8
+
+    def test_empty_round_budget_rejected(self):
+        with pytest.raises(InvalidInputError):
+            solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
+                            g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0,
+                            periodic=True, max_outer=0)
 
     def test_soc_corridor_enforced(self):
         # long discharge pull: the corridor caps cumulative output at x0 * E

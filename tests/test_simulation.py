@@ -1,10 +1,13 @@
 """Tests for the two-stage rolling simulation and settlement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cyclemarket import GeneratorParams, MarketParams, StorageParams
 from cyclemarket.data import DemandScenario, build_params, default_config, synthetic_scenario
+from cyclemarket.errors import InfeasibleError
 from cyclemarket.planner import solve_planner
 from cyclemarket.simulation import (
     BINDING_HOURS,
@@ -53,6 +56,18 @@ class TestRunDayAhead:
         da = run_day_ahead(scn, params)
         assert da.g.shape[1] == 48
         assert abs(float(da.u[0].sum())) < 1e-7  # periodic over the two days
+
+    def test_uniform_clearing_runs_two_stage(self, fixture_setup):
+        # uniform clearing ignores rate limits, so real time runs unaware
+        scn, params = fixture_setup
+        rec = run_two_stage(scn, params, mode="unaware",
+                            mechanism_config=MechanismConfig(clearing="uniform"))
+        assert rec.da_result.uniform
+        assert rec.da_result.shares == pytest.approx([1.0])
+        assert rec.da_result.kkt_residual <= 1e-8
+        total = (rec.da_result.g[:, :BINDING_HOURS] + rec.g_rt).sum(axis=0) \
+            + (rec.da_result.u[:, :BINDING_HOURS] + rec.u_rt).sum(axis=0)
+        assert total == pytest.approx(scn.actual, abs=1e-6)
 
 
 class TestRunRealTime:
@@ -111,6 +126,28 @@ class TestRunRealTime:
         # the largest one
         adj = np.abs(rec.g_rt[0] + rec.u_rt[0])
         assert np.argmax(adj) == 6
+
+
+    def test_flat_day_ahead_storage_clears_unaware_with_generators_only(self, fixture_setup):
+        scn, params = fixture_setup
+        da = run_day_ahead(scn, params)
+        # the generator takes over the storage dispatch, so no window cycles
+        flat = dataclasses.replace(da, g=da.g + da.u.sum(axis=0), u=np.zeros_like(da.u))
+        steps, g_rt, u_rt, _, _ = run_real_time(scn, params, flat, mode="unaware")
+        assert np.all(u_rt == 0.0)
+        assert g_rt.sum(axis=0) == pytest.approx(scn.residual, abs=1e-8)
+        assert steps[0].kkt_residual <= 1e-8
+
+    def test_infeasible_window_names_its_hour(self, fixture_setup):
+        scn0, params = fixture_setup
+        da = run_day_ahead(scn0, params)
+        actual = scn0.actual.copy()
+        actual[5] = params.generators[0].g_max + params.storages[0].u_max + 100.0
+        scn = DemandScenario(forecast=scn0.forecast, actual=actual,
+                             timestamps=scn0.timestamps)
+        with pytest.raises(InfeasibleError) as err:
+            run_real_time(scn, params, da, mode="aware")
+        assert err.value.interval == 5
 
 
 class TestSettlement:
