@@ -124,7 +124,7 @@ def _piece_gradient(N, vals, b):
     return b * (N.T @ (N @ vals))
 
 
-def storage_cost_subgradient(u, params, probe_step=None):
+def storage_cost_subgradient(u, params):
     """Subgradient of the cycle cost with kink detection by probing.
 
     The cost is piecewise quadratic in the dispatch: within a region of
@@ -135,8 +135,7 @@ def storage_cost_subgradient(u, params, probe_step=None):
     """
     vals = _dispatch_values(u)
     E, x0, b = params.capacity_E, params.x0, params.b
-    if probe_step is None:
-        probe_step = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
+    probe_step = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
 
     base = rainflow_map(vals, E, x0)
     maps = {base.signature(): base.map}

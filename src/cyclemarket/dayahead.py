@@ -177,7 +177,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8, max_
 
 
 def clear_general(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8,
-                  enforce_soc_bounds=False, max_outer=200):
+                  enforce_soc_bounds=False):
     """Full day-ahead clearing with stage-wise limits and periodicity.
 
     Prices come from the balance duals; per-cycle prices are recovered from
@@ -203,7 +203,7 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8,
         g_hi=[gen.g_max for gen in params.generators],
         u_lo=[st.u_min for st in params.storages],
         u_hi=[st.u_max for st in params.storages],
-        periodic=True, soc_bounds=enforce_soc_bounds, tol=tol, max_outer=max_outer,
+        periodic=True, soc_bounds=enforce_soc_bounds, tol=tol,
     )
     nu = [res.maps[s].map @ res.u[s] for s in range(S)]
     cycle_prices = [nu[s] / bids.beta[s] for s in range(S)]

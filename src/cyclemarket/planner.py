@@ -31,7 +31,7 @@ class PlannerResult:
 
 
 def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
-                  enforce_soc_bounds=True, max_outer=200):
+                  enforce_soc_bounds=True):
     """Minimize total generation plus cycle-degradation cost meeting demand.
 
     Constraints: per-interval balance, total power limits per participant,
@@ -52,7 +52,7 @@ def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
         g_hi=[gen.g_max for gen in params.generators],
         u_lo=[st.u_min for st in params.storages],
         u_hi=[st.u_max for st in params.storages],
-        periodic=periodic, soc_bounds=enforce_soc_bounds, tol=tol, max_outer=max_outer,
+        periodic=periodic, soc_bounds=enforce_soc_bounds, tol=tol,
     )
     objective = sum(generator_cost(res.g[j], params.generators[j]) for j in range(J)) + sum(
         storage_cost(res.u[s], params.storages[s]) for s in range(S))

@@ -107,9 +107,7 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
 
     act_tol = 1e-10 * np.maximum(1.0, np.abs(h)) if h.size else h
     working = [i for i in range(G.shape[0]) if slack0[i] <= act_tol[i]]
-    bland_after = max(200, 4 * (n + A.shape[0]))  # degenerate vertices: switch to Bland's rule
     for it in range(max_iter):
-        bland = it >= bland_after
         active = _independent_working_rows(A, G, working)
         rows = np.vstack([A, G[active]]) if (A.shape[0] or active) else np.zeros((0, n))
         rhs = np.concatenate([-q, b, h[active]])
@@ -123,12 +121,7 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
                 for k, i in enumerate(active):
                     mu[i] = max(mu_w[k], 0.0)
                 return QPSolution(x=x, eq_duals=duals[: A.shape[0]], ineq_duals=mu, iterations=it)
-            if bland:
-                neg = [k for k in range(len(active)) if mu_w[k] < -1e-11]
-                drop_row = min(active[k] for k in neg)
-            else:
-                drop_row = active[int(np.argmin(mu_w))]
-            working.remove(drop_row)
+            working.remove(active[int(np.argmin(mu_w))])
             continue
         # step toward the EQP optimum, blocked by the nearest inactive row;
         # ratios within 1e-9 of a full step saturate to one (the leftover
@@ -147,7 +140,7 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
                 best_ratio = float(np.min(ratios))
                 if best_ratio < 1.0 - 1e-9:
                     near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
-                    k = int(near[0]) if bland else int(near[np.argmax(gp[near])])
+                    k = int(near[np.argmax(gp[near])])
                     alpha = max(best_ratio, 0.0)
                     blocker = inactive[k]
         x = x + alpha * p
@@ -171,8 +164,18 @@ class MarketQPResult:
     stationarity_pieces: list = field(default_factory=list)  # per storage: [(weight, map)]
 
 
+def _with_negations(M):
+    """Rows of ``M`` each followed by its negation (upper row, then lower row)."""
+    return np.stack([M, -M], axis=1).reshape(2 * M.shape[0], M.shape[1])
+
+
 class _Problem:
-    """Constraint assembly for the dispatch template (variables g then u)."""
+    """Constraint assembly for the dispatch template (variables g then u).
+
+    Limits that cross (a lower limit above its upper limit) raise
+    ``InfeasibleError`` naming the first interval where any participant's do.
+    Both starting points put storage at 0.
+    """
 
     def __init__(self, alphas, a_lin, betas, capacities, x0s, demand,
                  g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds):
@@ -185,6 +188,11 @@ class _Problem:
         self.J, self.S, self.T = self.alphas.size, self.betas.size, self.demand.size
         self.g_lo, self.g_hi = self._tile(g_lo, self.J), self._tile(g_hi, self.J)
         self.u_lo, self.u_hi = self._tile(u_lo, self.S), self._tile(u_hi, self.S)
+        crossed = np.flatnonzero(np.any(np.vstack([self.g_lo, self.u_lo])
+                                        > np.vstack([self.g_hi, self.u_hi]), axis=0))
+        if crossed.size:
+            t = int(crossed[0])
+            raise InfeasibleError(f"participant limits cross at interval {t}", interval=t)
         self.periodic = periodic
         self.soc_bounds = soc_bounds
         self.n = (self.J + self.S) * self.T
@@ -211,54 +219,34 @@ class _Problem:
     def _assemble(self):
         J, S, T, n = self.J, self.S, self.T, self.n
         # balance rows, then optional periodicity rows
-        A = np.zeros((T + (S if self.periodic else 0), n))
-        for j in range(J):
-            A[:T, self.g_slice(j)] = np.eye(T)
-        for s in range(S):
-            A[:T, self.u_slice(s)] = np.eye(T)
+        A = np.tile(np.eye(T), J + S)
+        self.b = self.demand.copy()
         if self.periodic:
-            for s in range(S):
-                A[T + s, self.u_slice(s)] = 1.0
+            A = np.vstack([A, np.hstack([np.zeros((S, J * T)), np.kron(np.eye(S), np.ones(T))])])
+            self.b = np.concatenate([self.demand, np.zeros(S)])
         self.A = A
-        self.b = np.concatenate([self.demand, np.zeros(S)]) if self.periodic else self.demand.copy()
 
-        rows, rhs = [], []
-        eye = np.eye(n)
-        for j in range(J):
-            sl = self.g_slice(j)
-            for t in range(T):
-                if np.isfinite(self.g_hi[j, t]):
-                    rows.append(eye[sl][t]); rhs.append(self.g_hi[j, t])
-                if np.isfinite(self.g_lo[j, t]):
-                    rows.append(-eye[sl][t]); rhs.append(-self.g_lo[j, t])
-        for s in range(S):
-            sl = self.u_slice(s)
-            for t in range(T):
-                if np.isfinite(self.u_hi[s, t]):
-                    rows.append(eye[sl][t]); rhs.append(self.u_hi[s, t])
-                if np.isfinite(self.u_lo[s, t]):
-                    rows.append(-eye[sl][t]); rhs.append(-self.u_lo[s, t])
+        # per variable in x order: its upper row, then its lower row, where finite
+        rhs = np.stack([np.vstack([self.g_hi, self.u_hi]).ravel(),
+                        -np.vstack([self.g_lo, self.u_lo]).ravel()], axis=1).ravel()
+        keep = np.isfinite(rhs)
+        G, h = _with_negations(np.eye(n))[keep], rhs[keep]
         if self.soc_bounds:
-            for s in range(S):
-                E, x0 = self.capacities[s], self.x0s[s]
-                prefix = np.tril(np.ones((T, T)))
-                block = np.zeros((T, n))
-                block[:, self.u_slice(s)] = prefix
-                for t in range(T):
-                    rows.append(block[t]); rhs.append(x0 * E)
-                    rows.append(-block[t]); rhs.append((1.0 - x0) * E)
-        self.G = np.vstack(rows) if rows else np.zeros((0, n))
-        self.h = np.asarray(rhs, float)
+            # per storage and interval: 0 <= x0 - cumsum(u)/E <= 1, as E * (x0, 1 - x0)
+            prefix = np.hstack([np.zeros((S * T, J * T)),
+                                np.kron(np.eye(S), np.tril(np.ones((T, T))))])
+            corridor = np.stack([np.repeat(self.x0s * self.capacities, T),
+                                 np.repeat((1.0 - self.x0s) * self.capacities, T)], axis=1)
+            G = np.vstack([G, _with_negations(prefix)])
+            h = np.concatenate([h, corridor.ravel()])
+        self.G, self.h = G, h
 
     def hessian(self, maps, other=None, gamma=1.0):
         """Fixed-map Hessian; with ``other`` each storage block blends the two
         maps' curvatures with weight ``gamma`` on ``maps``."""
-        H = np.zeros((self.n, self.n))
-        q = np.zeros(self.n)
-        for j in range(self.J):
-            sl = self.g_slice(j)
-            H[sl, sl] = np.eye(self.T) / self.alphas[j]
-            q[sl] = self.a_lin[j]
+        zeros = np.zeros(self.S * self.T)
+        H = np.diag(np.concatenate([np.repeat(1.0 / self.alphas, self.T), zeros]))
+        q = np.concatenate([np.repeat(self.a_lin, self.T), zeros])
         # With a single storage the balance coupling makes the reduced Hessian
         # positive definite on its own; two or more storages share flat
         # depth-preserving swap directions that need a tiny ridge to pin.
@@ -276,28 +264,29 @@ class _Problem:
             H[sl, sl] = Hu + ridge_rel * block_scale * np.eye(self.T)
         return H, q
 
-    def objective(self, g, u, maps=None):
+    def objective(self, g, u, maps):
         val = 0.0
         for j in range(self.J):
             val += 0.5 * np.dot(g[j], g[j]) / self.alphas[j] + self.a_lin[j] * g[j].sum()
         for s in range(self.S):
-            dec = maps[s] if maps is not None else rainflow_map(u[s], self.capacities[s], self.x0s[s])
-            nu = dec.map @ u[s]
+            nu = maps[s].map @ u[s]
             val += 0.5 * np.dot(nu, nu) / self.betas[s]
         return float(val)
 
     def split(self, x):
-        g = np.vstack([x[self.g_slice(j)] for j in range(self.J)]) if self.J else np.zeros((0, self.T))
-        u = np.vstack([x[self.u_slice(s)] for s in range(self.S)]) if self.S else np.zeros((0, self.T))
-        return g, u
+        k = self.J * self.T
+        return x[:k].reshape(self.J, self.T).copy(), x[k:].reshape(self.S, self.T).copy()
 
     def feasible_start(self):
-        """(g, u=0) with demand split greedily across generators per interval."""
+        """(g, u=0) with demand split greedily across generators per interval.
+
+        Storage always starts at 0, even where its box excludes 0; limits that
+        cross have already raised ``InfeasibleError`` in the constructor.
+        """
         J, T = self.J, self.T
-        g = np.array([np.where(np.isfinite(self.g_lo[j]), self.g_lo[j], 0.0) for j in range(J)]) \
-            if J else np.zeros((0, T))
+        g = np.where(np.isfinite(self.g_lo), self.g_lo, 0.0)
         for t in range(T):
-            residual = self.demand[t] - (g[:, t].sum() if J else 0.0)
+            residual = self.demand[t] - g[:, t].sum()
             if residual < -_FEAS_TOL * max(1.0, abs(self.demand[t])):
                 return None  # below the generator minimum; storage may absorb it
             for j in range(J):
@@ -308,34 +297,20 @@ class _Problem:
                     residual -= add
             if residual > _FEAS_TOL * max(1.0, abs(self.demand[t])):
                 return None  # generators alone cannot cover; try the elastic phase
-        x = np.zeros(self.n)
-        for j in range(J):
-            x[self.g_slice(j)] = g[j]
-        return x
+        return np.concatenate([g.ravel(), np.zeros(self.S * T)])
 
     def elastic_start(self):
         """Phase-1: elastic balance slack finds a feasible point when storage
         must participate (for example a binding generator cap at the peak)."""
         n, T = self.n, self.T
-        n_el = n + T
-        H = np.zeros((n_el, n_el))
         scale = max(1.0, float(np.max(np.abs(self.demand))))
-        big = 1e8
-        H[:n, :n] = np.eye(n) * 1e-6
-        H[n:, n:] = np.eye(T) * big
-        q = np.zeros(n_el)
-        A = np.zeros((self.A.shape[0], n_el))
-        A[:, :n] = self.A
-        A[:T, n:] = np.eye(T)  # balance + slack = d
-        G = np.zeros((self.G.shape[0], n_el))
-        G[:, :n] = self.G
-        x0 = np.zeros(n_el)
-        lo_start = np.zeros(n)
-        for j in range(self.J):
-            lo_start[self.g_slice(j)] = np.clip(0.0, self.g_lo[j], self.g_hi[j])
-        x0[:n] = lo_start
-        x0[n:] = self.demand - self.A[:T, :] @ lo_start
-        sol = solve_qp(H, q, A, self.b, G, self.h, x0)
+        H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(T, 1e8)]))
+        A = np.hstack([self.A, np.eye(self.A.shape[0], T)])  # balance + slack = d
+        G = np.hstack([self.G, np.zeros((self.G.shape[0], T))])
+        lo_start = np.concatenate([np.clip(0.0, self.g_lo, self.g_hi).ravel(),
+                                   np.zeros(self.S * T)])
+        x0 = np.concatenate([lo_start, self.demand - self.A[:T, :] @ lo_start])
+        sol = solve_qp(H, np.zeros(n + T), A, self.b, G, self.h, x0)
         slack = sol.x[n:]
         worst = int(np.argmax(np.abs(slack)))
         if np.abs(slack[worst]) > 1e-6 * scale:

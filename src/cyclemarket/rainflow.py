@@ -32,7 +32,6 @@ class DispatchProfile:
     """Per-interval power schedule for one participant, discharge positive."""
 
     values: np.ndarray
-    interval_hours: float = 1.0
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -40,8 +39,6 @@ class DispatchProfile:
             raise InvalidInputError("dispatch profile must be a 1-d vector of length >= 1")
         if not np.all(np.isfinite(self.values)):
             raise InvalidInputError("dispatch profile contains non-finite entries")
-        if not (self.interval_hours > 0):
-            raise InvalidInputError("interval_hours must be positive")
 
     def __len__(self):
         return self.values.size

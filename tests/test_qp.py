@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cyclemarket import qp
 from cyclemarket.errors import InfeasibleError, InvalidInputError, SolverFailureError
 from cyclemarket.qp import solve_qp, solve_market_qp
 
@@ -23,6 +24,13 @@ class TestActiveSetCore:
                        None, None, np.eye(2), np.ones(2), x0=np.zeros(2))
         assert sol.x == pytest.approx([1.0, 1.0])
         assert sol.ineq_duals == pytest.approx([4.0, 4.0])
+
+    def test_iteration_cap_raises_with_best_iterate(self):
+        # the first iteration steps to the box corner; certifying it needs a second
+        with pytest.raises(SolverFailureError) as err:
+            solve_qp(2 * np.eye(2), np.array([-6.0, -6.0]),
+                     None, None, np.eye(2), np.ones(2), x0=np.zeros(2), max_iter=1)
+        assert err.value.best_iterate == pytest.approx([1.0, 1.0])
 
     def test_stationarity_of_random_instances(self):
         rng = np.random.default_rng(12)
@@ -94,6 +102,32 @@ class TestMarketQP:
         g, u = err.value.best_iterate
         assert g.shape == u.shape == (1, 4)
         assert err.value.residual > 1e-8
+
+    def test_stable_assignment_with_stuck_residual_raises(self, monkeypatch):
+        # tol=0 cannot be met, so the stable-assignment exit fires, not the round budget
+        calls = []
+        inner = qp.solve_qp
+        monkeypatch.setattr(qp, "solve_qp", lambda *a, **k: calls.append(1) or inner(*a, **k))
+        with pytest.raises(SolverFailureError) as err:
+            solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
+                            g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0,
+                            periodic=True, tol=0.0)
+        assert len(calls) == 2
+        g, u = err.value.best_iterate
+        assert g.shape == u.shape == (1, 4)
+        assert 0.0 < err.value.residual <= 1e-8
+
+    def test_crossed_limits_name_first_interval(self):
+        u_hi = np.full((1, 4), 1.0)
+        u_lo = np.full((1, 4), -1.0)
+        u_lo[0, 2] = u_hi[0, 2] + 1.0
+        with pytest.raises(InfeasibleError) as err:
+            solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
+                            g_lo=-np.inf, g_hi=np.inf, u_lo=u_lo, u_hi=u_hi,
+                            periodic=False)
+        assert err.value.interval == 2
 
     def test_empty_round_budget_rejected(self):
         with pytest.raises(InvalidInputError):

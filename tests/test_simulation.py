@@ -69,6 +69,15 @@ class TestRunDayAhead:
             + (rec.da_result.u[:, :BINDING_HOURS] + rec.u_rt).sum(axis=0)
         assert total == pytest.approx(scn.actual, abs=1e-6)
 
+    def test_uniform_clearing_then_aware_real_time_is_infeasible(self, fixture_setup):
+        # the uniform schedule breaks the rate limits, so the first window's limits cross
+        scn, params = fixture_setup
+        with pytest.raises(InfeasibleError) as err:
+            run_two_stage(scn, params, mode="aware",
+                          mechanism_config=MechanismConfig(clearing="uniform"))
+        assert err.value.interval == 0
+        assert "participant limits cross at interval 0" in str(err.value)
+
 
 class TestRunRealTime:
     def test_24_steps_produced(self, aware_record):
