@@ -39,49 +39,47 @@ class QPSolution:
     iterations: int
 
 
-def _kkt_solve(H, A_rows, rhs):
+def _kkt_solve(H, rows, rhs):
+    # K is freed on return: held across iterations, each new K was faulted in
+    # fresh (91 minor page faults per T=48 solve_qp call, against 0 this way)
     n = H.shape[0]
-    m = A_rows.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = H
-    if m:
-        K[:n, n:] = A_rows.T
-        K[n:, :n] = A_rows
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+    K = np.zeros((n + len(rows), n + len(rows)))
+    K[:n, :n], K[:n, n:], K[n:, :n] = H, rows.T, rows
+    sol = np.linalg.solve(K, rhs)
     return sol[:n], sol[n:]
 
 
-def _independent_working_rows(A, G, working):
-    """Subset of ``working`` whose rows stay independent given the rows of A.
-
-    Active rows that are linear combinations of the equalities plus earlier
-    working rows pin nothing new (a null-space step cannot violate them) but
-    make the KKT system singular and its multipliers meaningless, so they are
-    left out of the solve and implicitly carry zero multipliers.
-    """
-    if not working:
-        return working
-    basis = []
-    for row in A:
-        v = row.copy()
-        for bvec in basis:
-            v -= (v @ bvec) * bvec
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            basis.append(v / norm)
+def _orthonormal_extension(basis, rows, thresholds):
+    """Extend the orthonormal rows of ``basis`` by each of ``rows``, in order,
+    whose component orthogonal to the basis so far exceeds its threshold
+    (classical Gram-Schmidt run twice); returns the basis and their indices."""
+    k = basis.shape[0]
+    Q = np.vstack([basis, np.empty_like(rows)])
     kept = []
-    for i in working:
-        v = G[i].copy()
-        scale = max(np.linalg.norm(v), 1e-300)
-        for bvec in basis:
-            v -= (v @ bvec) * bvec
-        if np.linalg.norm(v) > 1e-9 * scale:
-            basis.append(v / np.linalg.norm(v))
+    for i, row in enumerate(rows):
+        v = row - (Q[:k] @ row) @ Q[:k]
+        v -= (Q[:k] @ v) @ Q[:k]
+        norm = np.linalg.norm(v)
+        if norm > thresholds[i]:
+            Q[k] = v / norm
+            k += 1
             kept.append(i)
-    return kept
+    return Q[:k], kept
+
+
+def _equality_basis(A):
+    """Orthonormal rows spanning the rows of A (1e-12 absolute threshold)."""
+    return _orthonormal_extension(np.zeros((0, A.shape[1])), A, np.full(len(A), 1e-12))[0]
+
+
+def _independent_working_rows(basis, G, working):
+    """The rows of ``working`` (ascending G row indices) independent of the
+    equality ``basis`` and of the working rows kept before them.  Dependent
+    rows pin nothing new but would make the KKT system singular."""
+    rows = G[working]
+    _, kept = _orthonormal_extension(
+        basis, rows, 1e-9 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300))
+    return working[kept]
 
 
 def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
@@ -91,6 +89,13 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     subspace (callers add a small ridge to flat directions).  Returns the
     optimum with equality duals ``y`` (stationarity Hx + q + A'y + G'mu = 0)
     and nonnegative inequality duals ``mu``.
+
+    Working rows that depend on the equalities and earlier working rows sit
+    out of the solve with zero multipliers, and rejoin it after a drop.  A
+    start that violates a constraint by more than 1e-7 raises
+    ``InvalidInputError``; the iteration cap and a singular KKT system (H not
+    positive definite on the working subspace) raise ``SolverFailureError``
+    carrying the current iterate.
     """
     n = H.shape[0]
     A = np.zeros((0, n)) if A is None else np.asarray(A, float)
@@ -100,53 +105,53 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
 
     if A.shape[0] and np.max(np.abs(A @ x - b)) > 1e-7:
-        raise ValueError("solve_qp requires a feasible starting point (equalities)")
-    slack0 = h - G @ x if G.shape[0] else np.zeros(0)
+        raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
+    slack0 = h - G @ x
     if slack0.size and slack0.min() < -1e-7:
-        raise ValueError("solve_qp requires a feasible starting point (inequalities)")
+        raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
 
-    act_tol = 1e-10 * np.maximum(1.0, np.abs(h)) if h.size else h
-    working = [i for i in range(G.shape[0]) if slack0[i] <= act_tol[i]]
+    working = slack0 <= 1e-10 * np.maximum(1.0, np.abs(h))
+    basis = None  # built at the first working row; the equalities never change
     for it in range(max_iter):
-        active = _independent_working_rows(A, G, working)
-        rows = np.vstack([A, G[active]]) if (A.shape[0] or active) else np.zeros((0, n))
+        active = np.flatnonzero(working)
+        if active.size:
+            if basis is None:
+                basis = _equality_basis(A)
+            active = _independent_working_rows(basis, G, active)
         rhs = np.concatenate([-q, b, h[active]])
-        x_new, duals = _kkt_solve(H, rows, rhs)
+        try:
+            x_new, duals = _kkt_solve(H, np.vstack([A, G[active]]), rhs)
+        except np.linalg.LinAlgError:
+            raise SolverFailureError("active-set QP met a singular KKT system",
+                                     best_iterate=x) from None
         p = x_new - x
         step_scale = max(1.0, float(np.max(np.abs(x))))
         if np.max(np.abs(p)) <= 1e-12 * step_scale:
             mu_w = duals[A.shape[0]:]
             if mu_w.size == 0 or mu_w.min() >= -1e-11:
                 mu = np.zeros(G.shape[0])
-                for k, i in enumerate(active):
-                    mu[i] = max(mu_w[k], 0.0)
+                mu[active] = np.maximum(mu_w, 0.0)
                 return QPSolution(x=x, eq_duals=duals[: A.shape[0]], ineq_duals=mu, iterations=it)
-            working.remove(active[int(np.argmin(mu_w))])
+            working[active[int(np.argmin(mu_w))]] = False
             continue
         # step toward the EQP optimum, blocked by the nearest inactive row;
         # ratios within 1e-9 of a full step saturate to one (the leftover
         # violation is far inside feasibility tolerance and re-adding the row
         # at a degenerate vertex would cycle)
         alpha = 1.0
-        blocker = -1
-        if G.shape[0]:
-            inactive = [i for i in range(G.shape[0]) if i not in working]
-            if inactive:
-                Gi = G[inactive]
-                gp = Gi @ p
-                slack = h[inactive] - Gi @ x
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(gp > 1e-13 * step_scale, slack / gp, np.inf)
-                best_ratio = float(np.min(ratios))
-                if best_ratio < 1.0 - 1e-9:
-                    near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
-                    k = int(near[np.argmax(gp[near])])
-                    alpha = max(best_ratio, 0.0)
-                    blocker = inactive[k]
+        inactive = np.flatnonzero(~working)
+        if inactive.size:
+            Gi = G[inactive]
+            gp = Gi @ p
+            slack = h[inactive] - Gi @ x
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(gp > 1e-13 * step_scale, slack / gp, np.inf)
+            best_ratio = float(np.min(ratios))
+            if best_ratio < 1.0 - 1e-9:
+                near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
+                alpha = max(best_ratio, 0.0)
+                working[inactive[near[np.argmax(gp[near])]]] = True
         x = x + alpha * p
-        if blocker >= 0:
-            working.append(blocker)
-            working.sort()
     raise SolverFailureError("active-set QP exceeded its iteration cap", best_iterate=x)
 
 
@@ -174,7 +179,7 @@ class _Problem:
 
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
-    Both starting points put storage at 0.
+    Both starting points put storage at ``storage_start``.
     """
 
     def __init__(self, alphas, a_lin, betas, capacities, x0s, demand,
@@ -208,7 +213,7 @@ class _Problem:
             return np.repeat(arr[:, None], self.T, axis=1)
         if arr.shape == (count, self.T):
             return arr.copy()
-        raise ValueError("bound must be scalar, per-participant, or (count, T)")
+        raise InvalidInputError("bound must be scalar, per-participant, or (count, T)")
 
     def g_slice(self, j):
         return slice(j * self.T, (j + 1) * self.T)
@@ -277,16 +282,27 @@ class _Problem:
         k = self.J * self.T
         return x[:k].reshape(self.J, self.T).copy(), x[k:].reshape(self.S, self.T).copy()
 
-    def feasible_start(self):
-        """(g, u=0) with demand split greedily across generators per interval.
+    def storage_start(self):
+        """Storage at 0, or at the nearest box point where 0 lies outside the
+        box by more than ``solve_qp``'s 1e-7 start tolerance.
 
-        Storage always starts at 0, even where its box excludes 0; limits that
-        cross have already raised ``InfeasibleError`` in the constructor.
+        A box that excludes 0 by less (a commitment rounded past its rate
+        limit) keeps the start at 0, which ``solve_qp`` accepts.
+        """
+        nearest = np.clip(0.0, self.u_lo, self.u_hi)
+        return np.where(np.abs(nearest) > 1e-7, nearest, 0.0)
+
+    def feasible_start(self):
+        """(g, u) with storage at ``storage_start`` and the rest of demand
+        split greedily across generators per interval; limits that cross have
+        already raised ``InfeasibleError`` in the constructor.
         """
         J, T = self.J, self.T
         g = np.where(np.isfinite(self.g_lo), self.g_lo, 0.0)
+        u = self.storage_start()
+        rest = self.demand - u.sum(axis=0)  # what the generators must cover
         for t in range(T):
-            residual = self.demand[t] - g[:, t].sum()
+            residual = rest[t] - g[:, t].sum()
             if residual < -_FEAS_TOL * max(1.0, abs(self.demand[t])):
                 return None  # below the generator minimum; storage may absorb it
             for j in range(J):
@@ -297,7 +313,7 @@ class _Problem:
                     residual -= add
             if residual > _FEAS_TOL * max(1.0, abs(self.demand[t])):
                 return None  # generators alone cannot cover; try the elastic phase
-        return np.concatenate([g.ravel(), np.zeros(self.S * T)])
+        return np.concatenate([g.ravel(), u.ravel()])
 
     def elastic_start(self):
         """Phase-1: elastic balance slack finds a feasible point when storage
@@ -308,7 +324,7 @@ class _Problem:
         A = np.hstack([self.A, np.eye(self.A.shape[0], T)])  # balance + slack = d
         G = np.hstack([self.G, np.zeros((self.G.shape[0], T))])
         lo_start = np.concatenate([np.clip(0.0, self.g_lo, self.g_hi).ravel(),
-                                   np.zeros(self.S * T)])
+                                   self.storage_start().ravel()])
         x0 = np.concatenate([lo_start, self.demand - self.A[:T, :] @ lo_start])
         sol = solve_qp(H, np.zeros(n + T), A, self.b, G, self.h, x0)
         slack = sol.x[n:]
@@ -389,35 +405,27 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
     return float(max(res)) if res else 0.0
 
 
-def _evaluate(prob, x, sol, pieces=None):
-    """Pack one fixed-map QP solution with its true-problem diagnostics."""
-    g, u = prob.split(x)
+def _evaluate(prob, sol, iterations, pieces=None):
+    """One fixed-map QP solution with its true-problem diagnostics."""
+    g, u = prob.split(sol.x)
     maps = [rainflow_map(u[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
     price = -sol.eq_duals[: prob.T]
     per_duals = sol.eq_duals[prob.T:] if prob.periodic else np.zeros(prob.S)
     resid = market_kkt_residual(prob, g, u, price, per_duals, maps, sol.ineq_duals, pieces)
-    obj = prob.objective(g, u, maps)
-    sig = tuple(m.signature() for m in maps)
-    return {"x": x.copy(), "g": g, "u": u, "maps": maps, "price": price,
-            "per_duals": per_duals, "resid": resid, "obj": obj, "sig": sig,
-            "pieces": pieces or [[(1.0, m.map)] for m in maps]}
+    return MarketQPResult(g=g, u=u, price=price, periodicity_duals=per_duals, maps=maps,
+                          objective=prob.objective(g, u, maps), kkt_residual=resid,
+                          iterations=iterations,
+                          stationarity_pieces=pieces or [[(1.0, m.map)] for m in maps])
 
 
-def _result_from(state, iterations):
-    return MarketQPResult(g=state["g"], u=state["u"], price=state["price"],
-                          periodicity_duals=state["per_duals"], maps=state["maps"],
-                          objective=state["obj"], kkt_residual=state["resid"],
-                          iterations=iterations, stationarity_pieces=state["pieces"])
-
-
-def _kink_bisection(prob, x, maps_a, maps_b):
+def _kink_bisection(prob, x, maps_a, maps_b, iterations):
     """Resolve a two-map assignment cycle by bisecting the subgradient weight.
 
     At a kink-seated optimum the stationarity holds with a convex combination
     of the two adjacent pieces' curvatures.  Solving the blended QP and
     bisecting the weight to the region boundary lands on that point exactly.
     ``x`` is the optimum under ``maps_a`` alone (weight 1), whose own maps are
-    ``maps_b``.
+    ``maps_b``; the result reports ``iterations``.
     """
 
     def solve_at(gamma):
@@ -444,7 +452,7 @@ def _kink_bisection(prob, x, maps_a, maps_b):
             break
     gamma = 0.5 * (lo + hi)
     pieces = [[(gamma, maps_a[s].map), (1.0 - gamma, maps_b[s].map)] for s in range(prob.S)]
-    return _evaluate(prob, sol.x, sol, pieces)
+    return _evaluate(prob, sol, iterations, pieces)
 
 
 def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
@@ -470,26 +478,26 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
         sol = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
         total_iters += sol.iterations
         x = sol.x
-        state = _evaluate(prob, x, sol)
-        if best is None or state["obj"] < best["obj"]:
-            best = state
-        if state["sig"] == sig:
-            if state["resid"] <= tol:
-                return _result_from(state, total_iters)
+        res = _evaluate(prob, sol, total_iters)
+        if best is None or res.objective < best.objective:
+            best = res
+        res_sig = tuple(m.signature() for m in res.maps)
+        if res_sig == sig:
+            if res.kkt_residual <= tol:
+                return res
             break  # assignment is stable but the residual is stuck
-        if state["sig"] in seen:
+        if res_sig in seen:
             # assignment cycling: the optimum sits on a two-piece kink
-            kink = _kink_bisection(prob, x, maps, state["maps"])
-            if kink is not None and kink["resid"] <= tol:
-                return _result_from(kink, total_iters)
-            if kink is not None and kink["obj"] < best["obj"]:
+            kink = _kink_bisection(prob, x, maps, res.maps, total_iters)
+            if kink is not None and kink.kkt_residual <= tol:
+                return kink
+            if kink is not None and kink.objective < best.objective:
                 best = kink
             break
-        seen.add(sig)
-        seen.add(state["sig"])
-        maps, sig = state["maps"], state["sig"]
+        seen.update((sig, res_sig))
+        maps, sig = res.maps, res_sig
 
     raise SolverFailureError(
         "dispatch solve did not reach tolerance within its alternation rounds",
-        best_iterate=(best["g"], best["u"]), residual=best["resid"],
+        best_iterate=(best.g, best.u), residual=best.kkt_residual,
     )

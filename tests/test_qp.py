@@ -32,6 +32,23 @@ class TestActiveSetCore:
                      None, None, np.eye(2), np.ones(2), x0=np.zeros(2), max_iter=1)
         assert err.value.best_iterate == pytest.approx([1.0, 1.0])
 
+    def test_singular_kkt_system_raises_with_start(self):
+        # H is singular and nothing pins the flat direction
+        x0 = np.array([1.0, 2.0])
+        with pytest.raises(SolverFailureError) as err:
+            solve_qp(np.diag([1.0, 0.0]), np.ones(2), x0=x0)
+        assert err.value.best_iterate == pytest.approx(x0)
+
+    def test_infeasible_start_equalities_raises_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="equalities"):
+            solve_qp(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
+                     x0=np.zeros(2))
+
+    def test_infeasible_start_inequalities_raises_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="inequalities"):
+            solve_qp(np.eye(2), np.zeros(2), None, None, np.eye(2), np.ones(2),
+                     x0=np.array([2.0, 0.0]))
+
     def test_stationarity_of_random_instances(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
@@ -49,6 +66,47 @@ class TestActiveSetCore:
             # complementarity
             slack = h - G @ sol.x
             assert np.max(np.abs(sol.ineq_duals * slack)) < 1e-7
+
+
+def _kept_rows(A, G, working):
+    basis = qp._equality_basis(np.asarray(A, float))
+    return qp._independent_working_rows(basis, np.asarray(G, float), np.asarray(working)).tolist()
+
+
+def _one_generator_one_storage(soc_bounds):
+    # x = (g0, g1, u0, u1); box rows per variable, upper then lower:
+    # g0 0/1, g1 2/3, u0 4/5, u1 6/7; SoC corridor rows 8/9 (t=0), 10/11 (t=1)
+    return qp._Problem([1.0], [0.0], [1.0], [2.0], [0.5], [1.0, 2.0], 0.0, 1.0, -1.0, 1.0,
+                       periodic=False, soc_bounds=soc_bounds)
+
+
+class TestWorkingRowDependence:
+    """Which working rows join the KKT solve: in index order, each row must be
+    independent of the equalities and of the rows kept before it."""
+
+    def test_duplicated_row_keeps_first_copy(self):
+        G = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        assert _kept_rows(np.zeros((0, 3)), G, [0, 1, 2]) == [0, 1]
+        assert _kept_rows(np.zeros((0, 3)), G, [1, 2]) == [1, 2]
+
+    def test_box_row_implied_by_balance_and_interval_boxes(self):
+        prob = _one_generator_one_storage(soc_bounds=False)
+        # g0 at its cap and u0 at its floor: the balance row fixes u0 from g0
+        assert _kept_rows(prob.A, prob.G, [0, 5]) == [0]
+        assert _kept_rows(prob.A, prob.G, [0, 2, 5, 7]) == [0, 2]
+        assert _kept_rows(prob.A, prob.G, [0, 7]) == [0, 7]
+
+    def test_first_soc_corridor_row_duplicates_storage_box_row(self):
+        prob = _one_generator_one_storage(soc_bounds=True)
+        assert prob.G[8] == pytest.approx(prob.G[4])
+        assert _kept_rows(prob.A, prob.G, [4, 8]) == [4]
+        assert _kept_rows(prob.A, prob.G, [8, 10]) == [8, 10]
+
+    def test_more_working_rows_than_variables(self):
+        A = [[1.0, 1.0]]
+        G = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]]
+        assert _kept_rows(A, G, [0, 1, 2, 3]) == [0]
+        assert _kept_rows(np.zeros((0, 2)), G, [0, 1, 2, 3]) == [0, 1]
 
 
 class TestMarketQP:
@@ -128,6 +186,21 @@ class TestMarketQP:
                             g_lo=-np.inf, g_hi=np.inf, u_lo=u_lo, u_hi=u_hi,
                             periodic=False)
         assert err.value.interval == 2
+
+    def test_storage_box_excluding_zero_starts_inside_it(self):
+        d = np.array([1.0, 3.0, 1.0, 3.0])
+        res = solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                              x0s=[0.5], demand=d, g_lo=-np.inf, g_hi=np.inf,
+                              u_lo=0.5, u_hi=1.0, periodic=False)
+        assert res.u[0] == pytest.approx([31 / 33, 1.0, 31 / 33, 1.0], abs=1e-9)
+        assert res.g[0] + res.u[0] == pytest.approx(d)
+        assert res.kkt_residual <= 1e-8
+
+    def test_bound_of_wrong_shape_raises_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="bound must be"):
+            solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
+                            g_lo=[0.0, 0.0], g_hi=np.inf, u_lo=-10.0, u_hi=10.0)
 
     def test_empty_round_budget_rejected(self):
         with pytest.raises(InvalidInputError):

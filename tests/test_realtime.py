@@ -299,6 +299,20 @@ class TestClearConstrainedAware:
         # grid-search oracle on the first interval's split given binding limits
         assert res.kkt_residual <= 1e-8
 
+    def test_commitment_above_rate_limit_starts_inside_adjustment_box(self):
+        # u_da = 1.5 u_max leaves the total box [0.5, 1], which excludes 0
+        params = MarketParams(
+            generators=[GeneratorParams(c=20.0, g_min=0.0, g_max=10.0)],
+            storages=[StorageParams(capacity_E=8.0, b=2.0, u_min=-1.0, u_max=1.0)],
+        )
+        bids = RealTimeBids(alpha_r=[0.05], beta_r=[1.0], mode="aware")
+        w = np.array([3.0, 4.0])
+        u_da = np.array([[1.5, 1.5]])
+        res = clear_constrained_aware(bids, w, np.array([[1.5, 2.5]]), u_da, params)
+        total_u = u_da[0] + res.u_r[0]
+        assert np.all(total_u >= 0.5 - 1e-9) and np.all(total_u <= 1.0 + 1e-9)
+        assert res.kkt_residual <= 1e-8
+
     def test_infeasible_window_names_interval(self):
         from cyclemarket.errors import InfeasibleError
 
