@@ -52,8 +52,10 @@ class DayAheadResult:
     """Cleared day-ahead dispatch, prices, and solve diagnostics.
 
     ``cycle_prices`` holds one per-cycle price vector per storage; under the
-    uniform mechanism every entry is the same shared array.  ``shares`` holds
-    the proportional split coefficients (None for the general clearing).
+    uniform mechanism every entry is the same shared array.  ``maps`` holds
+    one half-cycle decomposition per storage, the map of its row of ``u``.
+    ``shares`` holds the proportional split coefficients (None for the
+    general clearing).
     """
 
     g: np.ndarray                      # (J, T) generator dispatch
@@ -138,7 +140,8 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8, max_
             g=g, u=np.zeros((S, T)), nu=[np.zeros(0)] * S, energy_price=lam,
             cycle_prices=[np.zeros(0)] * S, periodicity_duals=np.zeros(S),
             shares=np.zeros(S), objective=float(np.sum(g * g / (2 * bids.alpha[:, None]))),
-            kkt_residual=0.0, maps=[], demand=d, uniform=True,
+            kkt_residual=0.0, demand=d, uniform=True,
+            maps=[rainflow_map(np.zeros(T), st.capacity_E, st.x0) for st in params.storages],
         )
         result.kkt_residual = verify_kkt_dayahead(result, bids, d, params).max_residual
         return result

@@ -174,6 +174,27 @@ def _with_negations(M):
     return np.stack([M, -M], axis=1).reshape(2 * M.shape[0], M.shape[1])
 
 
+def _zero_sum_shift(start, lo, hi, s):
+    """``clip(start + c, lo, hi)`` for the scalar c that makes its sum zero.
+
+    The sum is nondecreasing and piecewise linear in c, with a knot wherever
+    an entry meets a bound; c is interpolated between the knots, padded on
+    each side far enough for the unbounded entries to carry the sum past 0.
+    """
+    if lo.sum() > 0.0 or hi.sum() < 0.0:
+        raise InfeasibleError(f"storage {s}'s power box admits no periodic dispatch")
+    knots = np.concatenate([lo - start, hi - start])
+    knots = np.unique(knots[np.isfinite(knots)])
+
+    def total(c):
+        return np.clip(start + c[:, None], lo, hi).sum(axis=1)
+
+    first, last = total(knots[[0, -1]])
+    c = np.concatenate([[knots[0] - max(first, 0.0) - 1.0], knots,
+                        [knots[-1] - min(last, 0.0) + 1.0]])
+    return np.clip(start + np.interp(0.0, total(c), c), lo, hi)
+
+
 class _Problem:
     """Constraint assembly for the dispatch template (variables g then u).
 
@@ -287,10 +308,16 @@ class _Problem:
         box by more than ``solve_qp``'s 1e-7 start tolerance.
 
         A box that excludes 0 by less (a commitment rounded past its rate
-        limit) keeps the start at 0, which ``solve_qp`` accepts.
+        limit) keeps the start at 0, which ``solve_qp`` accepts.  Under
+        periodicity a row that then does not sum to zero is shifted by the
+        one scalar that makes its clipped entries sum to zero.
         """
         nearest = np.clip(0.0, self.u_lo, self.u_hi)
-        return np.where(np.abs(nearest) > 1e-7, nearest, 0.0)
+        start = np.where(np.abs(nearest) > 1e-7, nearest, 0.0)
+        if self.periodic:
+            for s in np.flatnonzero(start.sum(axis=1) != 0.0):
+                start[s] = _zero_sum_shift(start[s], self.u_lo[s], self.u_hi[s], s)
+        return start
 
     def feasible_start(self):
         """(g, u) with storage at ``storage_start`` and the rest of demand

@@ -4,11 +4,13 @@ Two bidding styles are provided.  In the first (``unaware``) participants bid
 plain affine supply functions g = alpha*price, u = beta*price while folding
 their day-ahead position into the slope choice; the competitive equilibrium
 exists uniquely and is found either in closed form or by the best-response
-iteration the mechanism implies.  In the second (``aware``) the bid itself
-subtracts the day-ahead commitment, g = alpha*price - g_da; the equilibrium
-slopes are constants and clearing is a single algebraic step.  The rolling
-case-study windows use ``clear_constrained_aware``, which re-optimizes total
-dispatch subject to power limits and the SoC corridor without periodicity.
+iteration the mechanism implies.  Its price coefficient may be negative (the
+price then runs opposite to residual demand), and the iteration reaches it
+there too.  In the second (``aware``) the bid itself subtracts the day-ahead
+commitment, g = alpha*price - g_da; the equilibrium slopes are constants and
+clearing is a single algebraic step.  The rolling case-study windows use
+``clear_constrained_aware``, which re-optimizes total dispatch subject to
+power limits and the SoC corridor without periodicity.
 """
 
 from dataclasses import dataclass, field
@@ -69,8 +71,8 @@ class RealTimeResult:
 def _storage_da_quantities(params, da, d_r):
     """Per-storage day-ahead map, prices, and the projections the slopes need."""
     out = []
-    for s, st in enumerate(params.storages):
-        dec = rainflow_map(da.u[s], st.capacity_E, st.x0)
+    for s in range(params.n_storages):
+        dec = da.maps[s]
         if dec.n_half_cycles == 0:
             raise DegeneratePriceError(
                 f"storage {s} has no day-ahead cycling; its real-time slope is unbounded"
@@ -153,12 +155,9 @@ def _unaware_from_price(params, da, d_r, price, storage_terms):
     alpha_r, beta_r = _unaware_slopes(params, da, price, storage_terms)
     g_r = np.outer(alpha_r, price)
     u_r = np.outer(beta_r, price)
-    map_stable = True
-    for s, st in enumerate(params.storages):
-        dec = storage_terms[s][0]
-        after = rainflow_map(da.u[s] + u_r[s], st.capacity_E, st.x0)
-        if after.signature() != dec.signature():
-            map_stable = False
+    map_stable = all(
+        rainflow_map(da.u[s] + u_r[s], st.capacity_E, st.x0).signature() == da.maps[s].signature()
+        for s, st in enumerate(params.storages))
     bids = RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="unaware")
     result = RealTimeResult(
         g_r=g_r, u_r=u_r, price=price, price_coeff=None, iterations=0, converged=True,
@@ -179,7 +178,9 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     aggregate slope xi, whose re-bid value F(xi) is affine in xi.  The first
     step probes 1 % from the start toward F; from then on secant steps solve
     F(xi) = xi, which is exact for an affine map, so the loop typically
-    certifies convergence within a few rounds.
+    certifies convergence within a few rounds, also at a negative fixed point
+    (price opposite to residual demand).  Only a zero or non-finite aggregate
+    slope raises ``DivergenceError``.
     """
     d_r = np.asarray(d_r, dtype=float)
     norm2 = float(d_r @ d_r)
@@ -187,26 +188,18 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
         raise DegenerateDemandError("zero residual demand: proportional price undefined")
     storage_terms = _storage_da_quantities(params, da, d_r)
 
-    if initial_bids is not None:
-        alpha_r = np.atleast_1d(np.asarray(initial_bids.alpha_r, dtype=float)).copy()
-        beta_r = np.atleast_1d(np.asarray(initial_bids.beta_r, dtype=float)).copy() \
-            if np.size(initial_bids.beta_r) else np.zeros(0)
-    else:
-        alpha_r = np.array([1.0 / gen.c for gen in params.generators])
-        beta_r = np.array([1.0 / st.b for st in params.storages])
-
-    # Every price update lands on the d_r ray, so the loop reduces to the
-    # aggregate slope xi: price = d_r/xi, and the re-bid aggregate F(xi) is
-    # affine in xi.  One damped step seeds a secant update, which is exact
-    # for an affine map, so convergence is certified within a few rounds.
-    xi = float(alpha_r.sum() + beta_r.sum())
+    if initial_bids is None:
+        initial_bids = RealTimeBids(alpha_r=[1.0 / gen.c for gen in params.generators],
+                                    beta_r=[1.0 / st.b for st in params.storages],
+                                    mode="unaware")
+    xi = float(initial_bids.alpha_r.sum() + initial_bids.beta_r.sum())
     trace = []
     prev_point = None
     price_prev = None
     for it in range(1, max_iter + 1):
-        if not np.isfinite(xi) or xi <= 0.0:
+        if not np.isfinite(xi) or xi == 0.0:
             raise DivergenceError(
-                f"aggregate real-time slope became nonpositive ({xi:.6g}) at iteration {it}"
+                f"aggregate real-time slope is zero or non-finite ({xi:.6g}) at iteration {it}"
             )
         price = d_r / xi
         if price_prev is not None:
@@ -214,6 +207,8 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
         price_prev = price
         alpha_r, beta_r = _unaware_slopes(params, da, price, storage_terms)
         F = float(alpha_r.sum() + beta_r.sum())
+        # relative above 1, absolute below (every negative xi), so a fixed
+        # point reached by extrapolating across xi = 0 gets one more secant step
         if abs(F - xi) <= tol * max(1.0, xi) or (
                 trace and trace[-1] <= tol * max(1.0, float(np.max(np.abs(price))))):
             bids, result = _unaware_from_price(params, da, d_r, price, storage_terms)
@@ -229,13 +224,8 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
             cand = (F - slope * xi) / denom if abs(denom) > 1e-300 else np.inf
             xi_next = cand if np.isfinite(cand) else 0.5 * (xi + F)
         else:
-            # probe point near the start seeds the secant without leaving
-            # the positive-slope domain; 0.5-damping is the degenerate backup
+            # a probe near the start seeds the secant
             xi_next = xi * 1.01 if F > xi else xi * 0.99
-        if not np.isfinite(xi_next) or xi_next <= 0.0:
-            raise DivergenceError(
-                f"aggregate real-time slope became nonpositive ({xi_next:.6g}) at iteration {it}"
-            )
         prev_point = (xi, F)
         xi = xi_next
     raise NonConvergenceError(

@@ -17,7 +17,7 @@ import numpy as np
 from .costs import MarketParams, generator_cost, storage_cost
 from .data import DemandScenario
 from .dayahead import DayAheadResult, clear_general, clear_uniform, equilibrium_bids_dayahead
-from .errors import DegeneratePriceError, DivergenceError, InfeasibleError
+from .errors import DegeneratePriceError, InfeasibleError
 from .rainflow import rainflow_map
 from .realtime import (
     RealTimeResult,
@@ -103,7 +103,8 @@ def _window_demand(scenario, hour):
 
 def _window_da_view(da, params, hour, end):
     """Day-ahead quantities restricted to a window, with window-local
-    cycle structure so the unaware-bid formulas stay self-consistent."""
+    cycle structure (maps, depths, prices) so the unaware-bid formulas stay
+    self-consistent."""
     view = DayAheadResult(
         g=da.g[:, hour:end], u=da.u[:, hour:end], nu=[], energy_price=da.energy_price[hour:end],
         cycle_prices=[], periodicity_duals=da.periodicity_duals, shares=da.shares,
@@ -112,6 +113,7 @@ def _window_da_view(da, params, hour, end):
     for s, st in enumerate(params.storages):
         dec = rainflow_map(view.u[s], st.capacity_E, st.x0)
         nu = dec.map @ view.u[s]
+        view.maps.append(dec)
         view.nu.append(nu)
         view.cycle_prices.append(st.b * nu)  # bid-consistent local prices (beta = 1/b)
     return view
@@ -185,30 +187,19 @@ def _unaware_window(w, da, params, hour, end, tol):
     J, S = params.n_generators, params.n_storages
     W = w.size
     if float(d_r @ d_r) <= 1e-24 * max(1.0, float(w @ w)):
-        zero = RealTimeResult(
+        return RealTimeResult(
             g_r=np.zeros((J, W)), u_r=np.zeros((S, W)), price=np.zeros(W),
             price_coeff=0.0, iterations=0, converged=True,
         )
-        return zero
     view = _window_da_view(da, params, hour, end)
     try:
-        return _unaware_equilibrium(params, d_r, view, tol)
+        return best_response_unaware(params, d_r, view, tol=max(tol * 1e-2, 1e-12))[1]
     except DegeneratePriceError:
         # storage schedule is flat inside this window: clear with generators
-        # only; without storage units the bids read nothing but view.g
-        res = _unaware_equilibrium(MarketParams(generators=params.generators), d_r, view, tol)
+        # only, in closed form; without storage units the bids read only view.g
+        res = equilibrium_unaware(MarketParams(generators=params.generators), d_r, view)[1]
         res.u_r = np.zeros((S, W))
         return res
-
-
-def _unaware_equilibrium(params, d_r, view, tol):
-    """Best response on one window, else the closed form it converges to."""
-    try:
-        return best_response_unaware(params, d_r, view, tol=max(tol * 1e-2, 1e-12))[1]
-    except DivergenceError:
-        # no positive aggregate slope: the iteration cannot cross zero,
-        # but the closed-form fixed point is still a valid equilibrium
-        return equilibrium_unaware(params, d_r, view)[1]
 
 
 def settle(da: DayAheadResult, rt_prices, g_rt, u_rt, scenario: DemandScenario,
@@ -229,38 +220,21 @@ def settle(da: DayAheadResult, rt_prices, g_rt, u_rt, scenario: DemandScenario,
     J, S = params.n_generators, params.n_storages
     B = BINDING_HOURS
     lam_da = da.energy_price[:B]
-    gen_pay = np.zeros(J)
-    gen_profit = np.zeros(J)
-    for j in range(J):
-        pay = float(lam_da @ da.g[j, :B]) + float(rt_prices @ g_rt[j])
-        total = da.g[j, :B] + g_rt[j]
-        cost = generator_cost(total, params.generators[j])
-        gen_pay[j] = pay
-        gen_profit[j] = pay - cost
-    st_pay = np.zeros(S)
-    st_profit = np.zeros(S)
-    st_cycle_pay = np.zeros(S)
-    for s, stp in enumerate(params.storages):
-        dec = rainflow_map(da.u[s], stp.capacity_E, stp.x0)
-        binding_depth = dec.map[:, :B] @ da.u[s, :B]
-        theta = np.asarray(da.cycle_prices[s], dtype=float)
-        if theta.size == binding_depth.size:
-            st_cycle_pay[s] = float(theta @ binding_depth)
-        pay = float(lam_da @ da.u[s, :B]) + float(rt_prices @ u_rt[s])
-        total = da.u[s, :B] + u_rt[s]
-        cost = storage_cost(total, stp)
-        st_pay[s] = pay
-        st_profit[s] = pay - cost
-    social = float(
-        sum(generator_cost(da.g[j, :B] + g_rt[j], params.generators[j]) for j in range(J))
-        + sum(storage_cost(da.u[s, :B] + u_rt[s], params.storages[s]) for s in range(S))
-    )
+    gen_cost = [generator_cost(da.g[j, :B] + g_rt[j], gen)
+                for j, gen in enumerate(params.generators)]
+    st_cost = [storage_cost(da.u[s, :B] + u_rt[s], st) for s, st in enumerate(params.storages)]
+    gen_pay = np.array([float(lam_da @ da.g[j, :B]) + float(rt_prices @ g_rt[j])
+                        for j in range(J)])
+    st_pay = np.array([float(lam_da @ da.u[s, :B]) + float(rt_prices @ u_rt[s])
+                       for s in range(S)])
+    st_cycle_pay = np.array([float(da.cycle_prices[s] @ (da.maps[s].map[:, :B] @ da.u[s, :B]))
+                             for s in range(S)])
     load_paid = float(lam_da @ scenario.forecast[:B]) + float(rt_prices @ scenario.residual[:B])
     surplus = load_paid - float(gen_pay.sum() + st_pay.sum())
     return Settlement(
         generator_payments=gen_pay, storage_payments=st_pay,
-        generator_profits=gen_profit, storage_profits=st_profit,
-        social_cost=social, merchandising_surplus=surplus,
+        generator_profits=gen_pay - gen_cost, storage_profits=st_pay - st_cost,
+        social_cost=float(sum(gen_cost) + sum(st_cost)), merchandising_surplus=surplus,
         storage_cycle_payments=st_cycle_pay,
     )
 

@@ -121,10 +121,7 @@ def test_criterion_3_uniform_cycle_prices():
 
 def test_criterion_4_unaware_closed_form_equals_best_response():
     rng = np.random.default_rng(23)
-    done = 0
-    attempts = 0
-    while done < 50 and attempts < 400:
-        attempts += 1
+    for done in range(50):
         T = int(rng.integers(4, 25))
         J = int(rng.integers(1, 4))
         S = int(rng.integers(1, 3))
@@ -139,8 +136,6 @@ def test_criterion_4_unaware_closed_form_equals_best_response():
         da = clear_uniform(equilibrium_bids_dayahead(p), d_da, p)
         d_r = 0.25 * np.abs(d_da) * rng.uniform(0.4, 1.2, T)
         b_eq, r_eq = equilibrium_unaware(p, d_r, da)
-        if not (r_eq.price_coeff > 0):
-            continue  # outside the positive-slope domain of the iteration
         b_br, r_br = best_response_unaware(p, d_r, da, tol=1e-12)
         assert r_br.converged
         assert np.max(np.abs(r_br.price - r_eq.price)) < 1e-6
@@ -155,10 +150,7 @@ def test_criterion_4_unaware_closed_form_equals_best_response():
                 if base is None:
                     base = rr.price
                 assert np.max(np.abs(rr.price - base)) < 1e-6
-        done += 1
-    assert done == 50
-    _report(4, f"closed form == best response on 50 instances (1e-6), "
-               f"uniqueness probes agree ({attempts} draws)")
+    _report(4, "closed form == best response on 50 instances (1e-6), uniqueness probes agree")
 
 
 def test_criterion_5_aware_equilibrium_exactness():

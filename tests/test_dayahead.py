@@ -212,6 +212,20 @@ class TestVerifyKKT:
         report = verify_kkt_dayahead(bad, bids, d, params)
         assert report.max_residual > 1e-8
 
+    def test_structurally_different_decomposition_scores_one(self):
+        # zero dispatch has no half-cycles, so the cleared depths cannot be its depths
+        rng = np.random.default_rng(8)
+        params = MarketParams(generators=[GeneratorParams(c=20.0)],
+                              storages=[StorageParams(capacity_E=200.0, b=2.0)])
+        bids = equilibrium_bids_dayahead(params)
+        d = smooth_demand(rng)
+        res = clear_uniform(bids, d, params)
+        assert res.maps[0].n_half_cycles > 0
+        bad = copy.deepcopy(res)
+        bad.u = np.zeros_like(res.u)
+        report = verify_kkt_dayahead(bad, bids, d, params)
+        assert report.components["depth_constraint_st0"] == 1.0
+
     def test_planner_solution_with_equilibrium_bids_verifies(self):
         rng = np.random.default_rng(9)
         params = MarketParams(

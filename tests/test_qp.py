@@ -196,6 +196,35 @@ class TestMarketQP:
         assert res.g[0] + res.u[0] == pytest.approx(d)
         assert res.kkt_residual <= 1e-8
 
+    def test_periodic_start_shifted_to_zero_sum_inside_box(self):
+        # 0 lies outside the box at interval 0 only; u = [0.5, -0.5, 0, 0] is periodic
+        d = np.array([1.0, 3.0, 1.0, 3.0])
+        u_lo = np.array([[0.5, -1.0, -1.0, -1.0]])
+        prob = qp._Problem([0.5], [0.0], [2.0], [4.0], [0.5], d, -np.inf, np.inf,
+                           u_lo, 1.0, periodic=True, soc_bounds=False)
+        assert prob.storage_start()[0] == pytest.approx([0.5, -1 / 6, -1 / 6, -1 / 6])
+        res = solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                              x0s=[0.5], demand=d, g_lo=-np.inf, g_hi=np.inf,
+                              u_lo=u_lo, u_hi=1.0, periodic=True)
+        assert abs(res.u[0].sum()) < 1e-9
+        assert np.all(res.u[0] >= u_lo[0] - 1e-9) and np.all(res.u[0] <= 1.0 + 1e-9)
+        assert res.kkt_residual <= 1e-8
+
+    def test_periodic_start_already_summing_to_zero_untouched(self):
+        u_lo = np.array([[0.5, -1.0, -1.0, -1.0]])
+        u_hi = np.array([[1.0, -0.5, 1.0, 1.0]])
+        prob = qp._Problem([0.5], [0.0], [2.0], [4.0], [0.5], np.array([1.0, 3.0, 1.0, 3.0]),
+                           -np.inf, np.inf, u_lo, u_hi, periodic=True, soc_bounds=False)
+        assert prob.storage_start().tolist() == [[0.5, -0.5, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("u_lo, u_hi", [([[0.5, 0.5, -0.5, -0.4]], 1.0),
+                                            (-1.0, [[-0.5, -0.5, 0.5, 0.4]])])
+    def test_periodic_box_without_zero_sum_infeasible(self, u_lo, u_hi):
+        with pytest.raises(InfeasibleError, match="no periodic dispatch"):
+            solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
+                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
+                            g_lo=-np.inf, g_hi=np.inf, u_lo=u_lo, u_hi=u_hi, periodic=True)
+
     def test_bound_of_wrong_shape_raises_invalid_input(self):
         with pytest.raises(InvalidInputError, match="bound must be"):
             solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],

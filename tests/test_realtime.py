@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from cyclemarket import GeneratorParams, MarketParams, StorageParams
-from cyclemarket.dayahead import clear_uniform, equilibrium_bids_dayahead
-from cyclemarket.errors import DegenerateDemandError, NonConvergenceError
+from cyclemarket.dayahead import DayAheadBids, clear_uniform, equilibrium_bids_dayahead
+from cyclemarket.errors import (
+    DegenerateDemandError,
+    DegeneratePriceError,
+    DivergenceError,
+    NonConvergenceError,
+)
 from cyclemarket.realtime import (
     RealTimeBids,
     best_response_unaware,
@@ -31,7 +36,8 @@ def cleared_day_ahead(rng, params, T=8):
 
 
 def correlated_residual(rng, d_da, scale=0.25):
-    # positively tied to the forecast so the price coefficient stays positive
+    # positively tied to the forecast, so the price rises with residual demand
+    # (omega > 0); its negation gives an anti-correlated residual (omega < 0)
     return scale * np.abs(d_da) * rng.uniform(0.4, 1.2, d_da.size)
 
 
@@ -86,6 +92,17 @@ class TestEquilibriumUnaware:
         K = 1.0 / params.generators[0].c + float(d_r @ d_r) / (st.b * float(Nd @ Nd))
         assert res.price_coeff == pytest.approx(P + 1.0 / K, rel=1e-9)
 
+    def test_storage_without_bid_slope_is_degenerate(self):
+        # beta = 0 clears storage-absent: one empty map per unit, no cycling
+        rng = np.random.default_rng(24)
+        params = make_market(rng)
+        d = 10 + rng.normal(0, 1, 8)
+        da = clear_uniform(DayAheadBids(alpha=[1.0 / params.generators[0].c], beta=[0.0]),
+                           d, params)
+        assert [m.n_half_cycles for m in da.maps] == [0]
+        with pytest.raises(DegeneratePriceError):
+            equilibrium_unaware(params, correlated_residual(rng, d), da)
+
     def test_map_violation_flagged_not_hidden(self):
         rng = np.random.default_rng(4)
         params = make_market(rng, E=20.0)   # small capacity: adjustments reshape the SoC
@@ -109,6 +126,29 @@ class TestBestResponseUnaware:
             assert np.max(np.abs(r_br.price - r_eq.price)) < 1e-6
             assert np.max(np.abs(b_br.alpha_r - b_eq.alpha_r)) < 1e-6
             assert np.max(np.abs(b_br.beta_r - b_eq.beta_r)) < 1e-6
+
+    def test_negative_price_coefficient_reached(self):
+        # residual opposed to the forecast: the fixed point lies at omega < 0
+        rng = np.random.default_rng(25)
+        params = make_market(rng, n_gen=2, n_storage=2, E=300.0)
+        d_da, da = cleared_day_ahead(rng, params)
+        d_r = -correlated_residual(rng, d_da)
+        b_eq, r_eq = equilibrium_unaware(params, d_r, da)
+        assert r_eq.price_coeff < 0
+        b_br, r_br = best_response_unaware(params, d_r, da, tol=1e-12)
+        assert r_br.converged
+        scale = max(1.0, float(np.max(np.abs(r_eq.price))))
+        assert np.max(np.abs(r_br.price - r_eq.price)) / scale < 1e-9
+        assert np.max(np.abs(b_br.alpha_r - b_eq.alpha_r)) < 1e-9
+        assert np.max(np.abs(b_br.beta_r - b_eq.beta_r)) < 1e-9
+
+    def test_zero_aggregate_slope_diverges(self):
+        rng = np.random.default_rng(26)
+        params = make_market(rng)
+        d_da, da = cleared_day_ahead(rng, params)
+        init = RealTimeBids(alpha_r=[0.5], beta_r=[-0.5], mode="unaware")
+        with pytest.raises(DivergenceError):
+            best_response_unaware(params, correlated_residual(rng, d_da), da, initial_bids=init)
 
     def test_foc_residual_at_convergence(self):
         rng = np.random.default_rng(6)
