@@ -17,6 +17,13 @@ assignment cycle means the optimum sits on an assignment boundary; a
 bisection over the blended-curvature weight lands on it with the matching
 convex subgradient weights.  A solve that settles neither way within its
 round budget raises ``SolverFailureError`` carrying the best iterate.
+
+The active-set core ``solve_qp`` eliminates the equalities once per call: it
+works in an orthonormal basis of their null space, so each iteration solves a
+KKT system in the remaining degrees of freedom and the working rows only, and
+keeps an orthonormal basis of those rows that it extends when a row joins and
+rebuilds past a dropped row.  A working row that the equalities and the kept
+rows already imply parks outside the KKT system until a drop frees it.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +36,7 @@ from .rainflow import rainflow_map
 __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual"]
 
 _FEAS_TOL = 1e-9
+_START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
 
 
 @dataclass
@@ -49,37 +57,24 @@ def _kkt_solve(H, rows, rhs):
     return sol[:n], sol[n:]
 
 
-def _orthonormal_extension(basis, rows, thresholds):
-    """Extend the orthonormal rows of ``basis`` by each of ``rows``, in order,
-    whose component orthogonal to the basis so far exceeds its threshold
-    (classical Gram-Schmidt run twice); returns the basis and their indices."""
+def _extend_basis(basis, kept, GZ, thresholds, rows):
+    """Extend the orthonormal ``basis`` of the ``kept`` rows' null-space parts
+    by each of ``rows`` (row indices of G, in order) whose part ``GZ[i]``
+    orthogonal to the basis so far exceeds ``thresholds[i]`` (classical
+    Gram-Schmidt run twice); returns the basis and ``kept`` with those rows
+    appended."""
     k = basis.shape[0]
-    Q = np.vstack([basis, np.empty_like(rows)])
-    kept = []
-    for i, row in enumerate(rows):
-        v = row - (Q[:k] @ row) @ Q[:k]
+    Q = np.vstack([basis, np.empty((len(rows), GZ.shape[1]))])
+    new = []
+    for i in rows:
+        v = GZ[i] - (Q[:k] @ GZ[i]) @ Q[:k]
         v -= (Q[:k] @ v) @ Q[:k]
         norm = np.linalg.norm(v)
         if norm > thresholds[i]:
             Q[k] = v / norm
             k += 1
-            kept.append(i)
-    return Q[:k], kept
-
-
-def _equality_basis(A):
-    """Orthonormal rows spanning the rows of A (1e-12 absolute threshold)."""
-    return _orthonormal_extension(np.zeros((0, A.shape[1])), A, np.full(len(A), 1e-12))[0]
-
-
-def _independent_working_rows(basis, G, working):
-    """The rows of ``working`` (ascending G row indices) independent of the
-    equality ``basis`` and of the working rows kept before them.  Dependent
-    rows pin nothing new but would make the KKT system singular."""
-    rows = G[working]
-    _, kept = _orthonormal_extension(
-        basis, rows, 1e-9 * np.maximum(np.linalg.norm(rows, axis=1), 1e-300))
-    return working[kept]
+            new.append(i)
+    return Q[:k], np.concatenate([kept, np.asarray(new, dtype=np.intp)])
 
 
 def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
@@ -90,12 +85,24 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     optimum with equality duals ``y`` (stationarity Hx + q + A'y + G'mu = 0)
     and nonnegative inequality duals ``mu``.
 
-    Working rows that depend on the equalities and earlier working rows sit
-    out of the solve with zero multipliers, and rejoin it after a drop.  A
-    start that violates a constraint by more than 1e-7 raises
-    ``InvalidInputError``; the iteration cap and a singular KKT system (H not
-    positive definite on the working subspace) raise ``SolverFailureError``
-    carrying the current iterate.
+    A primal active-set method in the null space of the equalities.  One QR
+    of A' gives an orthonormal basis Z of that null space and the
+    minimum-norm solution x_r of Ax = b; each iteration solves the KKT system
+    of Z'HZ and the working rows' parts G_i Z for the point x_r + Z w that
+    minimizes over the working set, and the equality duals are recovered
+    once, at the optimum.  The rows that enter the KKT system keep an
+    orthonormal basis of their parts G_i Z.  A row that joins the working
+    set is tested against that basis alone: it parks, sitting out of the
+    solve with a zero multiplier, when its part orthogonal to the basis is
+    at most 1e-9 ||G_i||, since it then pins nothing the equalities and the
+    kept rows do not.  Dropping a kept row rebuilds the basis from that
+    row's position on, and every parked row is tested again.  The starting
+    working set is tested in index order.
+
+    A start that violates a constraint by more than 1e-7 raises
+    ``InvalidInputError``; dependent equality rows, the iteration cap and a
+    singular KKT system (H not positive definite on the working subspace)
+    raise ``SolverFailureError`` carrying the current iterate.
     """
     n = H.shape[0]
     A = np.zeros((0, n)) if A is None else np.asarray(A, float)
@@ -104,35 +111,51 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     h = np.zeros(0) if h is None else np.asarray(h, float)
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
 
-    if A.shape[0] and np.max(np.abs(A @ x - b)) > 1e-7:
+    if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
         raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
     slack0 = h - G @ x
-    if slack0.size and slack0.min() < -1e-7:
+    if slack0.size and slack0.min() < -_START_TOL:
         raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
 
+    # A' = [Y Z] R: Z spans the null space of A, and A_plus = Y R^-T gives
+    # x_r = A_plus b, the minimum-norm solution of the equalities; every
+    # iterate solves for x_r + Z w, so the reduced gradient at x_r and G x_r
+    # never change
+    m = A.shape[0]
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    if m > n or (m and np.abs(np.diagonal(R)).min() <= 1e-12):
+        raise SolverFailureError("solve_qp requires linearly independent equality rows",
+                                 best_iterate=x)
+    Z, A_plus = Q[:, m:], np.linalg.solve(R[:m], Q[:, :m].T).T
+    x_r = A_plus @ b
+    Hz, GZ, Gx_r = Z.T @ H @ Z, G @ Z, G @ x_r
+    grad_r = Z.T @ (H @ x_r + q)
+    thresholds = 1e-9 * np.linalg.norm(G, axis=1)
     working = slack0 <= 1e-10 * np.maximum(1.0, np.abs(h))
-    basis = None  # built at the first working row; the equalities never change
+    basis, kept = _extend_basis(np.zeros((0, Z.shape[1])), np.zeros(0, np.intp), GZ,
+                                thresholds, np.flatnonzero(working))
     for it in range(max_iter):
-        active = np.flatnonzero(working)
-        if active.size:
-            if basis is None:
-                basis = _equality_basis(A)
-            active = _independent_working_rows(basis, G, active)
-        rhs = np.concatenate([-q, b, h[active]])
         try:
-            x_new, duals = _kkt_solve(H, np.vstack([A, G[active]]), rhs)
+            w, mu_w = _kkt_solve(Hz, GZ[kept], np.concatenate([-grad_r, h[kept] - Gx_r[kept]]))
         except np.linalg.LinAlgError:
             raise SolverFailureError("active-set QP met a singular KKT system",
                                      best_iterate=x) from None
-        p = x_new - x
+        p = x_r + Z @ w - x
         step_scale = max(1.0, float(np.max(np.abs(x))))
         if np.max(np.abs(p)) <= 1e-12 * step_scale:
-            mu_w = duals[A.shape[0]:]
             if mu_w.size == 0 or mu_w.min() >= -1e-11:
                 mu = np.zeros(G.shape[0])
-                mu[active] = np.maximum(mu_w, 0.0)
-                return QPSolution(x=x, eq_duals=duals[: A.shape[0]], ineq_duals=mu, iterations=it)
-            working[active[int(np.argmin(mu_w))]] = False
+                mu[kept] = np.maximum(mu_w, 0.0)
+                y = -A_plus.T @ (H @ x + q + G[kept].T @ mu_w)
+                return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
+            j = int(np.argmin(mu_w))
+            working[kept[j]] = False
+            # the kept rows after j stay independent without it; a parked row
+            # that only row j made dependent rejoins here
+            parked = working.copy()
+            parked[kept] = False
+            basis, kept = _extend_basis(basis[:j], kept[:j], GZ, thresholds,
+                                        np.concatenate([kept[j + 1:], np.flatnonzero(parked)]))
             continue
         # step toward the EQP optimum, blocked by the nearest inactive row;
         # ratios within 1e-9 of a full step saturate to one (the leftover
@@ -141,16 +164,17 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
         alpha = 1.0
         inactive = np.flatnonzero(~working)
         if inactive.size:
-            Gi = G[inactive]
-            gp = Gi @ p
-            slack = h[inactive] - Gi @ x
+            gp = (G @ p)[inactive]
+            slack = (h - G @ x)[inactive]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(gp > 1e-13 * step_scale, slack / gp, np.inf)
             best_ratio = float(np.min(ratios))
             if best_ratio < 1.0 - 1e-9:
                 near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
                 alpha = max(best_ratio, 0.0)
-                working[inactive[near[np.argmax(gp[near])]]] = True
+                i = inactive[near[np.argmax(gp[near])]]
+                working[i] = True
+                basis, kept = _extend_basis(basis, kept, GZ, thresholds, [i])
         x = x + alpha * p
     raise SolverFailureError("active-set QP exceeded its iteration cap", best_iterate=x)
 
@@ -313,7 +337,7 @@ class _Problem:
         one scalar that makes its clipped entries sum to zero.
         """
         nearest = np.clip(0.0, self.u_lo, self.u_hi)
-        start = np.where(np.abs(nearest) > 1e-7, nearest, 0.0)
+        start = np.where(np.abs(nearest) > _START_TOL, nearest, 0.0)
         if self.periodic:
             for s in np.flatnonzero(start.sum(axis=1) != 0.0):
                 start[s] = _zero_sum_shift(start[s], self.u_lo[s], self.u_hi[s], s)
@@ -321,8 +345,10 @@ class _Problem:
 
     def feasible_start(self):
         """(g, u) with storage at ``storage_start`` and the rest of demand
-        split greedily across generators per interval; limits that cross have
-        already raised ``InfeasibleError`` in the constructor.
+        split greedily across generators per interval, or None where that
+        point breaks a limit (a row of G by more than ``solve_qp``'s start
+        tolerance); limits that cross have already raised ``InfeasibleError``
+        in the constructor.
         """
         J, T = self.J, self.T
         g = np.where(np.isfinite(self.g_lo), self.g_lo, 0.0)
@@ -340,27 +366,52 @@ class _Problem:
                     residual -= add
             if residual > _FEAS_TOL * max(1.0, abs(self.demand[t])):
                 return None  # generators alone cannot cover; try the elastic phase
-        return np.concatenate([g.ravel(), u.ravel()])
+        x = np.concatenate([g.ravel(), u.ravel()])
+        if self.G.shape[0] and np.max(self.G @ x - self.h) > _START_TOL:
+            return None  # storage's start leaves its SoC corridor
+        return x
 
     def elastic_start(self):
-        """Phase-1: elastic balance slack finds a feasible point when storage
-        must participate (for example a binding generator cap at the peak)."""
-        n, T = self.n, self.T
+        """Phase-1: penalized slack finds a feasible point when storage must
+        participate (for example a binding generator cap at the peak).
+
+        Each balance row gets a free slack, and each row of G that the start
+        breaks (an SoC corridor that storage's start leaves) a nonnegative
+        one.  A slack that stays positive raises ``InfeasibleError`` naming
+        its interval.
+        """
+        n, T, m, rows = self.n, self.T, self.A.shape[0], self.G.shape[0]
         scale = max(1.0, float(np.max(np.abs(self.demand))))
-        H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(T, 1e8)]))
-        A = np.hstack([self.A, np.eye(self.A.shape[0], T)])  # balance + slack = d
-        G = np.hstack([self.G, np.zeros((self.G.shape[0], T))])
         lo_start = np.concatenate([np.clip(0.0, self.g_lo, self.g_hi).ravel(),
                                    self.storage_start().ravel()])
-        x0 = np.concatenate([lo_start, self.demand - self.A[:T, :] @ lo_start])
-        sol = solve_qp(H, np.zeros(n + T), A, self.b, G, self.h, x0)
-        slack = sol.x[n:]
+        excess = self.G @ lo_start - self.h
+        broken = np.flatnonzero(excess > _START_TOL)
+        k = broken.size
+        H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(T + k, 1e8)]))
+        # balance + slack = d; a broken row minus its slack stays within h
+        A = np.hstack([self.A, np.eye(m, T), np.zeros((m, k))])
+        relax = np.zeros((rows, k))
+        relax[broken, np.arange(k)] = -1.0
+        G = np.vstack([np.hstack([self.G, np.zeros((rows, T)), relax]),
+                       np.hstack([np.zeros((k, n + T)), -np.eye(k)])])
+        x0 = np.concatenate([lo_start, self.demand - self.A[:T, :] @ lo_start, excess[broken]])
+        sol = solve_qp(H, np.zeros(n + T + k), A, self.b, G,
+                       np.concatenate([self.h, np.zeros(k)]), x0)
+        slack, over = sol.x[n:n + T], sol.x[n + T:]
         worst = int(np.argmax(np.abs(slack)))
         if np.abs(slack[worst]) > 1e-6 * scale:
             raise InfeasibleError(
                 f"demand at interval {worst} cannot be met within participant limits "
                 f"(shortfall {slack[worst]:.6g} MW)",
                 interval=worst,
+            )
+        if k and over.max() > 1e-6 * scale:
+            # a row's last variable sits at its interval: box rows hold one
+            # variable, corridor rows a storage's prefix up to the interval
+            t = int(np.flatnonzero(self.G[broken[np.argmax(over)]])[-1] % T)
+            raise InfeasibleError(
+                f"participant limits and the SoC corridor leave no dispatch at interval {t}",
+                interval=t,
             )
         x = sol.x[:n].copy()
         # absorb the tiny remaining slack into generators with headroom
@@ -409,11 +460,7 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
     balance = (g.sum(axis=0) if prob.J else 0.0) + (u.sum(axis=0) if prob.S else 0.0) - prob.demand
     res.append(np.max(np.abs(balance)) / d_scale if prob.T else 0.0)
     lam_scale = max(1.0, float(np.max(np.abs(price))))
-    # box/soc dual contributions per variable
-    grad_extra = np.zeros(prob.n)
-    for mu_i, row in zip(mu, prob.G):
-        if mu_i > 0:
-            grad_extra += mu_i * row
+    grad_extra = prob.G.T @ mu  # box/soc dual contributions per variable
     for j in range(prob.J):
         stat = g[j] / prob.alphas[j] + prob.a_lin[j] - price + grad_extra[prob.g_slice(j)]
         res.append(np.max(np.abs(stat)) / lam_scale)

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cyclemarket
 from cyclemarket.cli import main
 from cyclemarket.data import synthetic_scenario, write_demand_csv
 
@@ -15,6 +20,20 @@ def read_rows(path):
 
 
 class TestRun:
+    @pytest.mark.parametrize("mode", ["aware", "unaware"])
+    def test_output_bytes_independent_of_blas_threads(self, tmp_path, mode):
+        path = os.pathsep.join([str(Path(cyclemarket.__file__).resolve().parents[1]),
+                                os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-m", "cyclemarket.cli", "run", "--mode", mode,
+                            "--out", str(out)], env=env, check=True, timeout=600)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trace.csv", "run_summary.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_bundled_fixture_produces_artifacts(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--out", str(out)])

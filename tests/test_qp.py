@@ -67,10 +67,53 @@ class TestActiveSetCore:
             slack = h - G @ sol.x
             assert np.max(np.abs(sol.ineq_duals * slack)) < 1e-7
 
+    def test_stationarity_of_random_instances_with_equalities(self):
+        rng = np.random.default_rng(7)
+        binding = 0
+        for _ in range(25):
+            n = int(rng.integers(3, 9))
+            m = int(rng.integers(1, n))
+            M = rng.normal(0, 1, (n, n))
+            H = M @ M.T + np.eye(n)
+            q = rng.normal(0, 5, n)
+            A = rng.normal(0, 1, (m, n))
+            x0 = rng.uniform(-0.5, 0.5, n)
+            b = A @ x0
+            G = np.vstack([np.eye(n), -np.eye(n)])
+            h = np.ones(2 * n)
+            sol = solve_qp(H, q, A, b, G, h, x0=x0)
+            grad = H @ sol.x + q + A.T @ sol.eq_duals + G.T @ sol.ineq_duals
+            assert np.max(np.abs(grad)) <= 1e-8
+            assert np.max(np.abs(A @ sol.x - b)) <= 1e-9
+            assert np.all(G @ sol.x <= h + 1e-9)
+            assert np.all(sol.ineq_duals >= 0)
+            assert np.max(np.abs(sol.ineq_duals * (h - G @ sol.x))) <= 1e-8
+            binding += int(np.any(sol.ineq_duals > 0))
+        assert binding >= 10  # the draws exercise the working set, not just the equalities
+
+    def test_parked_row_rejoins_after_drop(self):
+        # at x0 = 0 all three rows are active and row 2 = row 0 - row 1 parks;
+        # dropping row 1 must bring row 2 back, or the step crosses it to (0, -3)
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+        sol = solve_qp(np.eye(2), np.array([-1.0, 3.0]), None, None, G, np.zeros(3),
+                       x0=np.zeros(2))
+        assert sol.x == pytest.approx([-1.0, -1.0], abs=1e-12)
+        assert sol.ineq_duals == pytest.approx([0.0, 0.0, 2.0], abs=1e-12)
+
+    def test_dependent_equality_rows_raise_with_start(self):
+        x0 = np.array([0.5, 0.5])
+        with pytest.raises(SolverFailureError, match="independent") as err:
+            solve_qp(np.eye(2), np.zeros(2), np.array([[1.0, 1.0], [2.0, 2.0]]),
+                     np.array([1.0, 2.0]), x0=x0)
+        assert err.value.best_iterate == pytest.approx(x0)
+
 
 def _kept_rows(A, G, working):
-    basis = qp._equality_basis(np.asarray(A, float))
-    return qp._independent_working_rows(basis, np.asarray(G, float), np.asarray(working)).tolist()
+    A, G = np.asarray(A, float), np.asarray(G, float)
+    Z = np.linalg.qr(A.T, mode="complete")[0][:, A.shape[0]:]
+    _, kept = qp._extend_basis(np.zeros((0, Z.shape[1])), np.zeros(0, np.intp), G @ Z,
+                               1e-9 * np.linalg.norm(G, axis=1), np.asarray(working))
+    return kept.tolist()
 
 
 def _one_generator_one_storage(soc_bounds):
@@ -237,6 +280,29 @@ class TestMarketQP:
                             x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
                             g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0,
                             periodic=True, max_outer=0)
+
+    @pytest.mark.parametrize("u_lo, periodic, interval", [
+        ([[0.5, -1.0, -1.0, -1.0]], True, 0),
+        ([[-1.0, -1.0, 0.7, -1.0]], False, 2),
+    ])
+    def test_corridor_without_dispatch_names_interval(self, u_lo, periodic, interval):
+        # the corridor keeps cumsum(u) within +-0.3 MWh; a discharge floor of
+        # 0.5 at interval 0, or of 0.7 after at most 0.3 charged, breaks it there
+        with pytest.raises(InfeasibleError) as err:
+            solve_market_qp([0.05], [0.0], [1.0], [0.6], [0.5], [1.0, 3.0, 1.0, 3.0],
+                            0.0, np.inf, u_lo, 1.0, periodic=periodic, soc_bounds=True)
+        assert err.value.interval == interval
+
+    def test_start_outside_corridor_finds_feasible_dispatch(self):
+        # storage starts at [0, 0.4, 0, 0], discharging more than the corridor's
+        # 0.3 MWh from interval 1 on; charging 0.3 at interval 0 makes room
+        res = solve_market_qp([0.05], [0.0], [1.0], [0.6], [0.5], [1.0, 3.0, 1.0, 3.0],
+                              0.0, np.inf, [[-1.0, 0.4, -1.0, -1.0]], 1.0,
+                              periodic=False, soc_bounds=True)
+        soc = 0.5 - np.cumsum(res.u[0]) / 0.6
+        assert np.all(soc >= -1e-9) and np.all(soc <= 1 + 1e-9)
+        assert res.u[0][1] >= 0.4 - 1e-9
+        assert res.kkt_residual <= 1e-8
 
     def test_soc_corridor_enforced(self):
         # long discharge pull: the corridor caps cumulative output at x0 * E
