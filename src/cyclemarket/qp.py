@@ -33,7 +33,8 @@ import numpy as np
 from .errors import InfeasibleError, InvalidInputError, SolverFailureError
 from .rainflow import rainflow_map
 
-__all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual"]
+__all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual",
+           "absorb_balance"]
 
 _FEAS_TOL = 1e-9
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
@@ -219,6 +220,20 @@ def _zero_sum_shift(start, lo, hi, s):
     return np.clip(start + np.interp(0.0, total(c), c), lo, hi)
 
 
+def absorb_balance(g, residual, g_lo, g_hi):
+    """Move each interval's ``residual`` onto the generators, in order, each
+    within ``[g_lo, g_hi]``; returns the moved ``g`` (J, T) and what no
+    generator had room for."""
+    g = np.array(g, dtype=float)
+    residual = np.array(residual, dtype=float)
+    g_lo, g_hi = np.broadcast_to(g_lo, g.shape), np.broadcast_to(g_hi, g.shape)
+    for j in range(g.shape[0]):
+        move = np.clip(residual, -(g[j] - g_lo[j]), g_hi[j] - g[j])
+        g[j] += move
+        residual -= move
+    return g, residual
+
+
 class _Problem:
     """Constraint assembly for the dispatch template (variables g then u).
 
@@ -367,9 +382,13 @@ class _Problem:
             if residual > _FEAS_TOL * max(1.0, abs(self.demand[t])):
                 return None  # generators alone cannot cover; try the elastic phase
         x = np.concatenate([g.ravel(), u.ravel()])
-        if self.G.shape[0] and np.max(self.G @ x - self.h) > _START_TOL:
-            return None  # storage's start leaves its SoC corridor
-        return x
+        return x if self.admits(x) else None  # storage's start may leave its SoC corridor
+
+    def admits(self, x):
+        """Whether ``x`` meets every constraint within ``solve_qp``'s start
+        tolerance, so that ``solve_qp`` accepts it as a starting point."""
+        return bool(np.all(np.abs(self.A @ x - self.b) <= _START_TOL)
+                    and np.all(self.G @ x - self.h <= _START_TOL))
 
     def elastic_start(self):
         """Phase-1: penalized slack finds a feasible point when storage must
@@ -413,22 +432,16 @@ class _Problem:
                 f"participant limits and the SoC corridor leave no dispatch at interval {t}",
                 interval=t,
             )
-        x = sol.x[:n].copy()
+        g, u = self.split(sol.x[:n])
         # absorb the tiny remaining slack into generators with headroom
-        for t in range(T):
-            residual = self.demand[t] - float(self.A[t, :] @ x)
-            for j in range(self.J):
-                idx = j * T + t
-                room_hi = self.g_hi[j, t] - x[idx]
-                room_lo = x[idx] - self.g_lo[j, t]
-                move = np.clip(residual, -room_lo, room_hi)
-                x[idx] += move
-                residual -= move
-            if abs(residual) > 1e-7 * scale:
-                raise InfeasibleError(
-                    f"demand at interval {t} cannot be met within participant limits", interval=t
-                )
-        return x
+        g, left = absorb_balance(g, self.demand - self.A[:T] @ sol.x[:n], self.g_lo, self.g_hi)
+        short = np.flatnonzero(np.abs(left) > 1e-7 * scale)
+        if short.size:
+            t = int(short[0])
+            raise InfeasibleError(
+                f"demand at interval {t} cannot be met within participant limits", interval=t
+            )
+        return np.concatenate([g.ravel(), u.ravel()])
 
 
 def blended_stationarity_gap(target, pieces, u_s, beta):
@@ -531,16 +544,41 @@ def _kink_bisection(prob, x, maps_a, maps_b, iterations):
 
 def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic=True, soc_bounds=False,
-                    tol=1e-8, max_outer=200):
-    """Alternating fixed-map solve of the dispatch template (see module doc)."""
+                    tol=1e-8, max_outer=200, start=None):
+    """Alternating fixed-map solve of the dispatch template (see module doc).
+
+    ``start`` optionally seeds the solve with a flat (g, u) point in the
+    template's variable order (each generator's, then each storage's
+    dispatch over the T intervals).  It is used only where it meets every
+    constraint within ``solve_qp``'s 1e-7 start tolerance, and a seeded
+    solve that fails is run again without it; otherwise the solve starts as
+    without it, from the greedy split or the elastic phase.  The first
+    half-cycle maps come from the starting point's storage dispatch, so a
+    start near the optimum carries its maps and its active rows with it.
+    A start of the wrong size raises ``InvalidInputError``.
+    """
     if max_outer < 1:
         raise InvalidInputError("max_outer must be at least 1")
     prob = _Problem(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (prob.n,):
+            raise InvalidInputError(f"start must be a flat point of {prob.n} entries, "
+                                    f"got shape {start.shape}")
+        if prob.admits(start):
+            try:
+                return _alternate(prob, start, tol, max_outer)
+            except SolverFailureError:
+                pass  # the seed's maps led to no certified point; start cold
     x = prob.feasible_start()
     if x is None:
         x = prob.elastic_start()
+    return _alternate(prob, x, tol, max_outer)
 
+
+def _alternate(prob, x, tol, max_outer):
+    """Alternate fixed-map QP solves from the feasible point ``x``."""
     _, u = prob.split(x)
     maps = [rainflow_map(u[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
     sig = tuple(m.signature() for m in maps)

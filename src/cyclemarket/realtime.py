@@ -29,6 +29,7 @@ from .qp import solve_market_qp
 from .rainflow import rainflow_map
 
 __all__ = [
+    "MODES",
     "RealTimeBids",
     "RealTimeResult",
     "equilibrium_unaware",
@@ -37,6 +38,8 @@ __all__ = [
     "equilibrium_aware",
     "clear_constrained_aware",
 ]
+
+MODES = ("aware", "unaware")
 
 
 @dataclass
@@ -51,7 +54,7 @@ class RealTimeBids:
             if np.size(self.beta_r) else np.zeros(0)
         if not (np.all(np.isfinite(self.alpha_r)) and np.all(np.isfinite(self.beta_r))):
             raise InvalidInputError("real-time bid slopes must be finite")
-        if self.mode not in ("aware", "unaware"):
+        if self.mode not in MODES:
             raise InvalidInputError("mode must be 'aware' or 'unaware'")
 
 
@@ -285,7 +288,7 @@ def equilibrium_aware(params: MarketParams, d_total, da):
 
 
 def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_committed,
-                            params: MarketParams, x0s=None, tol=1e-8):
+                            params: MarketParams, x0s=None, tol=1e-8, start=None):
     """Constrained real-time window clearing against day-ahead commitments.
 
     Optimizes total dispatch (commitment plus adjustment) under the costs the
@@ -295,6 +298,11 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     own rate limits, and the SoC corridor from the realized state of charge;
     periodicity is deliberately absent in real time.  Raises an infeasibility
     error naming the binding interval when the window cannot balance.
+
+    ``start`` optionally seeds the solve with a total dispatch (commitment
+    plus adjustment), flat in the order of ``solve_market_qp``: each
+    generator's window, then each storage's.  A start that breaks a
+    constraint is ignored (see ``solve_market_qp``).
     """
     w = np.asarray(window_demand, dtype=float)
     W = w.size
@@ -324,7 +332,7 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
         g_lo=[gen.g_min for gen in params.generators],
         g_hi=[gen.g_max for gen in params.generators],
         u_lo=u_lo, u_hi=u_hi,
-        periodic=False, soc_bounds=True, tol=tol,
+        periodic=False, soc_bounds=True, tol=tol, start=start,
     )
     g_r = res.g - g_da
     u_r = res.u - u_da

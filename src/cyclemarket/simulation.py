@@ -17,9 +17,11 @@ import numpy as np
 from .costs import MarketParams, generator_cost, storage_cost
 from .data import DemandScenario
 from .dayahead import DayAheadResult, clear_general, clear_uniform, equilibrium_bids_dayahead
-from .errors import DegeneratePriceError, InfeasibleError
+from .errors import DegeneratePriceError, InfeasibleError, InvalidInputError
+from .qp import absorb_balance
 from .rainflow import rainflow_map
 from .realtime import (
+    MODES,
     RealTimeResult,
     aware_bids,
     best_response_unaware,
@@ -39,6 +41,7 @@ __all__ = [
 
 BINDING_HOURS = 24
 WINDOW_HOURS = 24
+CLEARINGS = ("general", "uniform")
 
 
 @dataclass
@@ -84,6 +87,8 @@ def run_day_ahead(scenario: DemandScenario, params: MarketParams,
     is excluded from settlement.
     """
     cfg = mechanism_config or MechanismConfig()
+    if cfg.clearing not in CLEARINGS:
+        raise InvalidInputError(f"clearing must be one of {CLEARINGS}, got {cfg.clearing!r}")
     if scenario.horizon < BINDING_HOURS:
         raise InfeasibleError("day-ahead horizon must cover at least the binding day")
     bids = equilibrium_bids_dayahead(params)
@@ -124,11 +129,23 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     """Roll 24-hour windows across the binding day, committing one hour each.
 
     ``aware`` mode re-optimizes total dispatch under the constant equilibrium
-    slopes with power limits and the SoC corridor (no periodicity).
+    slopes with power limits and the SoC corridor (no periodicity).  Each
+    window is seeded near its optimum: window 0 with the day-ahead schedule
+    over its intervals, and each later window with the previous window's
+    total dispatch shifted by one hour, with storage at 0 in the hour it
+    appends (a window cut short by the horizon appends none).  In both cases
+    the generators absorb what is left of the balance within their limits.
+    A seed that breaks a limit or the SoC corridor is ignored and the window
+    starts cold.  On the bundled fixture every window then agrees with a
+    cold start to 1e-11; where the cycle cost has several certified points
+    (a rainflow tie, a two-map kink) a seed may select another of them.
     ``unaware`` mode runs the balance-only best-response clearing on the
     window's residual demand, the simplified setting its equilibrium theory
-    covers; power limits are not imposed on those adjustments.
+    covers; power limits are not imposed on those adjustments.  Any other
+    mode raises ``InvalidInputError``.
     """
+    if mode not in MODES:
+        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
     if scenario.n_realized < BINDING_HOURS:
         raise InfeasibleError(
             f"need {BINDING_HOURS} realized hours, have {scenario.n_realized}"
@@ -142,12 +159,16 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     for s, st in enumerate(params.storages):
         soc[s, 0] = st.x0
     x0_run = [st.x0 for st in params.storages]
+    prev_g, prev_u = da.g, da.u  # the seed's source, from the window's first hour on
 
     for hour in range(BINDING_HOURS):
         end = min(hour + WINDOW_HOURS, scenario.horizon)
         w = _window_demand(scenario, hour)
         if mode == "aware":
-            res = _aware_window(w, da, params, hour, end, x0_run, tol)
+            start = _window_seed(w, prev_g, prev_u, params)
+            res = _aware_window(w, da, params, hour, end, x0_run, tol, start)
+            prev_g = (da.g[:, hour:end] + res.g_r)[:, 1:]
+            prev_u = (da.u[:, hour:end] + res.u_r)[:, 1:]
         else:
             res = _unaware_window(w, da, params, hour, end, tol)
         steps.append(res)
@@ -165,7 +186,22 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     return steps, g_rt, u_rt, prices, soc
 
 
-def _aware_window(w, da, params, hour, end, x0_run, tol):
+def _window_seed(w, prev_g, prev_u, params):
+    """Flat total-dispatch seed for a window with demand ``w``: the leading
+    intervals of ``prev_g`` and ``prev_u``, zero past their end, with the
+    generators absorbing the rest of the balance within their limits."""
+    W = w.size
+    g = np.zeros((params.n_generators, W))
+    u = np.zeros((params.n_storages, W))
+    k = min(W, prev_g.shape[1])
+    g[:, :k], u[:, :k] = prev_g[:, :k], prev_u[:, :k]
+    g_lo = np.array([gen.g_min for gen in params.generators])[:, None]
+    g_hi = np.array([gen.g_max for gen in params.generators])[:, None]
+    g, _ = absorb_balance(g, w - g.sum(axis=0) - u.sum(axis=0), g_lo, g_hi)
+    return np.concatenate([g.ravel(), u.ravel()])
+
+
+def _aware_window(w, da, params, hour, end, x0_run, tol, start):
     # constant slopes; the storage slope tracks the window's total demand
     try:
         bids = aware_bids(params, w)
@@ -174,6 +210,7 @@ def _aware_window(w, da, params, hour, end, x0_run, tol):
     try:
         return clear_constrained_aware(
             bids, w, da.g[:, hour:end], da.u[:, hour:end], params, x0s=list(x0_run), tol=tol,
+            start=start,
         )
     except InfeasibleError as exc:
         raise InfeasibleError(

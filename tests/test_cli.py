@@ -48,6 +48,13 @@ class TestRun:
         assert len(trace) == 24
         assert {"hour", "da_price", "rt_price", "soc_0"} <= set(trace[0])
 
+    def test_aware_real_time_windows_start_near_their_optimum(self, tmp_path):
+        # each window is seeded from the one before; started cold they took 1,316
+        out = tmp_path / "o"
+        assert main(["run", "--mode", "aware", "--out", str(out)]) == 0
+        rows = {r["metric"]: r["value"] for r in read_rows(out / "run_summary.csv")}
+        assert 0 < float(rows["rt_iterations_total"]) <= 300
+
     def test_missing_demand_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--demand", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")])

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cyclemarket import qp
 from cyclemarket.errors import InfeasibleError, InvalidInputError, SolverFailureError
@@ -352,3 +355,119 @@ class TestMarketQP:
                               u_lo=-5.0, u_hi=5.0, periodic=True)
         assert np.max(np.abs(res.g)) < 1e-9
         assert np.max(np.abs(res.u)) < 1e-9
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+def _flat(res):
+    return np.concatenate([res.g.ravel(), res.u.ravel()])
+
+
+@st.composite
+def seeded_windows(draw):
+    """A real-time-like window (no periodicity, SoC corridor on) and a random
+    feasible point of it: demand is the point's balance.  Half the draws
+    shrink capacity and rate limits so that the limits and the corridor bind."""
+    J, S, W = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(3, 8))
+    tight = draw(st.booleans())
+
+    def floats(shape, lo, hi):
+        return draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    c, cap = floats(J, 5.0, 40.0), floats(J, 60.0, 120.0)
+    b, x0 = floats(S, 0.5, 4.0), floats(S, 0.1, 0.9)
+    E = floats(S, 2.0, 10.0) if tight else floats(S, 20.0, 100.0)
+    r = floats(S, 0.5, 2.0) if tight else floats(S, 5.0, 20.0)
+    # storage within its rate limits, scaled toward 0 until it fits the corridor
+    u = floats((S, W), -1.0, 1.0) * r[:, None]
+    level = np.cumsum(u, axis=1)
+    room = np.where(level > 0, x0[:, None], 1.0 - x0[:, None]) * E[:, None]
+    u *= min(1.0, float(np.min(room / np.maximum(np.abs(level), 1e-300))))
+    g = floats((J, W), 0.3, 1.0) * cap[:, None]
+    window = dict(alphas=1.0 / c, a_lin=np.zeros(J), betas=1.0 / b, capacities=E, x0s=x0,
+                  demand=g.sum(axis=0) + u.sum(axis=0), g_lo=0.0, g_hi=cap, u_lo=-r, u_hi=r,
+                  periodic=False, soc_bounds=True)
+    return window, np.concatenate([g.ravel(), u.ravel()])
+
+
+class TestSeededStart:
+    # the [1, 3, 1, 3] instance as a real-time window: no periodicity, corridor on
+    WINDOW = dict(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0], x0s=[0.5],
+                  demand=np.array([1.0, 3.0, 1.0, 3.0]), g_lo=0.0, g_hi=10.0,
+                  u_lo=-1.0, u_hi=1.0, periodic=False, soc_bounds=True)
+
+    @pytest.mark.parametrize("start", [
+        [1.0, 3.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0],   # misses the balance
+        [0.0, 1.5, 1.0, 3.0, 1.0, 1.5, 0.0, 0.0],   # breaks the rate limit
+        [0.0, 2.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0],   # leaves the SoC corridor
+        [np.nan] * 8,
+    ])
+    def test_start_breaking_a_constraint_gives_cold_answer(self, start):
+        cold = solve_market_qp(**self.WINDOW)
+        res = solve_market_qp(**self.WINDOW, start=start)
+        assert np.array_equal(_flat(res), _flat(cold))
+        assert np.array_equal(res.price, cold.price)
+        assert res.iterations == cold.iterations
+
+    def test_start_of_wrong_size_raises_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="8 entries"):
+            solve_market_qp(**self.WINDOW, start=np.zeros(7))
+
+    def test_start_at_optimum_certifies_without_moving(self):
+        cold = solve_market_qp(**self.WINDOW)
+        res = solve_market_qp(**self.WINDOW, start=_flat(cold))
+        assert res.iterations == 0
+        assert _close(_flat(res), _flat(cold))
+
+    def test_failed_seeded_solve_runs_again_cold(self):
+        # two storage units of equal slope, each seeded with an even share of
+        # what the capped generator leaves: from the seed's maps the
+        # alternation stalls at residual 8.7e-6, while the cold start certifies
+        window = dict(alphas=[0.2], a_lin=[0.0], betas=[1.0, 1.0], capacities=[20.0, 20.0],
+                      x0s=[0.5, 0.1], demand=np.full(3, 60.0 + 4.0 / 3.0), g_lo=0.0,
+                      g_hi=60.0, u_lo=-5.0, u_hi=5.0, periodic=False, soc_bounds=True)
+        start = np.concatenate([np.full(3, 60.0), np.full(6, 2.0 / 3.0)])
+        prob = qp._Problem(**window)
+        with pytest.raises(SolverFailureError):
+            qp._alternate(prob, start, 1e-8, 200)
+        cold = solve_market_qp(**window)
+        res = solve_market_qp(**window, start=start)
+        assert np.array_equal(_flat(res), _flat(cold))
+        assert res.kkt_residual <= 1e-8
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seeded_windows())
+    def test_random_feasible_start_reaches_cold_optimum(self, drawn):
+        """A seed changes where the solve starts, not what it certifies.
+
+        Every draw must give a certified (KKT <= 1e-8), feasible answer with
+        and without its seed.  The answers themselves are compared for one
+        storage unit only, and only where both solves end on the same maps
+        off a kink: the whole-interval cycle cost is convex only on
+        dispatch-like profiles, so at a two-map kink, or on other maps, both
+        points are certified but can differ by far more than 1e-9.  Two
+        units of equal slope share flat directions that only a 1e-12 ridge
+        pins, so even their prices can differ by more than 1e-9.
+        """
+        window, start = drawn
+        try:
+            cold = solve_market_qp(**window)
+        except SolverFailureError:
+            return  # no certified answer to reach; a seeded solve may still find one
+        seeded = solve_market_qp(**window, start=start)
+        for res in (cold, seeded):
+            assert res.kkt_residual <= 1e-8
+            soc = window["x0s"][:, None] - np.cumsum(res.u, axis=1) / window["capacities"][:, None]
+            assert _close(res.g.sum(axis=0) + res.u.sum(axis=0), window["demand"])
+            assert np.all(res.g >= -1e-9) and np.all(res.g <= window["g_hi"][:, None] + 1e-9)
+            assert np.all(np.abs(res.u) <= window["u_hi"][:, None] + 1e-9)
+            assert np.all(soc >= -1e-9) and np.all(soc <= 1.0 + 1e-9)
+        if len(window["betas"]) > 1 or len(cold.stationarity_pieces[0]) > 1:
+            return
+        again = solve_market_qp(**window, start=_flat(cold))
+        assert _close(_flat(again), _flat(cold)) and _close(again.price, cold.price)
+        if (len(seeded.stationarity_pieces[0]) == 1
+                and seeded.maps[0].signature() == cold.maps[0].signature()):
+            assert _close(_flat(seeded), _flat(cold)) and _close(seeded.price, cold.price)

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cyclemarket import GeneratorParams, MarketParams, StorageParams
+from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp
 from cyclemarket.data import DemandScenario, build_params, default_config, synthetic_scenario
-from cyclemarket.errors import InfeasibleError
+from cyclemarket.errors import InfeasibleError, InvalidInputError
 from cyclemarket.planner import solve_planner
+from cyclemarket.realtime import aware_bids, clear_constrained_aware
 from cyclemarket.simulation import (
     BINDING_HOURS,
     MechanismConfig,
@@ -30,6 +31,31 @@ def fixture_setup():
 def aware_record(fixture_setup):
     scn, params = fixture_setup
     return run_two_stage(scn, params, mode="aware")
+
+
+def assert_windows_match_cold(scn, params, da, steps, soc):
+    """Every aware window against an unseeded clearing from the same realized
+    state of charge, within 1e-9 of each quantity's scale."""
+    for hour, step in enumerate(steps):
+        end = min(hour + 24, scn.horizon)
+        w = scn.forecast[hour:end].copy()
+        w[0] = scn.actual[hour]
+        cold = clear_constrained_aware(aware_bids(params, w), w, da.g[:, hour:end],
+                                       da.u[:, hour:end], params,
+                                       x0s=list(np.clip(soc[:, hour], 0.0, 1.0)))
+        for got, want in ((step.g_r, cold.g_r), (step.u_r, cold.u_r), (step.price, cold.price)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.fixture()
+def cold_starts(monkeypatch):
+    """Sizes T of the solves that started without a usable seed."""
+    calls = []
+    inner = qp._Problem.feasible_start
+    monkeypatch.setattr(qp._Problem, "feasible_start",
+                        lambda self: calls.append(self.T) or inner(self))
+    return calls
 
 
 class TestRunDayAhead:
@@ -79,7 +105,20 @@ class TestRunDayAhead:
         assert "participant limits cross at interval 0" in str(err.value)
 
 
+    def test_unknown_clearing_raises_invalid_input(self, fixture_setup):
+        scn, params = fixture_setup
+        with pytest.raises(InvalidInputError, match="'general', 'uniform'"):
+            run_day_ahead(scn, params, MechanismConfig(clearing="uniformm"))
+
+
 class TestRunRealTime:
+    @pytest.mark.parametrize("run", [run_two_stage, run_real_time])
+    def test_unknown_mode_raises_invalid_input(self, fixture_setup, run):
+        scn, params = fixture_setup
+        args = (scn, params) if run is run_two_stage else (scn, params, run_day_ahead(scn, params))
+        with pytest.raises(InvalidInputError, match="'aware', 'unaware'"):
+            run(*args, mode="Aware")
+
     def test_24_steps_produced(self, aware_record):
         assert len(aware_record.rt_steps) == BINDING_HOURS
         assert aware_record.g_rt.shape == (1, BINDING_HOURS)
@@ -157,6 +196,40 @@ class TestRunRealTime:
         with pytest.raises(InfeasibleError) as err:
             run_real_time(scn, params, da, mode="aware")
         assert err.value.interval == 5
+
+
+class TestSeededWindows:
+    def test_every_window_matches_cold_solve(self, fixture_setup, cold_starts):
+        scn, params = fixture_setup
+        da = run_day_ahead(scn, params)
+        cold_starts.clear()
+        steps, _, _, _, soc = run_real_time(scn, params, da, mode="aware")
+        assert cold_starts == []  # every window started from its seed
+        assert_windows_match_cold(scn, params, da, steps, soc)
+
+    def test_short_horizon_windows_shrink_and_match_cold_solve(self, fixture_setup):
+        # a 36-hour horizon cuts the windows from hour 13 on: the last is 13 hours
+        scn0, params = fixture_setup
+        scn = DemandScenario(forecast=scn0.forecast[:36], actual=scn0.actual,
+                             timestamps=scn0.timestamps[:36])
+        da = run_day_ahead(scn, params)
+        steps, _, _, _, soc = run_real_time(scn, params, da, mode="aware")
+        assert [s.price.size for s in steps[11:]] == [24, 24, 23] + list(range(22, 12, -1))
+        assert_windows_match_cold(scn, params, da, steps, soc)
+
+    def test_window_zero_falls_back_when_schedule_leaves_corridor(self, fixture_setup,
+                                                                  cold_starts):
+        # without the day-ahead corridor the schedule takes the state of charge
+        # outside [0, 1], so window 0's seed breaks the real-time corridor
+        scn, params = fixture_setup
+        st = params.storages[0]
+        da = run_day_ahead(scn, params, MechanismConfig(enforce_soc_bounds=False))
+        soc = st.x0 - np.cumsum(da.u[0, :24]) / st.capacity_E
+        assert soc.min() < -0.1 or soc.max() > 1.1
+        cold_starts.clear()
+        steps, _, _, _, realized = run_real_time(scn, params, da, mode="aware")
+        assert cold_starts == [24]
+        assert_windows_match_cold(scn, params, da, steps, realized)
 
 
 class TestSettlement:
