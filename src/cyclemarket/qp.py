@@ -18,14 +18,17 @@ bisection over the blended-curvature weight lands on it with the matching
 convex subgradient weights.  A solve that settles neither way within its
 round budget raises ``SolverFailureError`` carrying the best iterate.
 
-The active-set core ``solve_qp`` eliminates the equalities once per call: it
-works in an orthonormal basis of their null space, so each iteration solves a
-KKT system in the remaining degrees of freedom and the working rows only, and
-keeps an orthonormal basis of those rows that it extends when a row joins and
-rebuilds past a dropped row.  A working row that the equalities and the kept
-rows already imply parks outside the KKT system until a drop frees it.
+The active-set core ``solve_qp`` eliminates the equalities once per call and
+works in an orthonormal basis of their null space.  It keeps the working rows
+factored: an orthonormal basis of their parts with its triangular
+coefficients, an orthonormal complement of that basis, and the reduced
+Hessian on the complement.  Each add and each drop updates all three, so an
+iteration solves only the directions the working rows leave free.  A working
+row that the equalities and the kept rows already imply parks outside the
+factorization until a drop frees it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,34 +51,128 @@ class QPSolution:
     iterations: int
 
 
-def _kkt_solve(H, rows, rhs):
-    # K is freed on return: held across iterations, each new K was faulted in
-    # fresh (91 minor page faults per T=48 solve_qp call, against 0 this way)
-    n = H.shape[0]
-    K = np.zeros((n + len(rows), n + len(rows)))
-    K[:n, :n], K[:n, n:], K[n:, :n] = H, rows.T, rows
-    sol = np.linalg.solve(K, rhs)
-    return sol[:n], sol[n:]
+class _WorkingRows:
+    """The kept working rows of one ``solve_qp`` call, factored for its
+    iterations and updated per add and drop.
 
+    The kept rows' null-space parts satisfy ``GZ[kept] = L @ basis``, with
+    ``basis`` orthonormal (Gram-Schmidt in the order the rows joined) and
+    ``L`` lower triangular, and ``y`` solves ``L y = rhs[kept]``, so the
+    point ``basis' y`` meets every kept row exactly.  The rows of ``comp``
+    complete ``basis`` to an orthonormal basis of the null space, and ``M``
+    is the reduced Hessian ``comp Hz comp'`` on those free directions.  The
+    starting rows' complement comes from one QR.  After that, a row that
+    joins leaves the complement by one Householder reflection, in O(nz^2);
+    a drop refactors the rows after the dropped one by one QR of their
+    coefficients and hands the complement back the one direction that only
+    the dropped row pinned.  Every buffer is allocated once per call.
+    """
 
-def _extend_basis(basis, kept, GZ, thresholds, rows):
-    """Extend the orthonormal ``basis`` of the ``kept`` rows' null-space parts
-    by each of ``rows`` (row indices of G, in order) whose part ``GZ[i]``
-    orthogonal to the basis so far exceeds ``thresholds[i]`` (classical
-    Gram-Schmidt run twice); returns the basis and ``kept`` with those rows
-    appended."""
-    k = basis.shape[0]
-    Q = np.vstack([basis, np.empty((len(rows), GZ.shape[1]))])
-    new = []
-    for i in rows:
-        v = GZ[i] - (Q[:k] @ GZ[i]) @ Q[:k]
-        v -= (Q[:k] @ v) @ Q[:k]
-        norm = np.linalg.norm(v)
-        if norm > thresholds[i]:
-            Q[k] = v / norm
-            k += 1
-            new.append(i)
-    return Q[:k], np.concatenate([kept, np.asarray(new, dtype=np.intp)])
+    def __init__(self, GZ, rhs, Hz, grad, thresholds, rows):
+        nz = GZ.shape[1]
+        self.GZ, self.rhs, self.Hz, self.grad, self.thresholds = GZ, rhs, Hz, grad, thresholds
+        self.k = 0
+        self.kept = np.empty(nz, np.intp)
+        self.basis = np.empty((nz, nz))
+        self.L = np.zeros((nz, nz))
+        self.y = np.empty(nz)
+        for i in rows:
+            self._join(i)
+        self.r = nz - self.k  # free directions
+        self.comp = np.empty((nz, nz))
+        self.M = np.empty((nz, nz))
+        if self.r:
+            U = np.linalg.qr(self.basis[:self.k].T, mode="complete")[0][:, self.k:].T
+            self.comp[:self.r] = U
+            self.M[:self.r, :self.r] = U @ Hz @ U.T
+
+    def add(self, i):
+        """Append row ``i`` of G if its part ``GZ[i]`` orthogonal to the
+        basis exceeds ``thresholds[i]``; otherwise it parks."""
+        if self._join(i):
+            self._leave_complement(self.basis[self.k - 1])
+
+    def drop(self, j, parked):
+        """Drop the ``j``-th kept row, then test the ``parked`` rows again.
+
+        The rows kept after it keep their coefficients on ``basis[:j]``; on
+        ``basis[j:k]`` they are R'Q' by one QR, so ``Q' basis[j:k]`` is their
+        new basis followed by the one direction that only row ``j`` pinned,
+        which returns to the complement.
+        """
+        k, L, B = self.k, self.L, self.basis
+        Q, R = np.linalg.qr(L[j + 1:k, j:k].T, mode="complete")
+        B[j:k] = Q.T @ B[j:k]
+        self.y[j:k - 1] = (Q.T @ self.y[j:k])[:-1]
+        L[j:k - 1, :j] = L[j + 1:k, :j]
+        L[j:k - 1, j:k] = R.T
+        self.kept[j:k - 1] = self.kept[j + 1:k]
+        self.k = k - 1
+        self._enter_complement(B[k - 1])
+        for i in parked:
+            self.add(i)
+
+    def _join(self, i):
+        # classical Gram-Schmidt run twice; the summed coefficients are row
+        # i's entries of L, and y gains its forward-substitution entry
+        k = self.k
+        B, g = self.basis[:k], self.GZ[i]
+        c = B @ g
+        v = g - c @ B
+        c2 = B @ v
+        v -= c2 @ B
+        norm = math.sqrt(v @ v)
+        if norm <= self.thresholds[i]:
+            return False
+        c += c2
+        self.basis[k] = v / norm
+        self.L[k, :k], self.L[k, k] = c, norm
+        self.y[k] = (self.rhs[i] - c @ self.y[:k]) / norm
+        self.kept[k] = i
+        self.k = k + 1
+        return True
+
+    def _leave_complement(self, q):
+        # the reflection P = I - t vv' maps c = comp q to sigma e_last, so the
+        # last row of P comp is +-q: only the rows before it are kept, and M
+        # becomes the leading block of P M P (a rank-2 update)
+        r = self.r - 1
+        U, M = self.comp[:r + 1], self.M[:r + 1, :r + 1]
+        v = U @ q
+        v[-1] += math.copysign(math.sqrt(v @ v), v[-1])
+        t = 2.0 / (v @ v)
+        U[:r] -= (t * v[:r])[:, None] * (v @ U)
+        Mv = M @ v
+        a = (t * Mv - (0.5 * t * t * (v @ Mv)) * v)[:r]
+        S = v[:r, None] * a
+        M[:r, :r] -= S + S.T
+        self.r = r
+
+    def _enter_complement(self, z):
+        # z becomes the complement's last row; M gains the matching border
+        r = self.r
+        self.comp[r] = z
+        Hzz = self.Hz @ z
+        self.M[r, :r] = self.M[:r, r] = self.comp[:r] @ Hzz
+        self.M[r, r] = z @ Hzz
+        self.r = r + 1
+
+    def point(self):
+        """The null-space point ``w`` that minimizes the reduced objective on
+        the kept rows: ``basis' y`` plus the Newton step in the free
+        directions, from one solve with ``M``."""
+        k, r = self.k, self.r
+        w = self.y[:k] @ self.basis[:k]
+        if r:
+            U = self.comp[:r]
+            w += np.linalg.solve(self.M[:r, :r], -(U @ (self.Hz @ w + self.grad))) @ U
+        return w
+
+    def multipliers(self, w):
+        """The kept rows' multipliers at the stationary point ``w``, from
+        ``L' mu = -basis (Hz w + grad)``."""
+        k = self.k
+        return np.linalg.solve(self.L[:k, :k].T, -(self.basis[:k] @ (self.Hz @ w + self.grad)))
 
 
 def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
@@ -88,22 +185,31 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
 
     A primal active-set method in the null space of the equalities.  One QR
     of A' gives an orthonormal basis Z of that null space and the
-    minimum-norm solution x_r of Ax = b; each iteration solves the KKT system
-    of Z'HZ and the working rows' parts G_i Z for the point x_r + Z w that
-    minimizes over the working set, and the equality duals are recovered
-    once, at the optimum.  The rows that enter the KKT system keep an
-    orthonormal basis of their parts G_i Z.  A row that joins the working
-    set is tested against that basis alone: it parks, sitting out of the
-    solve with a zero multiplier, when its part orthogonal to the basis is
-    at most 1e-9 ||G_i||, since it then pins nothing the equalities and the
-    kept rows do not.  Dropping a kept row rebuilds the basis from that
-    row's position on, and every parked row is tested again.  The starting
-    working set is tested in index order.
+    minimum-norm solution x_r of Ax = b; every iterate is the point x_r + Z w.
+    The rows that enter the solve keep an orthonormal basis of their parts
+    G_i Z with the triangular Gram-Schmidt coefficients L, an orthonormal
+    complement U of that basis, and the reduced Hessian M = U'(Z'HZ)U.  An
+    iteration solves only the free directions: the point basis' y, with
+    L y the kept rows' right-hand side, meets the kept rows, and one solve
+    with M, of order nz - k, adds the Newton step within U.  A row that
+    joins leaves U by one Householder reflection, which M takes as a rank-2
+    update.  A dropped row's successors are refactored by one QR of their
+    coefficients, and the direction only it pinned returns to U with one
+    border of M.  Multipliers are formed only on stationary iterations, from
+    L' mu = -basis (reduced gradient), and the equality duals once, at the
+    optimum.  The point is optimal when no multiplier is below -1e-11 times
+    max(1, largest |multiplier|); otherwise the most negative one's row
+    drops.  A row that joins the working set is tested against the basis
+    alone: it parks, sitting out of the solve with a zero multiplier, when
+    its part orthogonal to the basis is at most 1e-9 ||G_i||, since it then
+    pins nothing the equalities and the kept rows do not.  Every drop tests
+    the parked rows again.  The starting working set is tested in index
+    order.
 
     A start that violates a constraint by more than 1e-7 raises
     ``InvalidInputError``; dependent equality rows, the iteration cap and a
-    singular KKT system (H not positive definite on the working subspace)
-    raise ``SolverFailureError`` carrying the current iterate.
+    singular reduced Hessian M (H not positive definite on the working
+    subspace) raise ``SolverFailureError`` carrying the current iterate.
     """
     n = H.shape[0]
     A = np.zeros((0, n)) if A is None else np.asarray(A, float)
@@ -114,7 +220,8 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
 
     if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
         raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
-    slack0 = h - G @ x
+    Gx = G @ x
+    slack0 = h - Gx
     if slack0.size and slack0.min() < -_START_TOL:
         raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
 
@@ -130,21 +237,21 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     Z, A_plus = Q[:, m:], np.linalg.solve(R[:m], Q[:, :m].T).T
     x_r = A_plus @ b
     Hz, GZ, Gx_r = Z.T @ H @ Z, G @ Z, G @ x_r
-    grad_r = Z.T @ (H @ x_r + q)
-    thresholds = 1e-9 * np.linalg.norm(G, axis=1)
     working = slack0 <= 1e-10 * np.maximum(1.0, np.abs(h))
-    basis, kept = _extend_basis(np.zeros((0, Z.shape[1])), np.zeros(0, np.intp), GZ,
-                                thresholds, np.flatnonzero(working))
+    rows = _WorkingRows(GZ, h - Gx_r, Hz, Z.T @ (H @ x_r + q), 1e-9 * np.linalg.norm(G, axis=1),
+                        np.flatnonzero(working))
     for it in range(max_iter):
         try:
-            w, mu_w = _kkt_solve(Hz, GZ[kept], np.concatenate([-grad_r, h[kept] - Gx_r[kept]]))
+            w = rows.point()
         except np.linalg.LinAlgError:
             raise SolverFailureError("active-set QP met a singular KKT system",
                                      best_iterate=x) from None
+        kept = rows.kept[:rows.k]
         p = x_r + Z @ w - x
         step_scale = max(1.0, float(np.max(np.abs(x))))
         if np.max(np.abs(p)) <= 1e-12 * step_scale:
-            if mu_w.size == 0 or mu_w.min() >= -1e-11:
+            mu_w = rows.multipliers(w)
+            if mu_w.size == 0 or mu_w.min() >= -1e-11 * max(1.0, np.abs(mu_w).max()):
                 mu = np.zeros(G.shape[0])
                 mu[kept] = np.maximum(mu_w, 0.0)
                 y = -A_plus.T @ (H @ x + q + G[kept].T @ mu_w)
@@ -155,18 +262,19 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
             # that only row j made dependent rejoins here
             parked = working.copy()
             parked[kept] = False
-            basis, kept = _extend_basis(basis[:j], kept[:j], GZ, thresholds,
-                                        np.concatenate([kept[j + 1:], np.flatnonzero(parked)]))
+            rows.drop(j, np.flatnonzero(parked))
             continue
         # step toward the EQP optimum, blocked by the nearest inactive row;
         # ratios within 1e-9 of a full step saturate to one (the leftover
         # violation is far inside feasibility tolerance and re-adding the row
-        # at a degenerate vertex would cycle)
+        # at a degenerate vertex would cycle); G x moves along with x, so the
+        # test multiplies GZ's nz columns rather than G's n
         alpha = 1.0
+        Gp = Gx_r + GZ @ w - Gx
         inactive = np.flatnonzero(~working)
         if inactive.size:
-            gp = (G @ p)[inactive]
-            slack = (h - G @ x)[inactive]
+            gp = Gp[inactive]
+            slack = (h - Gx)[inactive]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(gp > 1e-13 * step_scale, slack / gp, np.inf)
             best_ratio = float(np.min(ratios))
@@ -175,8 +283,9 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
                 alpha = max(best_ratio, 0.0)
                 i = inactive[near[np.argmax(gp[near])]]
                 working[i] = True
-                basis, kept = _extend_basis(basis, kept, GZ, thresholds, [i])
+                rows.add(i)
         x = x + alpha * p
+        Gx = Gx + alpha * Gp
     raise SolverFailureError("active-set QP exceeded its iteration cap", best_iterate=x)
 
 

@@ -65,7 +65,6 @@ class RealTimeResult:
     price: np.ndarray               # (T,) real-time price
     price_coeff: float | None       # proportionality scalar (price = coeff * demand vector)
     iterations: int
-    converged: bool
     map_stable: bool = True         # half-cycle map of u_da + u_r unchanged (unaware mode)
     kkt_residual: float | None = None
     trace: list = field(default_factory=list)
@@ -129,7 +128,6 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     bids, result = _unaware_from_price(params, da, d_r, price, storage_terms)
     result.price_coeff = omega
     result.iterations = 0
-    result.converged = True
     return bids, result
 
 
@@ -163,7 +161,7 @@ def _unaware_from_price(params, da, d_r, price, storage_terms):
         for s, st in enumerate(params.storages))
     bids = RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="unaware")
     result = RealTimeResult(
-        g_r=g_r, u_r=u_r, price=price, price_coeff=None, iterations=0, converged=True,
+        g_r=g_r, u_r=u_r, price=price, price_coeff=None, iterations=0,
         map_stable=map_stable,
         kkt_residual=float(np.max(np.abs(g_r.sum(axis=0) + u_r.sum(axis=0) - d_r)))
         / max(1.0, float(np.max(np.abs(d_r)))),
@@ -216,7 +214,6 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
                 trace and trace[-1] <= tol * max(1.0, float(np.max(np.abs(price))))):
             bids, result = _unaware_from_price(params, da, d_r, price, storage_terms)
             result.iterations = it
-            result.converged = True
             result.price_coeff = 1.0 / xi
             result.trace = trace
             return bids, result
@@ -281,7 +278,7 @@ def equilibrium_aware(params: MarketParams, d_total, da):
                                  - (d - np.asarray(da.demand, dtype=float)
                                     if da.demand is not None else d)))
     result = RealTimeResult(
-        g_r=g_r, u_r=u_r, price=price, price_coeff=phi, iterations=0, converged=True,
+        g_r=g_r, u_r=u_r, price=price, price_coeff=phi, iterations=0,
         kkt_residual=float(clearing_err) / max(1.0, float(np.max(np.abs(d)))),
     )
     return bids, result
@@ -338,5 +335,5 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     u_r = res.u - u_da
     return RealTimeResult(
         g_r=g_r, u_r=u_r, price=res.price, price_coeff=None,
-        iterations=res.iterations, converged=True, kkt_residual=res.kkt_residual,
+        iterations=res.iterations, kkt_residual=res.kkt_residual,
     )

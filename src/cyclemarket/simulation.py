@@ -226,7 +226,7 @@ def _unaware_window(w, da, params, hour, end, tol):
     if float(d_r @ d_r) <= 1e-24 * max(1.0, float(w @ w)):
         return RealTimeResult(
             g_r=np.zeros((J, W)), u_r=np.zeros((S, W)), price=np.zeros(W),
-            price_coeff=0.0, iterations=0, converged=True,
+            price_coeff=0.0, iterations=0,
         )
     view = _window_da_view(da, params, hour, end)
     try:

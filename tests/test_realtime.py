@@ -122,7 +122,7 @@ class TestBestResponseUnaware:
             d_r = correlated_residual(rng, d_da)
             b_eq, r_eq = equilibrium_unaware(params, d_r, da)
             b_br, r_br = best_response_unaware(params, d_r, da, tol=1e-12)
-            assert r_br.converged
+            assert r_br.kkt_residual <= 1e-8
             assert np.max(np.abs(r_br.price - r_eq.price)) < 1e-6
             assert np.max(np.abs(b_br.alpha_r - b_eq.alpha_r)) < 1e-6
             assert np.max(np.abs(b_br.beta_r - b_eq.beta_r)) < 1e-6
@@ -136,7 +136,7 @@ class TestBestResponseUnaware:
         b_eq, r_eq = equilibrium_unaware(params, d_r, da)
         assert r_eq.price_coeff < 0
         b_br, r_br = best_response_unaware(params, d_r, da, tol=1e-12)
-        assert r_br.converged
+        assert r_br.kkt_residual <= 1e-8
         scale = max(1.0, float(np.max(np.abs(r_eq.price))))
         assert np.max(np.abs(r_br.price - r_eq.price)) / scale < 1e-9
         assert np.max(np.abs(b_br.alpha_r - b_eq.alpha_r)) < 1e-9
@@ -185,7 +185,7 @@ class TestBestResponseUnaware:
         d_da, da = cleared_day_ahead(rng, params)
         d_r = correlated_residual(rng, d_da)
         _, res = best_response_unaware(params, d_r, da, tol=1e-12)
-        assert res.converged
+        assert res.kkt_residual <= 1e-8
         assert res.iterations <= 3
 
     def test_iteration_cap_raises_with_trace(self):
