@@ -36,8 +36,7 @@ import numpy as np
 from .errors import InfeasibleError, InvalidInputError, SolverFailureError
 from .rainflow import rainflow_map
 
-__all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual",
-           "absorb_balance"]
+__all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual"]
 
 _FEAS_TOL = 1e-9
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
@@ -308,27 +307,6 @@ def _with_negations(M):
     return np.stack([M, -M], axis=1).reshape(2 * M.shape[0], M.shape[1])
 
 
-def _zero_sum_shift(start, lo, hi, s):
-    """``clip(start + c, lo, hi)`` for the scalar c that makes its sum zero.
-
-    The sum is nondecreasing and piecewise linear in c, with a knot wherever
-    an entry meets a bound; c is interpolated between the knots, padded on
-    each side far enough for the unbounded entries to carry the sum past 0.
-    """
-    if lo.sum() > 0.0 or hi.sum() < 0.0:
-        raise InfeasibleError(f"storage {s}'s power box admits no periodic dispatch")
-    knots = np.concatenate([lo - start, hi - start])
-    knots = np.unique(knots[np.isfinite(knots)])
-
-    def total(c):
-        return np.clip(start + c[:, None], lo, hi).sum(axis=1)
-
-    first, last = total(knots[[0, -1]])
-    c = np.concatenate([[knots[0] - max(first, 0.0) - 1.0], knots,
-                        [knots[-1] - min(last, 0.0) + 1.0]])
-    return np.clip(start + np.interp(0.0, total(c), c), lo, hi)
-
-
 def absorb_balance(g, residual, g_lo, g_hi):
     """Move each interval's ``residual`` onto the generators, in order, each
     within ``[g_lo, g_hi]``; returns the moved ``g`` (J, T) and what no
@@ -348,7 +326,7 @@ class _Problem:
 
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
-    Both starting points put storage at ``storage_start``.
+    Every starting point goes through ``start_from``.
     """
 
     def __init__(self, alphas, a_lin, betas, capacities, x0s, demand,
@@ -456,42 +434,26 @@ class _Problem:
         box by more than ``solve_qp``'s 1e-7 start tolerance.
 
         A box that excludes 0 by less (a commitment rounded past its rate
-        limit) keeps the start at 0, which ``solve_qp`` accepts.  Under
-        periodicity a row that then does not sum to zero is shifted by the
-        one scalar that makes its clipped entries sum to zero.
+        limit) keeps the start at 0, which ``solve_qp`` accepts.
         """
         nearest = np.clip(0.0, self.u_lo, self.u_hi)
-        start = np.where(np.abs(nearest) > _START_TOL, nearest, 0.0)
-        if self.periodic:
-            for s in np.flatnonzero(start.sum(axis=1) != 0.0):
-                start[s] = _zero_sum_shift(start[s], self.u_lo[s], self.u_hi[s], s)
-        return start
+        return np.where(np.abs(nearest) > _START_TOL, nearest, 0.0)
 
-    def feasible_start(self):
-        """(g, u) with storage at ``storage_start`` and the rest of demand
-        split greedily across generators per interval, or None where that
-        point breaks a limit (a row of G by more than ``solve_qp``'s start
-        tolerance); limits that cross have already raised ``InfeasibleError``
-        in the constructor.
-        """
-        J, T = self.J, self.T
-        g = np.where(np.isfinite(self.g_lo), self.g_lo, 0.0)
-        u = self.storage_start()
-        rest = self.demand - u.sum(axis=0)  # what the generators must cover
-        for t in range(T):
-            residual = rest[t] - g[:, t].sum()
-            if residual < -_FEAS_TOL * max(1.0, abs(self.demand[t])):
-                return None  # below the generator minimum; storage may absorb it
-            for j in range(J):
-                room = self.g_hi[j, t] - g[j, t]
-                add = min(residual, room)
-                if add > 0:
-                    g[j, t] += add
-                    residual -= add
-            if residual > _FEAS_TOL * max(1.0, abs(self.demand[t])):
-                return None  # generators alone cannot cover; try the elastic phase
-        x = np.concatenate([g.ravel(), u.ravel()])
-        return x if self.admits(x) else None  # storage's start may leave its SoC corridor
+    def start_from(self, g, u):
+        """The flat starting point for dispatch ``(g, u)``, shapes (J, T) and
+        (S, T): the generators take up what is left of each interval's
+        balance, in order and within their limits (``absorb_balance``).
+        Returns None where the point still breaks a constraint by more than
+        ``solve_qp``'s start tolerance."""
+        g, _ = absorb_balance(g, self.demand - g.sum(axis=0) - u.sum(axis=0), self.g_lo, self.g_hi)
+        x = np.concatenate([g.ravel(), np.ravel(u)])
+        return x if self.admits(x) else None
+
+    def cold_start(self):
+        """``start_from`` the generators at their lower limits (0 where
+        unbounded) and storage at ``storage_start``."""
+        return self.start_from(np.where(np.isfinite(self.g_lo), self.g_lo, 0.0),
+                               self.storage_start())
 
     def admits(self, x):
         """Whether ``x`` meets every constraint within ``solve_qp``'s start
@@ -500,13 +462,15 @@ class _Problem:
                     and np.all(self.G @ x - self.h <= _START_TOL))
 
     def elastic_start(self):
-        """Phase-1: penalized slack finds a feasible point when storage must
-        participate (for example a binding generator cap at the peak).
+        """Phase 1: penalized slack finds a feasible point when storage must
+        participate (for example a binding generator cap at the peak) or
+        when storage's start breaks periodicity.
 
-        Each balance row gets a free slack, and each row of G that the start
-        breaks (an SoC corridor that storage's start leaves) a nonnegative
-        one.  A slack that stays positive raises ``InfeasibleError`` naming
-        its interval.
+        Every equality row (balance and periodicity) gets a free slack, and
+        each row of G that the start breaks (an SoC corridor that storage's
+        start leaves) a nonnegative one.  A slack that stays above 1e-6 of
+        the demand scale raises ``InfeasibleError``, naming its interval
+        where it has one.  The point found goes through ``start_from``.
         """
         n, T, m, rows = self.n, self.T, self.A.shape[0], self.G.shape[0]
         scale = max(1.0, float(np.max(np.abs(self.demand))))
@@ -515,17 +479,17 @@ class _Problem:
         excess = self.G @ lo_start - self.h
         broken = np.flatnonzero(excess > _START_TOL)
         k = broken.size
-        H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(T + k, 1e8)]))
-        # balance + slack = d; a broken row minus its slack stays within h
-        A = np.hstack([self.A, np.eye(m, T), np.zeros((m, k))])
+        H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(m + k, 1e8)]))
+        # each equality row + its slack = b; a broken row minus its slack stays within h
+        A = np.hstack([self.A, np.eye(m), np.zeros((m, k))])
         relax = np.zeros((rows, k))
         relax[broken, np.arange(k)] = -1.0
-        G = np.vstack([np.hstack([self.G, np.zeros((rows, T)), relax]),
-                       np.hstack([np.zeros((k, n + T)), -np.eye(k)])])
-        x0 = np.concatenate([lo_start, self.demand - self.A[:T, :] @ lo_start, excess[broken]])
-        sol = solve_qp(H, np.zeros(n + T + k), A, self.b, G,
+        G = np.vstack([np.hstack([self.G, np.zeros((rows, m)), relax]),
+                       np.hstack([np.zeros((k, n + m)), -np.eye(k)])])
+        x0 = np.concatenate([lo_start, self.b - self.A @ lo_start, excess[broken]])
+        sol = solve_qp(H, np.zeros(n + m + k), A, self.b, G,
                        np.concatenate([self.h, np.zeros(k)]), x0)
-        slack, over = sol.x[n:n + T], sol.x[n + T:]
+        slack, net, over = sol.x[n:n + T], np.abs(sol.x[n + T:n + m]), sol.x[n + m:]
         worst = int(np.argmax(np.abs(slack)))
         if np.abs(slack[worst]) > 1e-6 * scale:
             raise InfeasibleError(
@@ -533,6 +497,10 @@ class _Problem:
                 f"(shortfall {slack[worst]:.6g} MW)",
                 interval=worst,
             )
+        if net.size and net.max() > 1e-6 * scale:
+            s = int(np.argmax(net))
+            raise InfeasibleError(f"storage {s}'s limits admit no periodic dispatch "
+                                  f"(net energy off by {net[s]:.6g} MWh)")
         if k and over.max() > 1e-6 * scale:
             # a row's last variable sits at its interval: box rows hold one
             # variable, corridor rows a storage's prefix up to the interval
@@ -541,16 +509,10 @@ class _Problem:
                 f"participant limits and the SoC corridor leave no dispatch at interval {t}",
                 interval=t,
             )
-        g, u = self.split(sol.x[:n])
-        # absorb the tiny remaining slack into generators with headroom
-        g, left = absorb_balance(g, self.demand - self.A[:T] @ sol.x[:n], self.g_lo, self.g_hi)
-        short = np.flatnonzero(np.abs(left) > 1e-7 * scale)
-        if short.size:
-            t = int(short[0])
-            raise InfeasibleError(
-                f"demand at interval {t} cannot be met within participant limits", interval=t
-            )
-        return np.concatenate([g.ravel(), u.ravel()])
+        x = self.start_from(*self.split(sol.x[:n]))
+        if x is None:
+            raise InfeasibleError("participant limits leave no dispatch within the start tolerance")
+        return x
 
 
 def blended_stationarity_gap(target, pieces, u_s, beta):
@@ -656,31 +618,35 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
                     tol=1e-8, max_outer=200, start=None):
     """Alternating fixed-map solve of the dispatch template (see module doc).
 
-    ``start`` optionally seeds the solve with a flat (g, u) point in the
-    template's variable order (each generator's, then each storage's
-    dispatch over the T intervals).  It is used only where it meets every
-    constraint within ``solve_qp``'s 1e-7 start tolerance, and a seeded
-    solve that fails is run again without it; otherwise the solve starts as
-    without it, from the greedy split or the elastic phase.  The first
-    half-cycle maps come from the starting point's storage dispatch, so a
-    start near the optimum carries its maps and its active rows with it.
-    A start of the wrong size raises ``InvalidInputError``.
+    ``start`` optionally seeds the solve with a dispatch pair ``(g, u)`` of
+    shapes (J, T) and (S, T); other shapes raise ``InvalidInputError``.  The
+    generators repair the seed's balance within their limits
+    (``_Problem.start_from``).  A seed that still breaks a limit or the SoC
+    corridor is ignored, and a seeded solve that fails is run again without
+    it; otherwise the solve starts as without it, from the cold start or
+    the elastic phase.  The first half-cycle maps come from the starting
+    point's storage dispatch, so a start near the optimum carries its maps
+    and its active rows with it.
     """
     if max_outer < 1:
         raise InvalidInputError("max_outer must be at least 1")
     prob = _Problem(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds)
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (prob.n,):
-            raise InvalidInputError(f"start must be a flat point of {prob.n} entries, "
-                                    f"got shape {start.shape}")
-        if prob.admits(start):
+        try:
+            g, u = (np.asarray(part, dtype=float) for part in start)
+        except (TypeError, ValueError):
+            g = u = np.zeros(0)
+        if g.shape != (prob.J, prob.T) or u.shape != (prob.S, prob.T):
+            raise InvalidInputError(f"start must be a (g, u) pair of shapes ({prob.J}, {prob.T}) "
+                                    f"and ({prob.S}, {prob.T})")
+        x = prob.start_from(g, u)
+        if x is not None:
             try:
-                return _alternate(prob, start, tol, max_outer)
+                return _alternate(prob, x, tol, max_outer)
             except SolverFailureError:
                 pass  # the seed's maps led to no certified point; start cold
-    x = prob.feasible_start()
+    x = prob.cold_start()
     if x is None:
         x = prob.elastic_start()
     return _alternate(prob, x, tol, max_outer)

@@ -297,8 +297,8 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     error naming the binding interval when the window cannot balance.
 
     ``start`` optionally seeds the solve with a total dispatch (commitment
-    plus adjustment), flat in the order of ``solve_market_qp``: each
-    generator's window, then each storage's.  A start that breaks a
+    plus adjustment) as a pair ``(g, u)`` of shapes (J, W) and (S, W).  The
+    generators repair its balance, and a start that still breaks a
     constraint is ignored (see ``solve_market_qp``).
     """
     w = np.asarray(window_demand, dtype=float)

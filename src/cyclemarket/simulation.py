@@ -18,7 +18,6 @@ from .costs import MarketParams, generator_cost, storage_cost
 from .data import DemandScenario
 from .dayahead import DayAheadResult, clear_general, clear_uniform, equilibrium_bids_dayahead
 from .errors import DegeneratePriceError, InfeasibleError, InvalidInputError
-from .qp import absorb_balance
 from .rainflow import rainflow_map
 from .realtime import (
     MODES,
@@ -130,13 +129,13 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
 
     ``aware`` mode re-optimizes total dispatch under the constant equilibrium
     slopes with power limits and the SoC corridor (no periodicity).  Each
-    window is seeded near its optimum: window 0 with the day-ahead schedule
-    over its intervals, and each later window with the previous window's
-    total dispatch shifted by one hour, with storage at 0 in the hour it
-    appends (a window cut short by the horizon appends none).  In both cases
-    the generators absorb what is left of the balance within their limits.
-    A seed that breaks a limit or the SoC corridor is ignored and the window
-    starts cold.  On the bundled fixture every window then agrees with a
+    window is seeded near its optimum with a (g, u) pair: window 0 with the
+    day-ahead schedule over its intervals, and each later window with the
+    previous window's total dispatch shifted by one hour, at 0 in the hour
+    it appends (a window cut short by the horizon appends none).  The
+    window's solve repairs the seed's balance, the generators taking up what
+    is left within their limits; a seed that then breaks a limit or the SoC
+    corridor is ignored and the window starts cold.  On the bundled fixture every window then agrees with a
     cold start to 1e-11; where the cycle cost has several certified points
     (a rainflow tie, a two-map kink) a seed may select another of them.
     ``unaware`` mode runs the balance-only best-response clearing on the
@@ -165,7 +164,7 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
         end = min(hour + WINDOW_HOURS, scenario.horizon)
         w = _window_demand(scenario, hour)
         if mode == "aware":
-            start = _window_seed(w, prev_g, prev_u, params)
+            start = _window_seed(w.size, prev_g, prev_u)
             res = _aware_window(w, da, params, hour, end, x0_run, tol, start)
             prev_g = (da.g[:, hour:end] + res.g_r)[:, 1:]
             prev_u = (da.u[:, hour:end] + res.u_r)[:, 1:]
@@ -186,19 +185,16 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     return steps, g_rt, u_rt, prices, soc
 
 
-def _window_seed(w, prev_g, prev_u, params):
-    """Flat total-dispatch seed for a window with demand ``w``: the leading
-    intervals of ``prev_g`` and ``prev_u``, zero past their end, with the
-    generators absorbing the rest of the balance within their limits."""
-    W = w.size
-    g = np.zeros((params.n_generators, W))
-    u = np.zeros((params.n_storages, W))
-    k = min(W, prev_g.shape[1])
-    g[:, :k], u[:, :k] = prev_g[:, :k], prev_u[:, :k]
-    g_lo = np.array([gen.g_min for gen in params.generators])[:, None]
-    g_hi = np.array([gen.g_max for gen in params.generators])[:, None]
-    g, _ = absorb_balance(g, w - g.sum(axis=0) - u.sum(axis=0), g_lo, g_hi)
-    return np.concatenate([g.ravel(), u.ravel()])
+def _window_seed(W, prev_g, prev_u):
+    """The (g, u) seed for a ``W``-hour window: the leading intervals of
+    ``prev_g`` and ``prev_u``, zero past their end."""
+    seed = []
+    for prev in (prev_g, prev_u):
+        part = np.zeros((prev.shape[0], W))
+        k = min(W, prev.shape[1])
+        part[:, :k] = prev[:, :k]
+        seed.append(part)
+    return tuple(seed)
 
 
 def _aware_window(w, da, params, hour, end, x0_run, tol, start):

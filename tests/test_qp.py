@@ -383,7 +383,6 @@ class TestMarketQP:
         u_lo = np.array([[0.5, -1.0, -1.0, -1.0]])
         prob = qp._Problem([0.5], [0.0], [2.0], [4.0], [0.5], d, -np.inf, np.inf,
                            u_lo, 1.0, periodic=True, soc_bounds=False)
-        assert prob.storage_start()[0] == pytest.approx([0.5, -1 / 6, -1 / 6, -1 / 6])
         res = solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
                               x0s=[0.5], demand=d, g_lo=-np.inf, g_hi=np.inf,
                               u_lo=u_lo, u_hi=1.0, periodic=True)
@@ -524,7 +523,7 @@ def seeded_windows(draw):
     window = dict(alphas=1.0 / c, a_lin=np.zeros(J), betas=1.0 / b, capacities=E, x0s=x0,
                   demand=g.sum(axis=0) + u.sum(axis=0), g_lo=0.0, g_hi=cap, u_lo=-r, u_hi=r,
                   periodic=False, soc_bounds=True)
-    return window, np.concatenate([g.ravel(), u.ravel()])
+    return window, (g, u)
 
 
 class TestSeededStart:
@@ -534,12 +533,14 @@ class TestSeededStart:
                   u_lo=-1.0, u_hi=1.0, periodic=False, soc_bounds=True)
 
     @pytest.mark.parametrize("start", [
-        [1.0, 3.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0],   # misses the balance
-        [0.0, 1.5, 1.0, 3.0, 1.0, 1.5, 0.0, 0.0],   # breaks the rate limit
-        [0.0, 2.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0],   # leaves the SoC corridor
-        [np.nan] * 8,
+        ([[1.0, 3.0, 1.0, 2.0]], [[0.0, 0.0, 0.0, 0.0]]),   # misses the balance: repaired
+        ([[0.0, 1.5, 1.0, 3.0]], [[1.0, 1.5, 0.0, 0.0]]),   # breaks the rate limit
+        ([[0.0, 2.0, 0.0, 2.0]], [[1.0, 1.0, 1.0, 1.0]]),   # leaves the SoC corridor
+        ([[np.nan] * 4], [[np.nan] * 4]),
     ])
     def test_start_breaking_a_constraint_gives_cold_answer(self, start):
+        # the repaired balance seed is the cold start itself, so it gives the
+        # cold answer bit for bit like the seeds that are ignored
         cold = solve_market_qp(**self.WINDOW)
         res = solve_market_qp(**self.WINDOW, start=start)
         assert np.array_equal(_flat(res), _flat(cold))
@@ -547,12 +548,14 @@ class TestSeededStart:
         assert res.iterations == cold.iterations
 
     def test_start_of_wrong_size_raises_invalid_input(self):
-        with pytest.raises(InvalidInputError, match="8 entries"):
-            solve_market_qp(**self.WINDOW, start=np.zeros(7))
+        for start in (np.zeros(8), (np.zeros((1, 4)), np.zeros((1, 3))),
+                      (np.zeros(4), np.zeros(4))):
+            with pytest.raises(InvalidInputError, match="pair of shapes"):
+                solve_market_qp(**self.WINDOW, start=start)
 
     def test_start_at_optimum_certifies_without_moving(self):
         cold = solve_market_qp(**self.WINDOW)
-        res = solve_market_qp(**self.WINDOW, start=_flat(cold))
+        res = solve_market_qp(**self.WINDOW, start=(cold.g, cold.u))
         assert res.iterations == 0
         assert _close(_flat(res), _flat(cold))
 
@@ -563,27 +566,27 @@ class TestSeededStart:
         window = dict(alphas=[0.2], a_lin=[0.0], betas=[1.0, 1.0], capacities=[20.0, 20.0],
                       x0s=[0.5, 0.1], demand=np.full(3, 60.0 + 4.0 / 3.0), g_lo=0.0,
                       g_hi=60.0, u_lo=-5.0, u_hi=5.0, periodic=False, soc_bounds=True)
-        start = np.concatenate([np.full(3, 60.0), np.full(6, 2.0 / 3.0)])
+        start = (np.full((1, 3), 60.0), np.full((2, 3), 2.0 / 3.0))
         res = solve_market_qp(**window, start=start)
         assert res.kkt_residual <= 1e-8
 
     def test_failed_seeded_solve_runs_again_cold(self, monkeypatch):
         cold = solve_market_qp(**self.WINDOW)
-        start = _flat(cold)
         calls = []
         inner = qp._alternate
 
-        def alternate(prob, x, tol, max_outer):
+        def alternate(prob, x, *args):
             calls.append(x.copy())
             if len(calls) == 1:
                 raise SolverFailureError("seeded alternation stalls")
-            return inner(prob, x, tol, max_outer)
+            return inner(prob, x, *args)
 
         monkeypatch.setattr(qp, "_alternate", alternate)
-        res = solve_market_qp(**self.WINDOW, start=start)
+        res = solve_market_qp(**self.WINDOW, start=(cold.g, cold.u))
+        prob = qp._Problem(**self.WINDOW)
         assert len(calls) == 2
-        assert np.array_equal(calls[0], start)
-        assert np.array_equal(calls[1], qp._Problem(**self.WINDOW).feasible_start())
+        assert np.array_equal(calls[0], prob.start_from(cold.g, cold.u))
+        assert np.array_equal(calls[1], prob.cold_start())
         assert np.array_equal(_flat(res), _flat(cold))
         assert np.array_equal(res.price, cold.price)
         assert res.iterations == cold.iterations
@@ -617,7 +620,7 @@ class TestSeededStart:
             assert np.all(soc >= -1e-9) and np.all(soc <= 1.0 + 1e-9)
         if len(window["betas"]) > 1 or len(cold.stationarity_pieces[0]) > 1:
             return
-        again = solve_market_qp(**window, start=_flat(cold))
+        again = solve_market_qp(**window, start=(cold.g, cold.u))
         assert _close(_flat(again), _flat(cold)) and _close(again.price, cold.price)
         if (len(seeded.stationarity_pieces[0]) == 1
                 and seeded.maps[0].signature() == cold.maps[0].signature()):

@@ -52,8 +52,8 @@ def assert_windows_match_cold(scn, params, da, steps, soc):
 def cold_starts(monkeypatch):
     """Sizes T of the solves that started without a usable seed."""
     calls = []
-    inner = qp._Problem.feasible_start
-    monkeypatch.setattr(qp._Problem, "feasible_start",
+    inner = qp._Problem.cold_start
+    monkeypatch.setattr(qp._Problem, "cold_start",
                         lambda self: calls.append(self.T) or inner(self))
     return calls
 
