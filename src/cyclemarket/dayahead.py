@@ -108,7 +108,7 @@ def _common_capacity(params):
     return caps[0]
 
 
-def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8, max_outer=200):
+def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8):
     """Uniform-price day-ahead clearing (capacity constraints assumed slack).
 
     Solves the reduced strictly convex program over the aggregate storage
@@ -150,7 +150,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8, max_
         alphas=[sum_alpha], a_lin=[0.0], betas=[sum_beta],
         capacities=[_common_capacity(params)], x0s=[params.storages[0].x0],
         demand=d, g_lo=-np.inf, g_hi=np.inf, u_lo=-np.inf, u_hi=np.inf,
-        periodic=True, soc_bounds=False, tol=tol, max_outer=max_outer,
+        periodic=True, soc_bounds=False, tol=tol,
     )
     w = res.u[0]
     dec = res.maps[0]

@@ -39,8 +39,6 @@ def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
     over the horizon.
     """
     d = np.asarray(d, dtype=float)
-    J, S = params.n_generators, params.n_storages
-
     res = solve_market_qp(
         alphas=[1.0 / gen.c for gen in params.generators],
         a_lin=[gen.a for gen in params.generators],
@@ -54,10 +52,8 @@ def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
         u_hi=[st.u_max for st in params.storages],
         periodic=periodic, soc_bounds=enforce_soc_bounds, tol=tol,
     )
-    objective = sum(generator_cost(res.g[j], params.generators[j]) for j in range(J)) + sum(
-        storage_cost(res.u[s], params.storages[s]) for s in range(S))
     return PlannerResult(
-        g=res.g, u=res.u, price=res.price, objective=float(objective), periodic=periodic,
+        g=res.g, u=res.u, price=res.price, objective=res.objective, periodic=periodic,
         kkt_residual=res.kkt_residual, periodicity_duals=res.periodicity_duals,
         maps=res.maps, demand=d,
     )

@@ -40,6 +40,7 @@ __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "marke
 
 _FEAS_TOL = 1e-9
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
+_MAX_ROUNDS = 200  # alternation rounds per solve_market_qp start
 
 
 @dataclass
@@ -615,7 +616,7 @@ def _kink_bisection(prob, x, maps_a, maps_b, iterations):
 
 def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic=True, soc_bounds=False,
-                    tol=1e-8, max_outer=200, start=None):
+                    tol=1e-8, start=None):
     """Alternating fixed-map solve of the dispatch template (see module doc).
 
     ``start`` optionally seeds the solve with a dispatch pair ``(g, u)`` of
@@ -628,8 +629,6 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
     point's storage dispatch, so a start near the optimum carries its maps
     and its active rows with it.
     """
-    if max_outer < 1:
-        raise InvalidInputError("max_outer must be at least 1")
     prob = _Problem(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds)
     if start is not None:
@@ -643,16 +642,16 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
         x = prob.start_from(g, u)
         if x is not None:
             try:
-                return _alternate(prob, x, tol, max_outer)
+                return _alternate(prob, x, tol)
             except SolverFailureError:
                 pass  # the seed's maps led to no certified point; start cold
     x = prob.cold_start()
     if x is None:
         x = prob.elastic_start()
-    return _alternate(prob, x, tol, max_outer)
+    return _alternate(prob, x, tol)
 
 
-def _alternate(prob, x, tol, max_outer):
+def _alternate(prob, x, tol):
     """Alternate fixed-map QP solves from the feasible point ``x``."""
     _, u = prob.split(x)
     maps = [rainflow_map(u[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
@@ -660,7 +659,7 @@ def _alternate(prob, x, tol, max_outer):
     seen = set()
     best = None
     total_iters = 0
-    for _ in range(max_outer):
+    for _ in range(_MAX_ROUNDS):
         H, q = prob.hessian(maps)
         sol = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
         total_iters += sol.iterations

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from cyclemarket import GeneratorParams, MarketParams, StorageParams
+from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp
 from cyclemarket.dayahead import (
     DayAheadBids,
     clear_general,
@@ -116,12 +116,13 @@ class TestClearUniform:
         cost = 0.5 * 20.0 * float(res.g[0] @ res.g[0])
         assert revenue >= cost - 1e-9
 
-    def test_round_budget_exhausted_raises(self):
+    def test_round_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(qp, "_MAX_ROUNDS", 1)
         params = MarketParams(generators=[GeneratorParams(c=20.0)],
                               storages=[StorageParams(capacity_E=100.0, b=2.0)])
         d = 5 + np.array([0.0, 2.0, 4.0, 2.0, 0.0, -2.0, -4.0, -2.0])
         with pytest.raises(SolverFailureError) as err:
-            clear_uniform(equilibrium_bids_dayahead(params), d, params, max_outer=1)
+            clear_uniform(equilibrium_bids_dayahead(params), d, params)
         g, u = err.value.best_iterate
         assert g.shape == u.shape == (1, d.size)
         assert err.value.residual > 1e-8

@@ -331,13 +331,14 @@ class TestMarketQP:
                             g_hi=np.inf, u_lo=-1.0, u_hi=1.0, periodic=False)
         assert err.value.interval == 1
 
-    def test_round_budget_exhausted_raises_with_best_iterate(self):
+    def test_round_budget_exhausted_raises_with_best_iterate(self, monkeypatch):
         # from u = 0 the first round moves the map, so one round cannot certify
+        monkeypatch.setattr(qp, "_MAX_ROUNDS", 1)
         with pytest.raises(SolverFailureError) as err:
             solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
                             x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
                             g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0,
-                            periodic=True, max_outer=1)
+                            periodic=True)
         g, u = err.value.best_iterate
         assert g.shape == u.shape == (1, 4)
         assert err.value.residual > 1e-8
@@ -410,13 +411,6 @@ class TestMarketQP:
             solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
                             x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
                             g_lo=[0.0, 0.0], g_hi=np.inf, u_lo=-10.0, u_hi=10.0)
-
-    def test_empty_round_budget_rejected(self):
-        with pytest.raises(InvalidInputError):
-            solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
-                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
-                            g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0,
-                            periodic=True, max_outer=0)
 
     @pytest.mark.parametrize("u_lo, periodic, interval", [
         ([[0.5, -1.0, -1.0, -1.0]], True, 0),
