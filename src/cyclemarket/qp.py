@@ -426,6 +426,18 @@ class _Problem:
             val += 0.5 * np.dot(nu, nu) / self.betas[s]
         return float(val)
 
+    def maps(self, u):
+        """The half-cycle map of each storage's dispatch in ``u`` (S, T),
+        with entries at rounding level, |u_s| <= 1e-9 max(1, max |u_s|),
+        read as idle: such an entry left by a solve would otherwise open
+        a half-cycle of its own."""
+        maps = []
+        for s in range(self.S):
+            u_s = u[s]
+            idle = np.abs(u_s) <= 1e-9 * max(1.0, float(np.max(np.abs(u_s), initial=0.0)))
+            maps.append(rainflow_map(np.where(idle, 0.0, u_s), self.capacities[s], self.x0s[s]))
+        return maps
+
     def split(self, x):
         k = self.J * self.T
         return x[:k].reshape(self.J, self.T).copy(), x[k:].reshape(self.S, self.T).copy()
@@ -567,7 +579,7 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
 def _evaluate(prob, sol, iterations, pieces=None):
     """One fixed-map QP solution with its true-problem diagnostics."""
     g, u = prob.split(sol.x)
-    maps = [rainflow_map(u[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
+    maps = prob.maps(u)
     price = -sol.eq_duals[: prob.T]
     per_duals = sol.eq_duals[prob.T:] if prob.periodic else np.zeros(prob.S)
     resid = market_kkt_residual(prob, g, u, price, per_duals, maps, sol.ineq_duals, pieces)
@@ -590,9 +602,7 @@ def _kink_bisection(prob, x, maps_a, maps_b, iterations):
     def solve_at(gamma):
         H, q = prob.hessian(maps_a, maps_b, gamma)
         sol = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
-        _, u_new = prob.split(sol.x)
-        sig = tuple(rainflow_map(u_new[s], prob.capacities[s], prob.x0s[s]).signature()
-                    for s in range(prob.S))
+        sig = tuple(m.signature() for m in prob.maps(prob.split(sol.x)[1]))
         return sol, sig
 
     sig_ref = tuple(m.signature() for m in maps_b)
@@ -653,8 +663,7 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
 
 def _alternate(prob, x, tol):
     """Alternate fixed-map QP solves from the feasible point ``x``."""
-    _, u = prob.split(x)
-    maps = [rainflow_map(u[s], prob.capacities[s], prob.x0s[s]) for s in range(prob.S)]
+    maps = prob.maps(prob.split(x)[1])
     sig = tuple(m.signature() for m in maps)
     seen = set()
     best = None

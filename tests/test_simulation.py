@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp
-from cyclemarket.data import DemandScenario, build_params, default_config, synthetic_scenario
+from cyclemarket.data import (
+    DemandScenario,
+    MarketConfig,
+    build_params,
+    default_config,
+    synthetic_scenario,
+)
 from cyclemarket.errors import InfeasibleError, InvalidInputError
 from cyclemarket.planner import solve_planner
 from cyclemarket.realtime import aware_bids, clear_constrained_aware
@@ -230,6 +236,36 @@ class TestSeededWindows:
         steps, _, _, _, realized = run_real_time(scn, params, da, mode="aware")
         assert cold_starts == [24]
         assert_windows_match_cold(scn, params, da, steps, realized)
+
+
+class TestSeveralStorageUnits:
+    """Markets with more than one storage unit on the bundled fixture.
+
+    Rounding-level dispatch at idle hours once opened half-cycles of its own
+    and kept these clearings from certifying."""
+
+    def test_four_units_clear_day_ahead(self):
+        scn = synthetic_scenario()
+        config = MarketConfig(
+            generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}],
+            storages=[{"capacity_E": 50.0, "capital_cost_B": b}
+                      for b in (100.0, 150.0, 250.0, 400.0)],
+        )
+        da = run_day_ahead(scn, build_params(config, scn))
+        assert da.u.shape == (4, scn.horizon)
+        assert da.kkt_residual <= 1e-8
+
+    def test_two_units_clear_every_aware_window(self):
+        scn = synthetic_scenario()
+        config = MarketConfig(
+            generators=default_config().generators,
+            storages=[{"capacity_E": 50.0, "capital_cost_B": 100.0},
+                      {"capacity_E": 30.0, "capital_cost_B": 250.0}],
+        )
+        rec = run_two_stage(scn, build_params(config, scn), mode="aware")
+        assert rec.da_result.kkt_residual <= 1e-8
+        assert len(rec.rt_steps) == BINDING_HOURS
+        assert max(step.kkt_residual for step in rec.rt_steps) <= 1e-8
 
 
 class TestSettlement:
