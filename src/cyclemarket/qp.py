@@ -12,11 +12,21 @@ Every constrained clearing in the package reduces to the same template:
 with the half-cycle map N_s piecewise constant in u_s.  The solve alternates:
 freeze the maps, solve the resulting convex QP exactly with a primal
 active-set method, recompute the maps, and repeat until the assignment is
-stable and the KKT residual of the true problem meets tolerance.  A two-map
-assignment cycle means the optimum sits on an assignment boundary; a
-bisection over the blended-curvature weight lands on it with the matching
-convex subgradient weights.  A solve that settles neither way within its
-round budget raises ``SolverFailureError`` carrying the best iterate.
+stable and the KKT residual of the true problem meets tolerance.  The maps
+read storage dispatch at rounding level (1e-9 of the unit's largest entry)
+as idle.  A two-map assignment cycle means the optimum sits on an
+assignment boundary; a bisection over the blended-curvature weight lands on
+it with the matching convex subgradient weights.  A solve that settles
+neither way within its round budget (``_MAX_ROUNDS``) raises
+``SolverFailureError`` carrying the best iterate.
+
+Every starting point is built from a dispatch pair (g, u): the generators
+take up what is left of each interval's balance within their limits, and
+the point is used if it meets every constraint.  The pair is a caller's
+seed, or the cold start (generators at their lower limits, storage at 0 or
+the nearest point of its box).  Where neither is usable, an elastic phase 1
+that gives every equality row, and each constraint the start breaks, its
+own penalized slack finds the pair, or shows that none exists.
 
 The active-set core ``solve_qp`` eliminates the equalities once per call and
 works in an orthonormal basis of their null space.  It keeps the working rows
@@ -38,7 +48,6 @@ from .rainflow import rainflow_map
 
 __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual"]
 
-_FEAS_TOL = 1e-9
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
 _MAX_ROUNDS = 200  # alternation rounds per solve_market_qp start
 
@@ -308,26 +317,13 @@ def _with_negations(M):
     return np.stack([M, -M], axis=1).reshape(2 * M.shape[0], M.shape[1])
 
 
-def absorb_balance(g, residual, g_lo, g_hi):
-    """Move each interval's ``residual`` onto the generators, in order, each
-    within ``[g_lo, g_hi]``; returns the moved ``g`` (J, T) and what no
-    generator had room for."""
-    g = np.array(g, dtype=float)
-    residual = np.array(residual, dtype=float)
-    g_lo, g_hi = np.broadcast_to(g_lo, g.shape), np.broadcast_to(g_hi, g.shape)
-    for j in range(g.shape[0]):
-        move = np.clip(residual, -(g[j] - g_lo[j]), g_hi[j] - g[j])
-        g[j] += move
-        residual -= move
-    return g, residual
-
-
 class _Problem:
     """Constraint assembly for the dispatch template (variables g then u).
 
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
-    Every starting point goes through ``start_from``.
+    Every starting point goes through ``start_from``; ``maps`` gives the
+    half-cycle maps of a storage dispatch.
     """
 
     def __init__(self, alphas, a_lin, betas, capacities, x0s, demand,
@@ -455,11 +451,16 @@ class _Problem:
     def start_from(self, g, u):
         """The flat starting point for dispatch ``(g, u)``, shapes (J, T) and
         (S, T): the generators take up what is left of each interval's
-        balance, in order and within their limits (``absorb_balance``).
-        Returns None where the point still breaks a constraint by more than
-        ``solve_qp``'s start tolerance."""
-        g, _ = absorb_balance(g, self.demand - g.sum(axis=0) - u.sum(axis=0), self.g_lo, self.g_hi)
-        x = np.concatenate([g.ravel(), np.ravel(u)])
+        balance, in order and each within its limits.  Returns None where
+        the point still breaks a constraint by more than ``solve_qp``'s
+        start tolerance."""
+        g = np.array(g, dtype=float)
+        residual = self.demand - g.sum(axis=0) - u.sum(axis=0)
+        for j in range(self.J):
+            move = np.clip(residual, -(g[j] - self.g_lo[j]), self.g_hi[j] - g[j])
+            g[j] += move
+            residual -= move
+        x = np.concatenate([g.ravel(), u.ravel()])
         return x if self.admits(x) else None
 
     def cold_start(self):
@@ -633,11 +634,13 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
     shapes (J, T) and (S, T); other shapes raise ``InvalidInputError``.  The
     generators repair the seed's balance within their limits
     (``_Problem.start_from``).  A seed that still breaks a limit or the SoC
-    corridor is ignored, and a seeded solve that fails is run again without
-    it; otherwise the solve starts as without it, from the cold start or
-    the elastic phase.  The first half-cycle maps come from the starting
-    point's storage dispatch, so a start near the optimum carries its maps
-    and its active rows with it.
+    corridor is ignored, and a seeded solve that fails runs again without
+    it.  Without a usable seed the solve starts from the cold start, or
+    from the elastic phase where the cold start breaks a constraint; a
+    template with no feasible point raises ``InfeasibleError`` there.  The
+    first half-cycle maps come from the starting point's storage dispatch,
+    so a start near the optimum carries its maps and its active rows with
+    it.
     """
     prob = _Problem(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds)
