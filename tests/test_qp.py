@@ -382,8 +382,6 @@ class TestMarketQP:
         # 0 lies outside the box at interval 0 only; u = [0.5, -0.5, 0, 0] is periodic
         d = np.array([1.0, 3.0, 1.0, 3.0])
         u_lo = np.array([[0.5, -1.0, -1.0, -1.0]])
-        prob = qp._Problem([0.5], [0.0], [2.0], [4.0], [0.5], d, -np.inf, np.inf,
-                           u_lo, 1.0, periodic=True, soc_bounds=False)
         res = solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
                               x0s=[0.5], demand=d, g_lo=-np.inf, g_hi=np.inf,
                               u_lo=u_lo, u_hi=1.0, periodic=True)

@@ -239,7 +239,7 @@ class TestSeededWindows:
 
 
 class TestSeveralStorageUnits:
-    """Markets with more than one storage unit on the bundled fixture.
+    """Markets with more than one storage unit on the synthetic two-peak demand.
 
     Rounding-level dispatch at idle hours once opened half-cycles of its own
     and kept these clearings from certifying."""
