@@ -28,8 +28,13 @@ the nearest point of its box).  Where neither is usable, an elastic phase 1
 that gives every equality row, and each constraint the start breaks, its
 own penalized slack finds the pair, or shows that none exists.
 
-The active-set core ``solve_qp`` eliminates the equalities once per call and
-works in an orthonormal basis of their null space.  It keeps the working rows
+The active-set core ``solve_qp`` works in an orthonormal basis of the
+equalities' null space.  It eliminates the equalities once per constraint
+structure: the template's A and G depend only on the participant counts, the
+horizon, periodicity, the SoC corridor and which limits are finite, so
+``_structure`` builds them read-only, with their null-space view, once per
+such key and keeps the last few in an LRU cache; every window, round and
+sweep point of one structure shares them.  It keeps the working rows
 factored: an orthonormal basis of their parts with its triangular
 coefficients, an orthonormal complement of that basis, and the reduced
 Hessian on the complement.  Each add and each drop updates all three, so an
@@ -38,7 +43,9 @@ row that the equalities and the kept rows already imply parks outside the
 factorization until a drop frees it.
 """
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +57,7 @@ __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "marke
 
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
 _MAX_ROUNDS = 200  # alternation rounds per solve_market_qp start
+_STRUCTURES = 4  # constraint structures _structure keeps; a sweep point uses 3
 
 
 @dataclass
@@ -184,6 +192,32 @@ class _WorkingRows:
         return np.linalg.solve(self.L[:k, :k].T, -(self.basis[:k] @ (self.Hz @ w + self.grad)))
 
 
+class _NullSpace:
+    """What ``solve_qp`` derives from its constraint matrices alone.
+
+    One QR of A' = [Y Z] R gives ``Z``, an orthonormal basis of the null
+    space of A, and ``A_plus`` = Y R^-T, with ``A_plus b`` the minimum-norm
+    solution of Ax = b.  ``GZ`` holds the inequality rows' null-space parts
+    and ``thresholds`` 1e-9 ||G_i||, at or below which a working row's part
+    orthogonal to the kept rows parks.  ``independent`` is False where A has
+    more rows than columns or dependent rows; the rest is then not formed.
+    """
+
+    def __init__(self, A, G):
+        m, n = A.shape
+        self.A, self.G = A, G
+        Q, R = np.linalg.qr(A.T, mode="complete")
+        self.independent = not (m > n or (m and np.abs(np.diagonal(R)).min() <= 1e-12))
+        if self.independent:
+            self.Z, self.A_plus = Q[:, m:], np.linalg.solve(R[:m], Q[:, :m].T).T
+            self.GZ, self.thresholds = G @ self.Z, 1e-9 * np.linalg.norm(G, axis=1)
+
+
+# (id(A), id(G)) -> the _NullSpace of a structure that _structure built; a
+# live view keeps its A and G alive, so no other array pair has those ids
+_VIEWS = weakref.WeakValueDictionary()
+
+
 def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     """Minimize 0.5 x'Hx + q'x subject to Ax = b and Gx <= h.
 
@@ -195,6 +229,11 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     A primal active-set method in the null space of the equalities.  One QR
     of A' gives an orthonormal basis Z of that null space and the
     minimum-norm solution x_r of Ax = b; every iterate is the point x_r + Z w.
+    The equalities are eliminated once per constraint structure: A and G
+    that ``_structure`` built (read-only, keyed by participant counts,
+    horizon, periodicity, SoC corridor and which limits are finite) bring
+    that QR, G Z and the row thresholds with them, and any other A and G
+    are reduced on each call.
     The rows that enter the solve keep an orthonormal basis of their parts
     G_i Z with the triangular Gram-Schmidt coefficients L, an orthonormal
     complement U of that basis, and the reduced Hessian M = U'(Z'HZ)U.  An
@@ -234,20 +273,19 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     if slack0.size and slack0.min() < -_START_TOL:
         raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
 
-    # A' = [Y Z] R: Z spans the null space of A, and A_plus = Y R^-T gives
-    # x_r = A_plus b, the minimum-norm solution of the equalities; every
-    # iterate solves for x_r + Z w, so the reduced gradient at x_r and G x_r
-    # never change
-    m = A.shape[0]
-    Q, R = np.linalg.qr(A.T, mode="complete")
-    if m > n or (m and np.abs(np.diagonal(R)).min() <= 1e-12):
+    # every iterate solves for x_r + Z w, with x_r the minimum-norm solution
+    # of the equalities, so the reduced gradient at x_r and G x_r never
+    # change; a cached structure's matrices bring their view, others are
+    # reduced here
+    view = _VIEWS.get((id(A), id(G))) or _NullSpace(A, G)
+    if not view.independent:
         raise SolverFailureError("solve_qp requires linearly independent equality rows",
                                  best_iterate=x)
-    Z, A_plus = Q[:, m:], np.linalg.solve(R[:m], Q[:, :m].T).T
+    Z, A_plus, GZ = view.Z, view.A_plus, view.GZ
     x_r = A_plus @ b
-    Hz, GZ, Gx_r = Z.T @ H @ Z, G @ Z, G @ x_r
+    Hz, Gx_r = Z.T @ H @ Z, G @ x_r
     working = slack0 <= 1e-10 * np.maximum(1.0, np.abs(h))
-    rows = _WorkingRows(GZ, h - Gx_r, Hz, Z.T @ (H @ x_r + q), 1e-9 * np.linalg.norm(G, axis=1),
+    rows = _WorkingRows(GZ, h - Gx_r, Hz, Z.T @ (H @ x_r + q), view.thresholds,
                         np.flatnonzero(working))
     for it in range(max_iter):
         try:
@@ -317,9 +355,39 @@ def _with_negations(M):
     return np.stack([M, -M], axis=1).reshape(2 * M.shape[0], M.shape[1])
 
 
+@functools.lru_cache(maxsize=_STRUCTURES)
+def _structure(J, S, T, periodic, soc_bounds, finite):
+    """The template's constraint matrices for one structure, read-only, as
+    the ``_NullSpace`` that ``solve_qp`` finds them by.
+
+    ``finite`` is the bytes of the boolean mask, per variable in x order,
+    of its upper then its lower limit being finite.  A holds the balance
+    rows, then the periodicity rows; G the finite limits' rows in that
+    order, then the SoC corridor's.  A view lives while the cache or a
+    ``_Problem`` holds it.
+    """
+    n = (J + S) * T
+    A = np.tile(np.eye(T), J + S)
+    if periodic:
+        A = np.vstack([A, np.hstack([np.zeros((S, J * T)), np.kron(np.eye(S), np.ones(T))])])
+    G = _with_negations(np.eye(n))[np.frombuffer(finite, dtype=bool)]
+    if soc_bounds:
+        prefix = np.hstack([np.zeros((S * T, J * T)),
+                            np.kron(np.eye(S), np.tril(np.ones((T, T))))])
+        G = np.vstack([G, _with_negations(prefix)])
+    view = _NullSpace(A, G)
+    for arr in vars(view).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    _VIEWS[id(A), id(G)] = view
+    return view
+
+
 class _Problem:
     """Constraint assembly for the dispatch template (variables g then u).
 
+    ``A`` and ``G`` come from ``_structure`` and are shared, read-only, by
+    every problem of one structure; ``b`` and ``h`` are the problem's own.
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
     Every starting point goes through ``start_from``; ``maps`` gives the
@@ -366,29 +434,22 @@ class _Problem:
         return slice((self.J + s) * self.T, (self.J + s + 1) * self.T)
 
     def _assemble(self):
-        J, S, T, n = self.J, self.S, self.T, self.n
-        # balance rows, then optional periodicity rows
-        A = np.tile(np.eye(T), J + S)
-        self.b = self.demand.copy()
-        if self.periodic:
-            A = np.vstack([A, np.hstack([np.zeros((S, J * T)), np.kron(np.eye(S), np.ones(T))])])
-            self.b = np.concatenate([self.demand, np.zeros(S)])
-        self.A = A
-
         # per variable in x order: its upper row, then its lower row, where finite
         rhs = np.stack([np.vstack([self.g_hi, self.u_hi]).ravel(),
                         -np.vstack([self.g_lo, self.u_lo]).ravel()], axis=1).ravel()
         keep = np.isfinite(rhs)
-        G, h = _with_negations(np.eye(n))[keep], rhs[keep]
+        self.structure = _structure(self.J, self.S, self.T, bool(self.periodic),
+                                    bool(self.soc_bounds), keep.tobytes())
+        self.A, self.G = self.structure.A, self.structure.G
+        self.b = self.demand.copy()
+        if self.periodic:
+            self.b = np.concatenate([self.demand, np.zeros(self.S)])
+        self.h = rhs[keep]
         if self.soc_bounds:
             # per storage and interval: 0 <= x0 - cumsum(u)/E <= 1, as E * (x0, 1 - x0)
-            prefix = np.hstack([np.zeros((S * T, J * T)),
-                                np.kron(np.eye(S), np.tril(np.ones((T, T))))])
-            corridor = np.stack([np.repeat(self.x0s * self.capacities, T),
-                                 np.repeat((1.0 - self.x0s) * self.capacities, T)], axis=1)
-            G = np.vstack([G, _with_negations(prefix)])
-            h = np.concatenate([h, corridor.ravel()])
-        self.G, self.h = G, h
+            corridor = np.stack([np.repeat(self.x0s * self.capacities, self.T),
+                                 np.repeat((1.0 - self.x0s) * self.capacities, self.T)], axis=1)
+            self.h = np.concatenate([self.h, corridor.ravel()])
 
     def hessian(self, maps, other=None, gamma=1.0):
         """Fixed-map Hessian; with ``other`` each storage block blends the two

@@ -19,19 +19,36 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def run_cli_at_threads(args, out, threads):
+    """Run the CLI in a fresh process with ``threads`` BLAS threads."""
+    path = os.pathsep.join([str(Path(cyclemarket.__file__).resolve().parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-m", "cyclemarket.cli", *args, "--out", str(out)],
+                   env=env, check=True, timeout=600)
+
+
 class TestRun:
     @pytest.mark.parametrize("mode", ["aware", "unaware"])
     def test_output_bytes_independent_of_blas_threads(self, tmp_path, mode):
-        path = os.pathsep.join([str(Path(cyclemarket.__file__).resolve().parents[1]),
-                                os.environ.get("PYTHONPATH", "")])
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            subprocess.run([sys.executable, "-m", "cyclemarket.cli", "run", "--mode", mode,
-                            "--out", str(out)], env=env, check=True, timeout=600)
+            run_cli_at_threads(["run", "--mode", mode], out, threads)
             outputs.append([(out / name).read_bytes()
                             for name in ("trace.csv", "run_summary.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_sweep_bytes_independent_of_blas_threads(self, tmp_path):
+        # later sweep points reuse the null-space views the first point built
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [100.0, 250.0, 400.0]}),
+                        encoding="utf-8")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            run_cli_at_threads(["sweep", "--spec", str(spec)], out, threads)
+            outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
     def test_bundled_fixture_produces_artifacts(self, tmp_path):

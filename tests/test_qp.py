@@ -1,5 +1,8 @@
 """Tests for the active-set core and the shared dispatch solve."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +436,16 @@ class TestMarketQP:
         assert res.u[0][1] >= 0.4 - 1e-9
         assert res.kkt_residual <= 1e-8
 
+    @pytest.mark.xfail(strict=True, raises=SolverFailureError,
+                       reason="the elastic phase-1 QP cycles to solve_qp's iteration cap")
+    def test_elastic_start_of_two_unit_window(self):
+        # the generator's 60 MW cap binds at interval 0, so storage must
+        # discharge there and the cold start is not feasible
+        res = solve_market_qp([0.2], [0.0], [1.0, 1.0], [5.0, 2.5], [0.25, 0.25],
+                              [61.0, 60.0, 60.0, 60.0], 0.0, 60.0, -1.0, 1.0,
+                              periodic=False, soc_bounds=True)
+        assert res.kkt_residual <= 1e-8
+
     def test_soc_corridor_enforced(self):
         # long discharge pull: the corridor caps cumulative output at x0 * E
         d = np.array([2.0, 2.0, 2.0, 2.0])
@@ -617,3 +630,58 @@ class TestSeededStart:
         if (len(seeded.stationarity_pieces[0]) == 1
                 and seeded.maps[0].signature() == cold.maps[0].signature()):
             assert _close(_flat(seeded), _flat(cold)) and _close(seeded.price, cold.price)
+
+
+class TestStructureCache:
+    """Problems of one constraint structure share read-only A and G with one
+    null-space view; the cache changes no result and stays bounded."""
+
+    # a real-time window (corridor on) and a periodic day-ahead template
+    TEMPLATES = [
+        TestSeededStart.WINDOW,
+        dict(alphas=[0.05, 0.1], a_lin=[0.0, 5.0], betas=[1.0], capacities=[2.0], x0s=[0.5],
+             demand=np.array([1.0, 3.0, 1.0, 3.0, 2.0, 4.0]), g_lo=0.0, g_hi=[np.inf, 2.0],
+             u_lo=-1.0, u_hi=1.0, periodic=True, soc_bounds=True),
+    ]
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_cleared_warm_and_per_call_views_agree(self, template, monkeypatch):
+        qp._structure.cache_clear()
+        cleared = solve_market_qp(**template)
+        warm = solve_market_qp(**template)
+        # writeable copies of A and G are reduced on every call
+        inner = qp.solve_qp
+        monkeypatch.setattr(qp, "solve_qp", lambda H, q, A, b, G, h, x0: inner(
+            H, q, np.array(A), b, np.array(G), h, x0))
+        per_call = solve_market_qp(**template)
+        for res in (warm, per_call):
+            for name in ("g", "u", "price", "iterations", "kkt_residual"):
+                assert np.array_equal(getattr(res, name), getattr(cleared, name))
+
+    def test_equal_structures_share_read_only_matrices(self):
+        first = qp._Problem(**TestSeededStart.WINDOW)
+        window = dict(TestSeededStart.WINDOW, demand=np.array([2.0, 1.0, 2.0, 1.0]), g_hi=8.0)
+        second = qp._Problem(**window)
+        assert second.A is first.A and second.G is first.G
+        assert qp._VIEWS[id(first.A), id(first.G)] is first.structure
+        for matrix in (first.A, second.G):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
+
+    def test_evicted_structures_are_freed(self):
+        views = [weakref.ref(qp._Problem([1.0], [0.0], [1.0], [2.0], [0.5], np.ones(T), 0.0,
+                                         np.inf, -1.0, 1.0, periodic=False,
+                                         soc_bounds=True).structure)
+                 for T in range(2, qp._STRUCTURES + 5)]
+        gc.collect()
+        alive = [ref() is not None for ref in views]
+        assert alive == [False] * 3 + [True] * qp._STRUCTURES
+
+    def test_caller_mutating_its_own_constraints_is_honoured(self):
+        # min 0.5 ||x - (2, 2)||^2 under one row of G, then under another
+        G, h = np.array([[1.0, 0.0]]), np.array([1.0])
+        first = solve_qp(np.eye(2), np.array([-2.0, -2.0]), None, None, G, h, np.zeros(2))
+        G[0] = [0.0, 1.0]
+        second = solve_qp(np.eye(2), np.array([-2.0, -2.0]), None, None, G, h, np.zeros(2))
+        assert first.x == pytest.approx([1.0, 2.0])
+        assert second.x == pytest.approx([2.0, 1.0])
