@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
 import argparse
 import csv
 import dataclasses
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -25,6 +24,7 @@ from .data import (
     bundled_demand_path,
     default_config,
     load_demand_csv,
+    load_json,
 )
 from .errors import ConfigError, CycleMarketError
 from .planner import participant_profit, solve_planner
@@ -51,7 +51,7 @@ def _load_inputs(args):
 def cmd_run(args):
     config, scenario = _load_inputs(args)
     params = build_params(config, scenario)
-    mech = MechanismConfig(enforce_soc_bounds=config.enforce_soc_bounds, tol=config.tol)
+    mech = MechanismConfig(enforce_soc_bounds=config.enforce_soc_bounds)
     record = run_two_stage(scenario, params, mode=args.mode, mechanism_config=mech)
 
     out = Path(args.out)
@@ -108,14 +108,13 @@ def _sweep_point(task):
     strategy = task["strategy"]
     try:
         if strategy == "mechanism":
-            mech = MechanismConfig(enforce_soc_bounds=config.enforce_soc_bounds, tol=config.tol)
+            mech = MechanismConfig(enforce_soc_bounds=config.enforce_soc_bounds)
             rec = run_two_stage(scenario, params, mode=task["mode"], mechanism_config=mech)
             cost = rec.social_cost
             profit = float(rec.settlement.storage_profits.sum())
         else:
             periodic = strategy == "planner_periodic"
-            res = solve_planner(params, scenario.actual[:BINDING_HOURS], periodic=periodic,
-                                tol=config.tol)
+            res = solve_planner(params, scenario.actual[:BINDING_HOURS], periodic=periodic)
             _, storage_profits = participant_profit(res, params)
             cost = res.objective
             profit = float(storage_profits.sum())
@@ -126,30 +125,38 @@ def _sweep_point(task):
                 "social_cost": "", "storage_profit": "", "status": f"error: {exc}"}
 
 
+def _positive(value):
+    """Whether ``value`` is a number above zero."""
+    try:
+        return float(value) > 0
+    except (TypeError, ValueError):
+        return False
+
+
 def _load_sweep_spec(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    problems = []
-    axis = doc.get("axis")
-    if axis not in ("B", "E"):
-        problems.append("axis must be 'B' or 'E'")
-    values = doc.get("values", [])
-    if not values or any(not (float(v) > 0) for v in values):
-        problems.append("values must be a non-empty list of positive numbers")
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError("sweep spec must be a JSON object")
+    axis, values, fixed = doc.get("axis"), doc.get("values", []), doc.get("fixed", {})
     strategies = doc.get("strategies", list(STRATEGIES))
-    if not set(strategies) <= set(STRATEGIES):
-        problems.append(f"strategies must be a subset of {STRATEGIES}")
     metrics = doc.get("metrics", list(METRICS))
-    if not set(metrics) <= set(METRICS):
-        problems.append(f"metrics must be a subset of {METRICS}")
     unknown = set(doc) - {"axis", "values", "fixed", "strategies", "metrics"}
-    if unknown:
-        problems.append(f"unknown keys: {sorted(unknown)}")
+    problems = [problem for ok, problem in (
+        (axis in ("B", "E"), "axis must be 'B' or 'E'"),
+        (isinstance(values, list) and values and all(map(_positive, values)),
+         "values must be a non-empty list of positive numbers"),
+        (isinstance(fixed, dict) and all(_positive(fixed[k]) for k in {"B", "E"} & set(fixed)),
+         "fixed must be an object whose B and E are positive numbers"),
+        (isinstance(strategies, list) and all(s in STRATEGIES for s in strategies),
+         f"strategies must be a subset of {STRATEGIES}"),
+        (isinstance(metrics, list) and all(m in METRICS for m in metrics),
+         f"metrics must be a subset of {METRICS}"),
+        (not unknown, f"unknown keys: {sorted(unknown)}"),
+    ) if not ok]
     if problems:
         raise ConfigError(problems)
-    return {"axis": axis, "values": [float(v) for v in values],
-            "fixed": doc.get("fixed", {}), "strategies": list(strategies),
-            "metrics": list(metrics)}
+    return {"axis": axis, "values": [float(v) for v in values], "fixed": fixed,
+            "strategies": strategies, "metrics": metrics}
 
 
 def cmd_sweep(args):

@@ -17,12 +17,13 @@ from importlib import resources
 
 import numpy as np
 
-from .costs import DEFAULT_RHO, GeneratorParams, MarketParams, StorageParams
+from .costs import GeneratorParams, MarketParams, StorageParams
 from .errors import ConfigError, DemandCSVError
 
 __all__ = [
     "DemandScenario",
     "MarketConfig",
+    "load_json",
     "load_demand_csv",
     "write_demand_csv",
     "build_params",
@@ -143,18 +144,49 @@ def write_demand_csv(scenario, path):
 
 _GENERATOR_KEYS = {"c", "a", "g_min", "g_max"}
 _STORAGE_KEYS = {"capacity_E", "capital_cost_B", "rho", "x0", "duration_hours"}
-_CONFIG_KEYS = {"generators", "storages", "tolerances", "mode"}
-_TOL_KEYS = {"tol"}
+_CONFIG_KEYS = {"generators", "storages", "mode"}
 _MODE_KEYS = {"enforce_soc_bounds"}
+
+
+def load_json(path):
+    """The JSON document at ``path``; content that is not UTF-8 JSON raises ``ConfigError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"{path}: not a JSON document ({exc})") from None
+
+
+def _entry_violations(where, entry, keys, required):
+    """What is wrong with one participant entry of a config document."""
+    if not isinstance(entry, dict):
+        return [f"{where} must be a JSON object"]
+    unknown = set(entry) - keys
+    found = [f"{where}: unknown keys {sorted(unknown)}"] if unknown else []
+    if required not in entry:
+        found.append(f"{where}: missing '{required}'")
+    nums = {}
+    for key in sorted(keys & set(entry)):
+        try:
+            nums[key] = float(entry[key])
+        except (TypeError, ValueError):
+            found.append(f"{where}: {key} must be a number")
+    for key in ("c", "capacity_E", "duration_hours"):
+        if not nums.get(key, 1.0) > 0:
+            found.append(f"{where}: {key} must be positive")
+    if not 0.0 <= nums.get("x0", 0.5) <= 1.0:
+        found.append(f"{where}: x0 must lie in [0, 1]")
+    if nums.get("g_min", -np.inf) > nums.get("g_max", np.inf):
+        found.append(f"{where}: g_min exceeds g_max")
+    return found
 
 
 @dataclass
 class MarketConfig:
-    """Validated participant roster plus solve settings."""
+    """Validated participant roster plus the day-ahead SoC corridor switch."""
 
     generators: list
     storages: list
-    tol: float = 1e-8
     enforce_soc_bounds: bool = True
 
     @classmethod
@@ -169,49 +201,31 @@ class MarketConfig:
         stores = doc.get("storages", [])
         if not gens:
             violations.append("at least one generator is required")
-        for i, g in enumerate(gens):
-            bad = set(g) - _GENERATOR_KEYS
-            if bad:
-                violations.append(f"generator {i}: unknown keys {sorted(bad)}")
-            if "c" not in g:
-                violations.append(f"generator {i}: missing cost coefficient 'c'")
-            elif not (float(g["c"]) > 0):
-                violations.append(f"generator {i}: c must be positive")
-            if "g_min" in g and "g_max" in g and float(g["g_min"]) > float(g["g_max"]):
-                violations.append(f"generator {i}: g_min exceeds g_max")
-        for i, s in enumerate(stores):
-            bad = set(s) - _STORAGE_KEYS
-            if bad:
-                violations.append(f"storage {i}: unknown keys {sorted(bad)}")
-            if "capacity_E" not in s:
-                violations.append(f"storage {i}: missing 'capacity_E'")
-            elif not (float(s["capacity_E"]) > 0):
-                violations.append(f"storage {i}: capacity_E must be positive")
-            if "x0" in s and not (0.0 <= float(s["x0"]) <= 1.0):
-                violations.append(f"storage {i}: x0 must lie in [0, 1]")
-            if "duration_hours" in s and not (float(s["duration_hours"]) > 0):
-                violations.append(f"storage {i}: duration_hours must be positive")
-        tol_doc = doc.get("tolerances", {})
-        bad = set(tol_doc) - _TOL_KEYS
-        if bad:
-            violations.append(f"tolerances: unknown keys {sorted(bad)}")
+        for kind, entries, keys, required in (("generator", gens, _GENERATOR_KEYS, "c"),
+                                              ("storage", stores, _STORAGE_KEYS, "capacity_E")):
+            if not isinstance(entries, list):
+                violations.append(f"{kind}s must be a list")
+                continue
+            for i, entry in enumerate(entries):
+                violations += _entry_violations(f"{kind} {i}", entry, keys, required)
         mode_doc = doc.get("mode", {})
-        bad = set(mode_doc) - _MODE_KEYS
-        if bad:
-            violations.append(f"mode: unknown keys {sorted(bad)}")
+        if not isinstance(mode_doc, dict):
+            violations.append("mode must be a JSON object")
+        elif set(mode_doc) - _MODE_KEYS:
+            violations.append(f"mode: unknown keys {sorted(set(mode_doc) - _MODE_KEYS)}")
+        elif not isinstance(mode_doc.get("enforce_soc_bounds", True), bool):
+            violations.append("mode: enforce_soc_bounds must be true or false")
         if violations:
             raise ConfigError(violations)
         return cls(
             generators=[dict(g) for g in gens],
             storages=[dict(s) for s in stores],
-            tol=float(tol_doc.get("tol", 1e-8)),
-            enforce_soc_bounds=bool(mode_doc.get("enforce_soc_bounds", True)),
+            enforce_soc_bounds=mode_doc.get("enforce_soc_bounds", True),
         )
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 def default_config():
@@ -225,31 +239,18 @@ def default_config():
 def build_params(config: MarketConfig, scenario: DemandScenario) -> MarketParams:
     """Materialize participant parameters; defaults follow the case study.
 
-    The storage cycle-cost coefficient is rho * B * E; rate limits are
-    +/- E / duration_hours; a missing generator cap defaults to the scenario
-    demand peak.
+    Keys an entry leaves out take the ``GeneratorParams`` and ``StorageParams``
+    defaults (b = rho * B * E, rate limits +/- E / duration_hours); a missing
+    generator cap defaults to the scenario demand peak.
     """
     peak = float(max(scenario.forecast.max(initial=0.0),
                      scenario.actual.max(initial=0.0)))
-    generators = [
-        GeneratorParams(
-            c=float(g["c"]), a=float(g.get("a", 0.0)),
-            g_min=float(g.get("g_min", 0.0)),
-            g_max=float(g.get("g_max", peak if peak > 0 else np.inf)),
-        )
-        for g in config.generators
-    ]
-    storages = [
-        StorageParams(
-            capacity_E=float(s["capacity_E"]),
-            capital_cost_B=float(s.get("capital_cost_B", 150.0)),
-            rho=float(s.get("rho", DEFAULT_RHO)),
-            x0=float(s.get("x0", 0.5)),
-            duration_hours=float(s.get("duration_hours", 4.0)),
-        )
-        for s in config.storages
-    ]
-    return MarketParams(generators=generators, storages=storages)
+    cap = {"g_max": peak if peak > 0 else np.inf}
+    return MarketParams(
+        generators=[GeneratorParams(**(cap | {k: float(v) for k, v in g.items()}))
+                    for g in config.generators],
+        storages=[StorageParams(**{k: float(v) for k, v in s.items()}) for s in config.storages],
+    )
 
 
 def synthetic_scenario(n_realized=24):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import MarketParams
 from .errors import InvalidInputError, SolverFailureError
-from .qp import blended_stationarity_gap, solve_market_qp
+from .qp import blended_stationarity_gap, certified, dispatch_map, solve_market_qp
 from .rainflow import rainflow_map
 
 __all__ = [
@@ -108,7 +108,7 @@ def _common_capacity(params):
     return caps[0]
 
 
-def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8):
+def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
     """Uniform-price day-ahead clearing (capacity constraints assumed slack).
 
     Solves the reduced strictly convex program over the aggregate storage
@@ -120,7 +120,8 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8):
     as the dispatch template with one aggregate generator and one aggregate
     storage (``qp.solve_market_qp``, no power limits), then splits w across
     storage units by epsilon_s = beta_s / sum beta.  All storage units see
-    the same per-cycle price vector theta = N(w) w / sum beta.
+    the same per-cycle price vector theta = N(w) w / sum beta.  A split that
+    ``verify_kkt_dayahead`` does not certify raises ``SolverFailureError``.
     """
     d = np.asarray(d_da, dtype=float)
     T = d.size
@@ -150,7 +151,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8):
         alphas=[sum_alpha], a_lin=[0.0], betas=[sum_beta],
         capacities=[_common_capacity(params)], x0s=[params.storages[0].x0],
         demand=d, g_lo=-np.inf, g_hi=np.inf, u_lo=-np.inf, u_hi=np.inf,
-        periodic=True, soc_bounds=False, tol=tol,
+        periodic=True, soc_bounds=False,
     )
     w = res.u[0]
     dec = res.maps[0]
@@ -171,7 +172,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8):
     )
     report = verify_kkt_dayahead(result, bids, d, params)
     result.kkt_residual = report.max_residual
-    if report.max_residual > tol:
+    if not certified(report.max_residual):
         raise SolverFailureError(
             "uniform clearing stalled above tolerance",
             best_iterate=result, residual=report.max_residual,
@@ -179,8 +180,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8):
     return result
 
 
-def clear_general(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8,
-                  enforce_soc_bounds=False):
+def clear_general(bids: DayAheadBids, d_da, params: MarketParams, enforce_soc_bounds=False):
     """Full day-ahead clearing with stage-wise limits and periodicity.
 
     Prices come from the balance duals; per-cycle prices are recovered from
@@ -206,7 +206,7 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, tol=1e-8,
         g_hi=[gen.g_max for gen in params.generators],
         u_lo=[st.u_min for st in params.storages],
         u_hi=[st.u_max for st in params.storages],
-        periodic=True, soc_bounds=enforce_soc_bounds, tol=tol,
+        periodic=True, soc_bounds=enforce_soc_bounds,
     )
     nu = [res.maps[s].map @ res.u[s] for s in range(S)]
     cycle_prices = [nu[s] / bids.beta[s] for s in range(S)]
@@ -221,7 +221,8 @@ def verify_kkt_dayahead(result: DayAheadResult, bids: DayAheadBids, d_da, params
     """Max violation of the slack-limit optimality system of the clearing.
 
     Checks balance, bid consistency (g = alpha*lambda, nu = beta*theta),
-    the depth constraint nu = N(u) u at the reported dispatch, stationarity
+    the depth constraint nu = N(u) u at the reported dispatch, with N(u)
+    the ``qp.dispatch_map`` the clearing itself reads, stationarity
     lambda = N'theta + delta*1 per storage, and periodicity.  Components are
     normalized by max(1, magnitude of the terms involved).  Binding power
     limits are outside this system; the general clearing carries a
@@ -244,7 +245,7 @@ def verify_kkt_dayahead(result: DayAheadResult, bids: DayAheadBids, d_da, params
 
     for s in range(result.u.shape[0]):
         st = params.storages[s]
-        dec = rainflow_map(result.u[s], st.capacity_E, st.x0)
+        dec = dispatch_map(result.u[s], st.capacity_E, st.x0)
         nu_ref = dec.map @ result.u[s]
         nu_s = np.asarray(result.nu[s])
         nu_scale = max(1.0, float(np.max(np.abs(nu_ref))) if nu_ref.size else 0.0)

@@ -21,7 +21,7 @@ class InfeasibleError(CycleMarketError, RuntimeError):
 
 
 class SolverFailureError(CycleMarketError, RuntimeError):
-    """A clearing/planner solve did not reach the requested tolerance.
+    """A clearing/planner solve did not reach its certificate or tolerance.
 
     Carries the best iterate found and its residual so callers can inspect
     how close the solve got.

@@ -30,13 +30,12 @@ class PlannerResult:
     demand: np.ndarray | None = None
 
 
-def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
-                  enforce_soc_bounds=True):
+def solve_planner(params: MarketParams, d, periodic=True):
     """Minimize total generation plus cycle-degradation cost meeting demand.
 
     Constraints: per-interval balance, total power limits per participant,
-    the SoC corridor [0, 1], and (when ``periodic``) zero net storage energy
-    over the horizon.
+    the SoC corridor [0, 1], which a benchmark always keeps, and (when
+    ``periodic``) zero net storage energy over the horizon.
     """
     d = np.asarray(d, dtype=float)
     res = solve_market_qp(
@@ -50,7 +49,7 @@ def solve_planner(params: MarketParams, d, periodic=True, tol=1e-8,
         g_hi=[gen.g_max for gen in params.generators],
         u_lo=[st.u_min for st in params.storages],
         u_hi=[st.u_max for st in params.storages],
-        periodic=periodic, soc_bounds=enforce_soc_bounds, tol=tol,
+        periodic=periodic, soc_bounds=True,
     )
     return PlannerResult(
         g=res.g, u=res.u, price=res.price, objective=res.objective, periodic=periodic,

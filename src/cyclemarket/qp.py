@@ -12,9 +12,9 @@ Every constrained clearing in the package reduces to the same template:
 with the half-cycle map N_s piecewise constant in u_s.  The solve alternates:
 freeze the maps, solve the resulting convex QP exactly with a primal
 active-set method, recompute the maps, and repeat until the assignment is
-stable and the KKT residual of the true problem meets tolerance.  The maps
-read storage dispatch at rounding level (1e-9 of the unit's largest entry)
-as idle.  A two-map assignment cycle means the optimum sits on an
+stable and the true problem's KKT residual meets the fixed 1e-8 certificate
+(``certified``); the maps (``dispatch_map``) read rounding-level storage
+dispatch as idle.  A two-map assignment cycle means the optimum sits on an
 assignment boundary; a bisection over the blended-curvature weight lands on
 it with the matching convex subgradient weights.  A solve that settles
 neither way within its round budget (``_MAX_ROUNDS``) raises
@@ -55,7 +55,9 @@ from .rainflow import rainflow_map
 
 __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual"]
 
+_KKT_TOL = 1e-8  # the certificate: the largest KKT residual a certified answer may carry
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
+_MAX_ITER = 2000  # active-set iterations per solve_qp call
 _MAX_ROUNDS = 200  # alternation rounds per solve_market_qp start
 _STRUCTURES = 4  # constraint structures _structure keeps; a sweep point uses 3
 
@@ -218,7 +220,7 @@ class _NullSpace:
 _VIEWS = weakref.WeakValueDictionary()
 
 
-def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
+def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     """Minimize 0.5 x'Hx + q'x subject to Ax = b and Gx <= h.
 
     ``x0`` must be feasible; H must be positive definite on the feasible
@@ -287,7 +289,7 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None, max_iter=2000):
     working = slack0 <= 1e-10 * np.maximum(1.0, np.abs(h))
     rows = _WorkingRows(GZ, h - Gx_r, Hz, Z.T @ (H @ x_r + q), view.thresholds,
                         np.flatnonzero(working))
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         try:
             w = rows.point()
         except np.linalg.LinAlgError:
@@ -484,16 +486,8 @@ class _Problem:
         return float(val)
 
     def maps(self, u):
-        """The half-cycle map of each storage's dispatch in ``u`` (S, T),
-        with entries at rounding level, |u_s| <= 1e-9 max(1, max |u_s|),
-        read as idle: such an entry left by a solve would otherwise open
-        a half-cycle of its own."""
-        maps = []
-        for s in range(self.S):
-            u_s = u[s]
-            idle = np.abs(u_s) <= 1e-9 * max(1.0, float(np.max(np.abs(u_s), initial=0.0)))
-            maps.append(rainflow_map(np.where(idle, 0.0, u_s), self.capacities[s], self.x0s[s]))
-        return maps
+        """The ``dispatch_map`` of each storage's dispatch in ``u`` (S, T)."""
+        return [dispatch_map(u[s], self.capacities[s], self.x0s[s]) for s in range(self.S)]
 
     def split(self, x):
         k = self.J * self.T
@@ -588,6 +582,18 @@ class _Problem:
         if x is None:
             raise InfeasibleError("participant limits leave no dispatch within the start tolerance")
         return x
+
+
+def certified(residual):
+    """Whether a KKT residual meets the fixed certificate ``_KKT_TOL``."""
+    return residual <= _KKT_TOL
+
+
+def dispatch_map(u_s, capacity, x0):
+    """The half-cycle map of one storage's dispatch that every certificate reads:
+    the rounding-level entries |u_s| <= 1e-9 max(1, max |u_s|) a solve leaves are idle."""
+    idle = np.abs(u_s) <= 1e-9 * max(1.0, float(np.max(np.abs(u_s), initial=0.0)))
+    return rainflow_map(np.where(idle, 0.0, u_s), capacity, x0)
 
 
 def blended_stationarity_gap(target, pieces, u_s, beta):
@@ -687,8 +693,7 @@ def _kink_bisection(prob, x, maps_a, maps_b, iterations):
 
 
 def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
-                    g_lo, g_hi, u_lo, u_hi, periodic=True, soc_bounds=False,
-                    tol=1e-8, start=None):
+                    g_lo, g_hi, u_lo, u_hi, periodic=True, soc_bounds=False, start=None):
     """Alternating fixed-map solve of the dispatch template (see module doc).
 
     ``start`` optionally seeds the solve with a dispatch pair ``(g, u)`` of
@@ -716,16 +721,16 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
         x = prob.start_from(g, u)
         if x is not None:
             try:
-                return _alternate(prob, x, tol)
+                return _alternate(prob, x)
             except SolverFailureError:
                 pass  # the seed's maps led to no certified point; start cold
     x = prob.cold_start()
     if x is None:
         x = prob.elastic_start()
-    return _alternate(prob, x, tol)
+    return _alternate(prob, x)
 
 
-def _alternate(prob, x, tol):
+def _alternate(prob, x):
     """Alternate fixed-map QP solves from the feasible point ``x``."""
     maps = prob.maps(prob.split(x)[1])
     sig = tuple(m.signature() for m in maps)
@@ -742,13 +747,13 @@ def _alternate(prob, x, tol):
             best = res
         res_sig = tuple(m.signature() for m in res.maps)
         if res_sig == sig:
-            if res.kkt_residual <= tol:
+            if certified(res.kkt_residual):
                 return res
             break  # assignment is stable but the residual is stuck
         if res_sig in seen:
             # assignment cycling: the optimum sits on a two-piece kink
             kink = _kink_bisection(prob, x, maps, res.maps, total_iters)
-            if kink is not None and kink.kkt_residual <= tol:
+            if kink is not None and certified(kink.kkt_residual):
                 return kink
             if kink is not None and kink.objective < best.objective:
                 best = kink

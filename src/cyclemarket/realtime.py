@@ -285,7 +285,7 @@ def equilibrium_aware(params: MarketParams, d_total, da):
 
 
 def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_committed,
-                            params: MarketParams, x0s=None, tol=1e-8, start=None):
+                            params: MarketParams, x0s=None, start=None):
     """Constrained real-time window clearing against day-ahead commitments.
 
     Optimizes total dispatch (commitment plus adjustment) under the costs the
@@ -329,7 +329,7 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
         g_lo=[gen.g_min for gen in params.generators],
         g_hi=[gen.g_max for gen in params.generators],
         u_lo=u_lo, u_hi=u_hi,
-        periodic=False, soc_bounds=True, tol=tol, start=start,
+        periodic=False, soc_bounds=True, start=start,
     )
     g_r = res.g - g_da
     u_r = res.u - u_da

@@ -45,11 +45,10 @@ CLEARINGS = ("general", "uniform")
 
 @dataclass
 class MechanismConfig:
-    """Knobs for the two-stage engine (defaults follow the case study)."""
+    """How the two-stage engine clears day ahead (defaults follow the case study)."""
 
     clearing: str = "general"          # "general" (with limits) or "uniform"
-    enforce_soc_bounds: bool = True    # day-ahead SoC corridor
-    tol: float = 1e-8
+    enforce_soc_bounds: bool = True    # day-ahead SoC corridor (general clearing)
 
 
 @dataclass
@@ -92,9 +91,8 @@ def run_day_ahead(scenario: DemandScenario, params: MarketParams,
         raise InfeasibleError("day-ahead horizon must cover at least the binding day")
     bids = equilibrium_bids_dayahead(params)
     if cfg.clearing == "uniform":
-        return clear_uniform(bids, scenario.forecast, params, tol=cfg.tol)
-    return clear_general(bids, scenario.forecast, params, tol=cfg.tol,
-                         enforce_soc_bounds=cfg.enforce_soc_bounds)
+        return clear_uniform(bids, scenario.forecast, params)
+    return clear_general(bids, scenario.forecast, params, enforce_soc_bounds=cfg.enforce_soc_bounds)
 
 
 def _window_demand(scenario, hour):
@@ -124,7 +122,7 @@ def _window_da_view(da, params, hour, end):
 
 
 def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadResult,
-                  mode: str = "aware", tol: float = 1e-8):
+                  mode: str = "aware"):
     """Roll 24-hour windows across the binding day, committing one hour each.
 
     ``aware`` mode re-optimizes total dispatch under the constant equilibrium
@@ -135,9 +133,10 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     it appends (a window cut short by the horizon appends none).  The
     window's solve repairs the seed's balance, the generators taking up what
     is left within their limits; a seed that then breaks a limit or the SoC
-    corridor is ignored and the window starts cold.  On the bundled fixture every window then agrees with a
-    cold start to 1e-11; where the cycle cost has several certified points
-    (a rainflow tie, a two-map kink) a seed may select another of them.
+    corridor is ignored and the window starts cold.  On the bundled fixture
+    every window then agrees with a cold start to 1e-11; where the cycle
+    cost has several certified points (a rainflow tie, a two-map kink) a
+    seed may select another of them.
     ``unaware`` mode runs the balance-only best-response clearing on the
     window's residual demand, the simplified setting its equilibrium theory
     covers; power limits are not imposed on those adjustments.  Any other
@@ -165,11 +164,11 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
         w = _window_demand(scenario, hour)
         if mode == "aware":
             start = _window_seed(w.size, prev_g, prev_u)
-            res = _aware_window(w, da, params, hour, end, x0_run, tol, start)
+            res = _aware_window(w, da, params, hour, end, x0_run, start)
             prev_g = (da.g[:, hour:end] + res.g_r)[:, 1:]
             prev_u = (da.u[:, hour:end] + res.u_r)[:, 1:]
         else:
-            res = _unaware_window(w, da, params, hour, end, tol)
+            res = _unaware_window(w, da, params, hour, end)
         steps.append(res)
         for j in range(J):
             g_rt[j, hour] = res.g_r[j, 0]
@@ -197,7 +196,7 @@ def _window_seed(W, prev_g, prev_u):
     return tuple(seed)
 
 
-def _aware_window(w, da, params, hour, end, x0_run, tol, start):
+def _aware_window(w, da, params, hour, end, x0_run, start):
     # constant slopes; the storage slope tracks the window's total demand
     try:
         bids = aware_bids(params, w)
@@ -205,8 +204,7 @@ def _aware_window(w, da, params, hour, end, x0_run, tol, start):
         raise DegeneratePriceError(f"window at hour {hour} has no cycling content") from exc
     try:
         return clear_constrained_aware(
-            bids, w, da.g[:, hour:end], da.u[:, hour:end], params, x0s=list(x0_run), tol=tol,
-            start=start,
+            bids, w, da.g[:, hour:end], da.u[:, hour:end], params, x0s=list(x0_run), start=start,
         )
     except InfeasibleError as exc:
         raise InfeasibleError(
@@ -214,7 +212,7 @@ def _aware_window(w, da, params, hour, end, x0_run, tol, start):
         ) from exc
 
 
-def _unaware_window(w, da, params, hour, end, tol):
+def _unaware_window(w, da, params, hour, end):
     forecast = np.asarray(da.demand, dtype=float)[hour:end]
     d_r = w - forecast
     J, S = params.n_generators, params.n_storages
@@ -226,7 +224,7 @@ def _unaware_window(w, da, params, hour, end, tol):
         )
     view = _window_da_view(da, params, hour, end)
     try:
-        return best_response_unaware(params, d_r, view, tol=max(tol * 1e-2, 1e-12))[1]
+        return best_response_unaware(params, d_r, view)[1]
     except DegeneratePriceError:
         # storage schedule is flat inside this window: clear with generators
         # only, in closed form; without storage units the bids read only view.g
@@ -277,7 +275,7 @@ def run_two_stage(scenario: DemandScenario, params: MarketParams, mode: str = "a
     """Full protocol: clear day ahead, roll real time, settle."""
     cfg = mechanism_config or MechanismConfig()
     da = run_day_ahead(scenario, params, cfg)
-    steps, g_rt, u_rt, prices, soc = run_real_time(scenario, params, da, mode=mode, tol=cfg.tol)
+    steps, g_rt, u_rt, prices, soc = run_real_time(scenario, params, da, mode=mode)
     settlement = settle(da, prices, g_rt, u_rt, scenario, params)
     return SimulationRecord(
         da_result=da, rt_steps=steps, settlement=settlement,

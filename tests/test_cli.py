@@ -98,6 +98,22 @@ class TestRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        b'{"generators": [{"c": "abc"}]}',
+        b'{"generators": [1]}',
+        b'{"generators": [{"c": 20}',
+        b'{"generators": [{"c": "\xff"}]}',
+        b'[{"c": 20}]',
+        b'{"generators": [{"c": 20}], "tolerances": {"tol": 1e-8}}',
+    ], ids=["non-numeric", "non-object-entry", "truncated", "not-utf8", "top-level-list",
+            "tolerances"])
+    def test_malformed_config_exits_two(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "invalid input" in capsys.readouterr().err
+
     @pytest.mark.parametrize("removed", [{"horizon": 48}, {"mode": {"realtime": "unaware"}}])
     def test_unread_config_keys_exit_two(self, tmp_path, capsys, removed):
         # the horizon comes from the demand file and the mode from --mode
@@ -171,6 +187,22 @@ class TestSweep:
         spec.write_text(json.dumps({"axis": "Q", "values": []}), encoding="utf-8")
         code = main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("content", [
+        b'{"values": ["x"]}',
+        b'{"axis": "B", "values": 100}',
+        b'{"axis": "B", "values": [100], "fixed": {"E": "x"}}',
+        b'{"axis": "B", "values": [100], "strategies": [["mechanism"]]}',
+        b'[{"axis": "B", "values": [100]}]',
+        b'{"axis": "B", "values": [100]',
+    ], ids=["non-numeric-value", "values-not-list", "non-numeric-fixed", "unhashable-strategy",
+            "top-level-list", "truncated"])
+    def test_malformed_spec_exits_two(self, tmp_path, capsys, content):
+        spec = tmp_path / "bad.json"
+        spec.write_bytes(content)
+        code = main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "invalid input" in capsys.readouterr().err
 
     def test_plots_are_views_of_csv_rows(self, tmp_path, spec_path):
         out = tmp_path / "out"

@@ -125,11 +125,46 @@ class TestMarketConfig:
 
     def test_json_loading(self, tmp_path):
         doc = {"generators": [{"c": 12.0}], "storages": [{"capacity_E": 20.0}],
-               "tolerances": {"tol": 1e-9}}
+               "mode": {"enforce_soc_bounds": False}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         cfg = MarketConfig.from_json(path)
-        assert cfg.tol == 1e-9
+        assert cfg.generators == [{"c": 12.0}] and cfg.storages == [{"capacity_E": 20.0}]
+        assert cfg.enforce_soc_bounds is False
+
+    def test_tolerances_key_rejected(self):
+        # the 1e-8 certificate is fixed; a config cannot set it
+        doc = {"generators": [{"c": 12.0}], "tolerances": {"tol": 1e-9}}
+        with pytest.raises(ConfigError, match=r"unknown top-level keys: \['tolerances'\]"):
+            MarketConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, violation", [
+        ({"generators": [{"c": "abc"}]}, "generator 0: c must be a number"),
+        ({"generators": [1]}, "generator 0 must be a JSON object"),
+        ({"generators": [{"c": 1.0, "g_max": None}]}, "generator 0: g_max must be a number"),
+        ({"generators": {"c": 1.0}}, "generators must be a list"),
+        ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "rho": [1]}]},
+         "storage 0: rho must be a number"),
+        ({"generators": [{"c": 1.0}], "mode": {"enforce_soc_bounds": "no"}},
+         "mode: enforce_soc_bounds must be true or false"),
+        ({"generators": [{"c": 1.0}], "mode": []}, "mode must be a JSON object"),
+    ])
+    def test_malformed_entries_rejected(self, doc, violation):
+        with pytest.raises(ConfigError) as err:
+            MarketConfig.from_dict(doc)
+        assert violation in err.value.violations
+
+    def test_top_level_list_rejected(self):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            MarketConfig.from_dict([{"c": 1.0}])
+
+    @pytest.mark.parametrize("content", [b'{"generators": [', b'{"generators": "\xff"}'],
+                             ids=["truncated", "not-utf8"])
+    def test_undecodable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="not a JSON document"):
+            MarketConfig.from_json(path)
 
     def test_invalid_values_collected(self):
         doc = {"generators": [{"c": -1.0}], "storages": [{"capacity_E": 0.0, "x0": 2.0}]}

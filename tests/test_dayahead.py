@@ -15,6 +15,7 @@ from cyclemarket.dayahead import (
 )
 from cyclemarket.errors import InvalidInputError, SolverFailureError
 from cyclemarket.planner import solve_planner
+from cyclemarket.rainflow import rainflow_map
 
 
 def smooth_demand(rng, T=12, base=10.0, swing=4.0):
@@ -79,6 +80,32 @@ class TestClearUniform:
             assert not pieces[0][1][:, [0, 4]].any()
         assert res.objective == pytest.approx(2000.0042666239967, abs=1e-10)
         assert res.objective < 2000.0042666253237
+
+    def test_rounding_level_idle_hours_certify(self):
+        # the aggregate solve leaves ~1e-16 MW at idle hours 1, 2 and 5; read
+        # raw they open a third half-cycle, which the clearing's own maps
+        # read as idle, and the depth check would score 1.0
+        params = MarketParams(generators=[GeneratorParams(c=1.0)],
+                              storages=[StorageParams(capacity_E=4.0, b=1.0)])
+        d = np.array([5.0, 3.5, 3.5, 5.0, 2.5, 3.5, 1.5])
+        bids = equilibrium_bids_dayahead(params)
+        res = clear_uniform(bids, d, params)
+        assert res.kkt_residual <= 1e-8
+        assert res.maps[0].n_half_cycles == 2
+        assert rainflow_map(res.u[0], 4.0, 0.5).n_half_cycles == 3
+        report = verify_kkt_dayahead(res, bids, d, params)
+        assert report.components["depth_constraint_st0"] <= 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=SolverFailureError,
+                       reason="scaling the aggregate dispatch by each unit's share breaks "
+                              "an exact SoC tie another way; depth_constraint stays at 0.08")
+    def test_share_split_of_soc_tie_certifies(self):
+        params = MarketParams(generators=[GeneratorParams(c=1.5)],
+                              storages=[StorageParams(capacity_E=4.0, b=1.0),
+                                        StorageParams(capacity_E=4.0, b=2.0)])
+        d = np.array([3.0, 4.5, 2.5, 4.5, 3.0])
+        res = clear_uniform(equilibrium_bids_dayahead(params), d, params)
+        assert res.kkt_residual <= 1e-8
 
     def test_price_consistency(self):
         rng = np.random.default_rng(3)

@@ -31,11 +31,12 @@ class TestActiveSetCore:
         assert sol.x == pytest.approx([1.0, 1.0])
         assert sol.ineq_duals == pytest.approx([4.0, 4.0])
 
-    def test_iteration_cap_raises_with_best_iterate(self):
+    def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
         # the first iteration steps to the box corner; certifying it needs a second
+        monkeypatch.setattr(qp, "_MAX_ITER", 1)
         with pytest.raises(SolverFailureError) as err:
             solve_qp(2 * np.eye(2), np.array([-6.0, -6.0]),
-                     None, None, np.eye(2), np.ones(2), x0=np.zeros(2), max_iter=1)
+                     None, None, np.eye(2), np.ones(2), x0=np.zeros(2))
         assert err.value.best_iterate == pytest.approx([1.0, 1.0])
 
     def test_singular_kkt_system_raises_with_start(self):
@@ -347,7 +348,9 @@ class TestMarketQP:
         assert err.value.residual > 1e-8
 
     def test_stable_assignment_with_stuck_residual_raises(self, monkeypatch):
-        # tol=0 cannot be met, so the stable-assignment exit fires, not the round budget
+        # a zero certificate cannot be met, so the stable-assignment exit fires,
+        # not the round budget
+        monkeypatch.setattr(qp, "_KKT_TOL", 0.0)
         calls = []
         inner = qp.solve_qp
         monkeypatch.setattr(qp, "solve_qp", lambda *a, **k: calls.append(1) or inner(*a, **k))
@@ -355,7 +358,7 @@ class TestMarketQP:
             solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
                             x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
                             g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0,
-                            periodic=True, tol=0.0)
+                            periodic=True)
         assert len(calls) == 2
         g, u = err.value.best_iterate
         assert g.shape == u.shape == (1, 4)
