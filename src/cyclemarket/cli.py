@@ -26,7 +26,7 @@ from .data import (
     load_demand_csv,
     load_json,
 )
-from .errors import ConfigError, CycleMarketError
+from .errors import ConfigError, CycleMarketError, DemandCSVError
 from .planner import participant_profit, solve_planner
 from .plotting import line_chart
 from .simulation import BINDING_HOURS, MechanismConfig, run_two_stage
@@ -250,7 +250,7 @@ def main(argv=None):
         if args.command == "run":
             return cmd_run(args)
         return cmd_sweep(args)
-    except ConfigError as exc:
+    except (ConfigError, DemandCSVError) as exc:
         print(f"cyclemarket: invalid input: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

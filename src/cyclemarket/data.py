@@ -64,9 +64,13 @@ class DemandScenario:
 
 
 def load_demand_csv(path):
-    """Parse and validate a demand file into a scenario."""
+    """Parse and validate a demand file into a scenario; text that is not UTF-8
+    raises ``DemandCSVError`` like any other malformed content."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse_demand(fh, str(path))
+        try:
+            return _parse_demand(fh, str(path))
+        except UnicodeDecodeError as exc:
+            raise DemandCSVError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _parse_demand(fh, name):

@@ -10,6 +10,7 @@ exactly one half-cycle, depths are nonnegative, total variation is conserved
 profile, never on its scale.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +35,7 @@ class DispatchProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise InvalidInputError("dispatch profile must be a 1-d vector of length >= 1")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidInputError("dispatch profile contains non-finite entries")
+        self.values, _ = _vector(self.values)
 
     def __len__(self):
         return self.values.size
@@ -83,10 +80,46 @@ class RainflowDecomposition:
         return (self.map.shape, self.map.tobytes())
 
 
+def _vector(u):
+    """(float array, its entries as Python floats) of a finite 1-d dispatch profile."""
+    arr = np.asarray(u, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim != 1 or arr.size < 1:
+        raise InvalidInputError("dispatch profile must be a 1-d vector of length >= 1")
+    vals = arr.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise InvalidInputError("dispatch profile contains non-finite entries")
+    return arr, vals
+
+
 def _dispatch_values(u):
     if isinstance(u, DispatchProfile):
         return u.values
-    return DispatchProfile(np.asarray(u, dtype=float)).values
+    return _vector(u)[0]
+
+
+def _checked(u, capacity_E, x0):
+    """(dispatch array, its entries as floats) after every input check, made once."""
+    if isinstance(u, DispatchProfile):
+        arr, vals = u.values, u.values.tolist()
+    else:
+        arr, vals = _vector(u)
+    if not (capacity_E > 0) or not math.isfinite(capacity_E):
+        raise InvalidInputError("capacity_E must be positive and finite")
+    if not (0.0 <= x0 <= 1.0):
+        raise InvalidInputError("x0 must lie in [0, 1]")
+    return arr, vals
+
+
+def _soc(vals, E, x0):
+    """x_t = x0 + sum_{s<=t} (-u_s/E), accumulated in order as ``np.cumsum`` does."""
+    x = [x0]
+    acc = -0.0  # the additive identity, so the first partial sum is -u_0/E exactly
+    for v in vals:
+        acc += -v / E
+        x.append(acc + x0)
+    return x
 
 
 def soc_from_dispatch(u, capacity_E, x0=0.5):
@@ -96,16 +129,30 @@ def soc_from_dispatch(u, capacity_E, x0=0.5):
     Bounds [0, 1] are not enforced here; constraint handling belongs to the
     clearing and planner layers.
     """
-    vals = _dispatch_values(u)
-    if not (capacity_E > 0) or not np.isfinite(capacity_E):
-        raise InvalidInputError("capacity_E must be positive and finite")
-    if not (0.0 <= x0 <= 1.0):
-        raise InvalidInputError("x0 must lie in [0, 1]")
-    x = np.empty(vals.size + 1)
-    x[0] = x0
-    np.cumsum(-vals / capacity_E, out=x[1:])
-    x[1:] += x0
-    return SoCProfile(values=x, initial=x0)
+    _, vals = _checked(u, capacity_E, x0)
+    return SoCProfile(values=np.array(_soc(vals, float(capacity_E), float(x0))), initial=x0)
+
+
+def _turning_points(x):
+    pts = [(0, x[0])]
+    up = None  # direction of the current run; None before the first change
+    prev = x[0]
+    for i, xi in enumerate(x[1:], 1):
+        dx = xi - prev
+        prev = xi
+        if dx > 0:
+            if up:
+                pts[-1] = (i, xi)  # same run keeps extending
+            else:
+                pts.append((i, xi))
+                up = True
+        elif dx != 0.0:
+            if up is False:
+                pts[-1] = (i, xi)
+            else:
+                pts.append((i, xi))
+                up = False
+    return pts
 
 
 def turning_points(x):
@@ -116,57 +163,31 @@ def turning_points(x):
     are always represented, and the output values strictly alternate.
     Applying the function to an already alternating sequence is the identity.
     """
-    if isinstance(x, SoCProfile):
-        vals = x.values
-    else:
-        vals = np.asarray(x, dtype=float)
-    pts = [(0, float(vals[0]))]
-    direction = 0
-    for i in range(1, vals.size):
-        dx = vals[i] - vals[i - 1]
-        if dx == 0.0:
-            continue
-        d = 1 if dx > 0 else -1
-        if d == direction:
-            pts[-1] = (i, float(vals[i]))  # same run keeps extending
-        else:
-            pts.append((i, float(vals[i])))
-            direction = d
-    return pts
+    vals = x.values if isinstance(x, SoCProfile) else x
+    return _turning_points(np.asarray(vals, dtype=float).tolist())
 
 
-class _Node:
-    """Turning point plus the not-yet-assigned intervals of the run into it."""
-
-    __slots__ = ("idx", "value", "seg")
-
-    def __init__(self, idx, value, seg):
-        self.idx = idx
-        self.value = value
-        self.seg = seg  # list of (interval index, |u_t|/E), chronological
-
-
-def _match_forward(seg, target):
+def _match_forward(seg, depth, target):
     """Split ``seg`` at the front so the taken depth lands closest to ``target``.
 
-    Whole intervals only: keep taking while doing so moves the accumulated
-    depth closer to the target (ties include, deterministically).  On profiles
-    whose granularity lines up with the extraction depth the taken part equals
-    ``target`` exactly, which is what makes a full cycle come out as two
-    half-cycles of equal depth.  The rule compares scale-covariant quantities
-    only, so scaling the profile never changes the split.
+    ``seg`` lists interval indices in chronological order and ``depth[i]`` is
+    interval i's depth |u_i|/E.  Whole intervals only: keep taking while doing
+    so moves the accumulated depth closer to the target (ties include,
+    deterministically).  On profiles whose granularity lines up with the
+    extraction depth the taken part equals ``target`` exactly, which is what
+    makes a full cycle come out as two half-cycles of equal depth.  The rule
+    compares scale-covariant quantities only, so scaling the profile never
+    changes the split.
     """
-    taken = []
     cum = 0.0
     k = 0
-    while k < len(seg):
-        step = seg[k][1]
+    for i in seg:
+        step = depth[i]
         if abs(cum + step - target) > abs(target - cum) * (1.0 + 1e-12):
             break
         cum += step
-        taken.append(seg[k])
         k += 1
-    return taken, seg[k:]
+    return seg[:k], seg[k:]
 
 
 def rainflow_map(u, capacity_E, x0=0.5):
@@ -179,68 +200,66 @@ def rainflow_map(u, capacity_E, x0=0.5):
     excursion's own intervals form one half-cycle; intervals from the return
     swing are matched against its depth, whole intervals only, to form the
     partner half-cycle.  Whatever remains after all extractions contributes
-    residual half-cycles run by run.
+    residual half-cycles run by run.  The inputs are checked once and the
+    counting runs on the dispatch as Python floats.
     """
-    vals = _dispatch_values(u)
-    if not (capacity_E > 0) or not np.isfinite(capacity_E):
-        raise InvalidInputError("capacity_E must be positive and finite")
-    T = vals.size
-    x = soc_from_dispatch(vals, capacity_E, x0)
-    pts = turning_points(x)
+    arr, vals = _checked(u, capacity_E, x0)
+    E = float(capacity_E)
+    T = len(vals)
+    pts = _turning_points(_soc(vals, E, float(x0)))
 
-    half_cycles = []  # list of interval lists
+    half_cycles = []  # interval index lists, chronological within each
     pairs = []
-
-    def emit(seg):
-        half_cycles.append(seg)
-        return len(half_cycles) - 1
-
     if len(pts) > 1:
-        depth_of = np.abs(vals) / capacity_E
-        stack = []
-        prev_idx = pts[0][0]
-        stack.append(_Node(pts[0][0], pts[0][1], []))
+        depth = [abs(v) / E for v in vals]
+        # each stack entry: [SoC value, not-yet-assigned intervals of the run into it]
+        stack = [[pts[0][1], []]]
+        prev_idx = 0
         for idx, value in pts[1:]:
-            seg = [(i, depth_of[i]) for i in range(prev_idx, idx) if vals[i] != 0.0]
-            stack.append(_Node(idx, value, seg))
+            stack.append([value, [i for i in range(prev_idx, idx) if vals[i] != 0.0]])
             prev_idx = idx
             while len(stack) >= 4:
-                n0, n1, n2, n3 = stack[-4], stack[-3], stack[-2], stack[-1]
-                r1 = abs(n1.value - n0.value)
-                r2 = abs(n2.value - n1.value)
-                r3 = abs(n3.value - n2.value)
-                if r2 <= r1 and r2 <= r3:
-                    target = sum(d for _, d in n2.seg)
-                    k_inner = emit(n2.seg)
-                    matched, rest = _match_forward(n3.seg, target)
-                    if matched:
-                        k_match = emit(matched)
-                        pairs.append((k_inner, k_match))
-                    else:
-                        pairs.append((k_inner, None))
-                    n3.seg = n1.seg + rest
-                    del stack[-3:-1]
-                else:
+                (v0, _), (v1, seg1), (v2, seg2), (v3, seg3) = stack[-4:]
+                r2 = abs(v2 - v1)
+                if not (r2 <= abs(v1 - v0) and r2 <= abs(v3 - v2)):
                     break
-        for node in stack:
-            if node.seg:
-                emit(node.seg)
+                target = 0.0
+                for i in seg2:
+                    target += depth[i]
+                half_cycles.append(seg2)
+                k_inner = len(half_cycles) - 1
+                matched, rest = _match_forward(seg3, depth, target)
+                if matched:
+                    half_cycles.append(matched)
+                    pairs.append((k_inner, k_inner + 1))
+                else:
+                    pairs.append((k_inner, None))
+                stack[-1][1] = seg1 + rest
+                del stack[-3:-1]
+        half_cycles += [seg for _, seg in stack if seg]
 
     K = len(half_cycles)
-    N = np.zeros((K, T))
+    pos = 1 / capacity_E  # capacity_E, not E: its scalar type sets the entries' rounding
+    neg = -1 / capacity_E
+    flat, entries = [], []
     assignment = {}
     for k, seg in enumerate(half_cycles):
-        for i, _ in seg:
-            sign = 1 if vals[i] > 0 else -1
-            N[k, i] = sign / capacity_E
-            assignment[i] = (k, sign)
-    depths = N @ vals
+        for i in seg:
+            if vals[i] > 0:
+                entries.append(pos)
+                assignment[i] = (k, 1)
+            else:
+                entries.append(neg)
+                assignment[i] = (k, -1)
+            flat.append(k * T + i)
+    N = np.zeros(K * T)
+    N[flat] = entries
+    N = N.reshape(K, T)
     return RainflowDecomposition(
-        depths=depths, map=N, assignment=assignment, pairs=pairs, capacity=capacity_E
+        depths=N @ arr, map=N, assignment=assignment, pairs=pairs, capacity=capacity_E
     )
 
 
 def cycle_depths(u, capacity_E, x0=0.5):
     """Half-cycle depth vector of a dispatch profile (``map @ u``)."""
-    decomp = rainflow_map(u, capacity_E, x0)
-    return decomp.map @ _dispatch_values(u)
+    return rainflow_map(u, capacity_E, x0).depths

@@ -78,6 +78,30 @@ class TestRun:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("content", [
+        b"timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,\xff,\n",
+        b"time,forecast,actual\n",
+    ], ids=["not-utf8", "bad-header"])
+    def test_malformed_demand_exits_two(self, tmp_path, capsys, command, content):
+        demand = tmp_path / "demand.csv"
+        demand.write_bytes(content)
+        args = ["--demand", str(demand), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+            args = ["--spec", str(spec)] + args
+        assert main([command] + args) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_missing_demand_file_exits_one_from_sweep(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+        code = main(["sweep", "--spec", str(spec), "--demand", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "nope.csv" in capsys.readouterr().err
+
     def test_unaware_mode_flag(self, tmp_path):
         out = tmp_path / "o"
         code = main(["run", "--mode", "unaware", "--out", str(out)])

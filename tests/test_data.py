@@ -84,6 +84,16 @@ class TestLoadDemandCSV:
         with pytest.raises(DemandCSVError):
             load_demand_csv(write_csv(tmp_path, bad))
 
+    @pytest.mark.parametrize("content", [
+        b"timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,\xff,\n",
+        b"\xfftimestamp,forecast_mw,actual_mw\n",
+    ], ids=["data-row", "header"])
+    def test_non_utf8_file_rejected(self, tmp_path, content):
+        path = tmp_path / "demand.csv"
+        path.write_bytes(content)
+        with pytest.raises(DemandCSVError, match="not UTF-8"):
+            load_demand_csv(path)
+
     def test_negative_demand_accepted_with_warning(self, tmp_path):
         text = (
             "timestamp,forecast_mw,actual_mw\n"
