@@ -6,9 +6,12 @@ their day-ahead position into the slope choice; the competitive equilibrium
 exists uniquely and is found either in closed form or by the best-response
 iteration the mechanism implies.  Its price coefficient may be negative (the
 price then runs opposite to residual demand), and the iteration reaches it
-there too.  In the second (``aware``) the bid itself subtracts the day-ahead
-commitment, g = alpha*price - g_da; the equilibrium slopes are constants and
-clearing is a single algebraic step.  The rolling case-study windows use
+there too.  Every price of the iteration lies on the residual-demand ray, so
+both read the same per-window inner products (``_unaware_terms``) and the
+loop runs on scalars; the half-cycle map check behind ``map_stable`` runs
+when the flag is first read.  In the second (``aware``) the bid itself
+subtracts the day-ahead commitment, g = alpha*price - g_da; the equilibrium
+slopes are constants and clearing is a single algebraic step.  The rolling case-study windows use
 ``clear_constrained_aware``, which re-optimizes total dispatch subject to
 power limits and the SoC corridor without periodicity.
 """
@@ -65,9 +68,22 @@ class RealTimeResult:
     price: np.ndarray               # (T,) real-time price
     price_coeff: float | None       # proportionality scalar (price = coeff * demand vector)
     iterations: int
-    map_stable: bool = True         # half-cycle map of u_da + u_r unchanged (unaware mode)
     kkt_residual: float | None = None
     trace: list = field(default_factory=list)
+    # (u_da + u_r, E, x0, day-ahead map signature) per storage, until map_stable is read
+    _map_checks: tuple = field(default=(), init=False, repr=False, compare=False)
+    _map_stable: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def map_stable(self) -> bool:
+        """Whether each storage's half-cycle map of u_da + u_r equals its
+        day-ahead map (unaware mode; True otherwise).  Computed on first
+        read and cached."""
+        if self._map_stable is None:
+            self._map_stable = all(rainflow_map(u, E, x0).signature() == sig
+                                   for u, E, x0, sig in self._map_checks)
+            self._map_checks = ()
+        return self._map_stable
 
 
 def _storage_da_quantities(params, da, d_r):
@@ -110,18 +126,8 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     norm2 = float(d_r @ d_r)
     if norm2 <= 0.0:
         raise DegenerateDemandError("zero residual demand: proportional price undefined")
-    c_inv = np.array([1.0 / gen.c for gen in params.generators])
     storage_terms = _storage_da_quantities(params, da, d_r)
-
-    K = float(c_inv.sum())
-    numer = 1.0
-    for j in range(params.n_generators):
-        numer += float(da.g[j] @ d_r) / norm2
-    for s, st in enumerate(params.storages):
-        dec, theta, Nd = storage_terms[s]
-        D = float(Nd @ Nd)
-        K += norm2 / (st.b * D)
-        numer += float(theta @ Nd) / (st.b * D)
+    K, numer, _ = _unaware_terms(params, da, d_r, norm2, storage_terms)
     omega = numer / K
     price = omega * d_r
 
@@ -129,6 +135,31 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     result.price_coeff = omega
     result.iterations = 0
     return bids, result
+
+
+def _unaware_terms(params, da, d_r, norm2, storage_terms):
+    """The per-window scalars of the unaware first-order conditions.
+
+    At a price on the residual-demand ray, price = d_r / xi, the re-bid
+    slopes sum to the affine F(xi) = K - xi * B, and F(xi) = xi gives
+    omega = 1/xi = numer / K with numer = 1 + B.  Returns (K, numer, B);
+    numer and B add the same terms in the same order.
+    """
+    K = float(np.array([1.0 / gen.c for gen in params.generators]).sum())
+    numer = 1.0
+    B = 0.0
+    for j in range(params.n_generators):
+        term = float(da.g[j] @ d_r) / norm2
+        numer += term
+        B += term
+    for s, st in enumerate(params.storages):
+        _, theta, Nd = storage_terms[s]
+        D = float(Nd @ Nd)
+        K += norm2 / (st.b * D)
+        term = float(theta @ Nd) / (st.b * D)
+        numer += term
+        B += term
+    return K, numer, B
 
 
 def _unaware_slopes(params, da, price, storage_terms):
@@ -156,16 +187,15 @@ def _unaware_from_price(params, da, d_r, price, storage_terms):
     alpha_r, beta_r = _unaware_slopes(params, da, price, storage_terms)
     g_r = np.outer(alpha_r, price)
     u_r = np.outer(beta_r, price)
-    map_stable = all(
-        rainflow_map(da.u[s] + u_r[s], st.capacity_E, st.x0).signature() == da.maps[s].signature()
-        for s, st in enumerate(params.storages))
     bids = RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="unaware")
     result = RealTimeResult(
         g_r=g_r, u_r=u_r, price=price, price_coeff=None, iterations=0,
-        map_stable=map_stable,
         kkt_residual=float(np.max(np.abs(g_r.sum(axis=0) + u_r.sum(axis=0) - d_r)))
         / max(1.0, float(np.max(np.abs(d_r)))),
     )
+    result._map_checks = tuple(
+        (da.u[s] + u_r[s], st.capacity_E, st.x0, da.maps[s].signature())
+        for s, st in enumerate(params.storages))
     return bids, result
 
 
@@ -176,45 +206,52 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     The price clears the affine bids, lambda = d_r / (sum alpha + sum beta);
     each participant then re-solves its slope first-order condition at that
     price.  Every price lies on the d_r ray, so the loop tracks the scalar
-    aggregate slope xi, whose re-bid value F(xi) is affine in xi.  The first
-    step probes 1 % from the start toward F; from then on secant steps solve
-    F(xi) = xi, which is exact for an affine map, so the loop typically
-    certifies convergence within a few rounds, also at a negative fixed point
-    (price opposite to residual demand).  Only a zero or non-finite aggregate
-    slope raises ``DivergenceError``.
+    aggregate slope xi, whose re-bid value F(xi) = K - xi * B is affine
+    in xi with coefficients computed once per window (``_unaware_terms``,
+    the inner products the closed form reads); an iteration is a few float
+    operations, with no matrix product.  The first step probes 1 % from the
+    start toward F; from then on secant steps solve F(xi) = xi, which is
+    exact for an affine map, so the loop typically certifies convergence
+    within a few rounds, also at a negative fixed point (price opposite to
+    residual demand).  Only a zero or non-finite aggregate slope raises
+    ``DivergenceError``.  The bids and result are evaluated once, at the
+    final price; the result's ``map_stable`` check runs when it is read.
     """
     d_r = np.asarray(d_r, dtype=float)
     norm2 = float(d_r @ d_r)
     if norm2 <= 0.0:
         raise DegenerateDemandError("zero residual demand: proportional price undefined")
     storage_terms = _storage_da_quantities(params, da, d_r)
+    K, _, B = _unaware_terms(params, da, d_r, norm2, storage_terms)
+    d_max = float(np.max(np.abs(d_r)))
 
     if initial_bids is None:
-        initial_bids = RealTimeBids(alpha_r=[1.0 / gen.c for gen in params.generators],
-                                    beta_r=[1.0 / st.b for st in params.storages],
-                                    mode="unaware")
-    xi = float(initial_bids.alpha_r.sum() + initial_bids.beta_r.sum())
+        xi = float(np.array([1.0 / gen.c for gen in params.generators]).sum()
+                   + np.array([1.0 / st.b for st in params.storages]).sum())
+    else:
+        xi = float(initial_bids.alpha_r.sum() + initial_bids.beta_r.sum())
     trace = []
     prev_point = None
-    price_prev = None
+    inv_prev = None
     for it in range(1, max_iter + 1):
         if not np.isfinite(xi) or xi == 0.0:
             raise DivergenceError(
                 f"aggregate real-time slope is zero or non-finite ({xi:.6g}) at iteration {it}"
             )
-        price = d_r / xi
-        if price_prev is not None:
-            trace.append(float(np.max(np.abs(price - price_prev))))
-        price_prev = price
-        alpha_r, beta_r = _unaware_slopes(params, da, price, storage_terms)
-        F = float(alpha_r.sum() + beta_r.sum())
+        # the price d_r / xi, through its coefficient: max |price - price_prev|
+        # and max |price| are d_max times |1/xi - 1/xi_prev| and 1/|xi|
+        inv = 1.0 / xi
+        if inv_prev is not None:
+            trace.append(abs(inv - inv_prev) * d_max)
+        inv_prev = inv
+        F = K - xi * B
         # relative above 1, absolute below (every negative xi), so a fixed
         # point reached by extrapolating across xi = 0 gets one more secant step
         if abs(F - xi) <= tol * max(1.0, xi) or (
-                trace and trace[-1] <= tol * max(1.0, float(np.max(np.abs(price))))):
-            bids, result = _unaware_from_price(params, da, d_r, price, storage_terms)
+                trace and trace[-1] <= tol * max(1.0, d_max / abs(xi))):
+            bids, result = _unaware_from_price(params, da, d_r, d_r / xi, storage_terms)
             result.iterations = it
-            result.price_coeff = 1.0 / xi
+            result.price_coeff = inv
             result.trace = trace
             return bids, result
         if prev_point is not None and abs(xi - prev_point[0]) > 0:

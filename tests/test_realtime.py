@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclemarket import GeneratorParams, MarketParams, StorageParams
-from cyclemarket.dayahead import DayAheadBids, clear_uniform, equilibrium_bids_dayahead
+from cyclemarket import GeneratorParams, MarketParams, StorageParams, realtime
+from cyclemarket.dayahead import (
+    DayAheadBids,
+    DayAheadResult,
+    clear_uniform,
+    equilibrium_bids_dayahead,
+)
 from cyclemarket.errors import (
     DegenerateDemandError,
     DegeneratePriceError,
@@ -18,6 +25,8 @@ from cyclemarket.realtime import (
     equilibrium_aware,
     equilibrium_unaware,
 )
+from cyclemarket.rainflow import rainflow_map
+from cyclemarket.simulation import _window_da_view
 
 
 def make_market(rng, n_gen=1, n_storage=1, E=200.0):
@@ -39,6 +48,12 @@ def correlated_residual(rng, d_da, scale=0.25):
     # positively tied to the forecast, so the price rises with residual demand
     # (omega > 0); its negation gives an anti-correlated residual (omega < 0)
     return scale * np.abs(d_da) * rng.uniform(0.4, 1.2, d_da.size)
+
+
+def eager_map_stable(params, da, res):
+    """The half-cycle map check, run directly on the result's adjustments."""
+    return all(rainflow_map(da.u[s] + res.u_r[s], st.capacity_E, st.x0).signature()
+               == da.maps[s].signature() for s, st in enumerate(params.storages))
 
 
 class TestEquilibriumUnaware:
@@ -80,8 +95,6 @@ class TestEquilibriumUnaware:
         d_da, da = cleared_day_ahead(rng, params)
         d_r = rng.normal(0, 1, d_da.size)
         d_r -= d_r.mean()
-        from cyclemarket.rainflow import rainflow_map
-
         st = params.storages[0]
         dec = rainflow_map(da.u[0], st.capacity_E, st.x0)
         Nd = dec.map @ d_r
@@ -104,12 +117,77 @@ class TestEquilibriumUnaware:
             equilibrium_unaware(params, correlated_residual(rng, d), da)
 
     def test_map_violation_flagged_not_hidden(self):
-        rng = np.random.default_rng(4)
-        params = make_market(rng, E=20.0)   # small capacity: adjustments reshape the SoC
+        # small capacity: some adjustments reshape the SoC, some do not
+        for seed, expected in ((0, False), (3, True), (4, False), (6, True)):
+            rng = np.random.default_rng(seed)
+            params = make_market(rng, n_storage=2, E=20.0)
+            d_da, da = cleared_day_ahead(rng, params)
+            d_r = 3.0 * rng.normal(0, 1, d_da.size)
+            for solve in (equilibrium_unaware, best_response_unaware):
+                _, res = solve(params, d_r, da)
+                assert eager_map_stable(params, da, res) is expected
+                assert res.map_stable is expected
+
+    def test_map_check_runs_when_read(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        params = make_market(rng, n_storage=2, E=20.0)
         d_da, da = cleared_day_ahead(rng, params)
         d_r = 3.0 * rng.normal(0, 1, d_da.size)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rainflow_map(*args, **kwargs)
+
+        monkeypatch.setattr(realtime, "rainflow_map", counted)
+        _, res = best_response_unaware(params, d_r, da)
+        assert calls == []
+        assert res.map_stable is True
+        assert len(calls) == params.n_storages
+        assert res.map_stable is True  # cached: no second check
+        assert len(calls) == params.n_storages
+
+    def test_closed_form_and_loop_share_first_order_scalars(self, monkeypatch):
+        # both read K and the numerator from one helper: doubling its K moves
+        # the closed form and the loop's fixed point to the same new point
+        rng = np.random.default_rng(27)
+        params = make_market(rng, n_gen=2, n_storage=2, E=300.0)
+        d_da, da = cleared_day_ahead(rng, params)
+        d_r = correlated_residual(rng, d_da)
+        omega = equilibrium_unaware(params, d_r, da)[1].price_coeff
+        calls = []
+
+        def doubled(*args):
+            K, numer, B = unaware_terms(*args)
+            calls.append(None)
+            return 2.0 * K, numer, B
+
+        unaware_terms = realtime._unaware_terms
+        monkeypatch.setattr(realtime, "_unaware_terms", doubled)
+        omega_eq = equilibrium_unaware(params, d_r, da)[1].price_coeff
+        omega_br = best_response_unaware(params, d_r, da, tol=1e-12)[1].price_coeff
+        assert len(calls) == 2
+        assert omega_eq == pytest.approx(omega / 2.0, rel=1e-12)
+        assert omega_br == pytest.approx(omega_eq, rel=1e-9)
+
+    def test_price_coefficient_bits_match_first_order_formula(self):
+        # the formula summed term by term in generator, then storage, order
+        rng = np.random.default_rng(35)
+        params = make_market(rng, n_gen=3, n_storage=3, E=300.0)
+        d_da, da = cleared_day_ahead(rng, params, T=12)
+        d_r = correlated_residual(rng, d_da)
+        norm2 = float(d_r @ d_r)
+        K = float(np.array([1.0 / gen.c for gen in params.generators]).sum())
+        numer = 1.0
+        for j in range(params.n_generators):
+            numer += float(da.g[j] @ d_r) / norm2
+        for s, st in enumerate(params.storages):
+            Nd = da.maps[s].map @ d_r
+            D = float(Nd @ Nd)
+            K += norm2 / (st.b * D)
+            numer += float(np.asarray(da.cycle_prices[s], dtype=float) @ Nd) / (st.b * D)
         _, res = equilibrium_unaware(params, d_r, da)
-        assert res.map_stable in (True, False)  # flag exists and is reported
+        assert res.price_coeff == numer / K
 
 
 class TestBestResponseUnaware:
@@ -198,6 +276,55 @@ class TestBestResponseUnaware:
         assert isinstance(err.value.trace, list)
 
 
+@st.composite
+def unaware_markets(draw):
+    """1-3 generators and 1-4 storage units, some of equal E, on a balanced
+    day-ahead schedule, with a residual demand tied to the forecast or
+    opposed to it.  The day-ahead maps and bid-consistent cycle prices are
+    built as the rolling engine builds a window's (``_window_da_view``)."""
+    J = draw(st.integers(1, 3))
+    S = draw(st.integers(1, 4))
+    costs = draw(st.lists(st.floats(5.0, 40.0), min_size=J, max_size=J))
+    slopes = draw(st.lists(st.floats(0.5, 4.0), min_size=S, max_size=S))
+    capacities = draw(st.lists(st.sampled_from([150.0, 300.0]), min_size=S, max_size=S))
+    T = draw(st.integers(4, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = draw(st.sampled_from([1.0, -1.0]))  # -1 mostly gives omega < 0
+    params = MarketParams(
+        generators=[GeneratorParams(c=c, g_min=-1e9, g_max=1e9) for c in costs],
+        storages=[StorageParams(capacity_E=E, b=b, u_min=-1e9, u_max=1e9)
+                  for E, b in zip(capacities, slopes)],
+    )
+    d_da = 10 + 4 * np.sin(2 * np.pi * (np.arange(T) + rng.uniform(0, T)) / T) \
+        + rng.normal(0, 0.3, T)
+    shares = rng.dirichlet(np.ones(S))
+    u = np.outer(shares, d_da - d_da.mean()) + rng.normal(0, 0.2, (S, T))
+    g = np.tile((d_da - u.sum(axis=0)) / J, (J, 1))
+    schedule = DayAheadResult(
+        g=g, u=u, nu=[], energy_price=np.zeros(T), cycle_prices=[],
+        periodicity_duals=np.zeros(S), shares=None, objective=0.0, kkt_residual=0.0,
+    )
+    da = _window_da_view(schedule, params, 0, T)
+    return params, da, sign * correlated_residual(rng, d_da)
+
+
+class TestUnawareFixedPointProperty:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(unaware_markets())
+    def test_closed_form_is_best_response_fixed_point(self, market):
+        params, da, d_r = market
+        b_eq, r_eq = equilibrium_unaware(params, d_r, da)
+        b_br, r_br = best_response_unaware(params, d_r, da, tol=1e-12)
+        scale = max(1.0, float(np.max(np.abs(r_eq.price))))
+        assert np.max(np.abs(r_br.price - r_eq.price)) <= 1e-9 * scale
+        # storage slopes scale as E^2/b (map entries are 1/E), so compare on
+        # the slopes' own scale as for the price
+        slopes_eq = np.concatenate([b_eq.alpha_r, b_eq.beta_r])
+        slopes_br = np.concatenate([b_br.alpha_r, b_br.beta_r])
+        scale = max(1.0, float(np.max(np.abs(slopes_eq))))
+        assert np.max(np.abs(slopes_br - slopes_eq)) <= 1e-9 * scale
+
+
 class TestEquilibriumAware:
     def test_single_generator_case(self):
         # alpha = 1/c, phi = c, price = c*d, and the commitment cancels
@@ -253,8 +380,6 @@ class TestEquilibriumAware:
     def test_brute_force_fixed_point_T4(self):
         # solve clearing + first-order conditions numerically with no
         # proportionality assumption, then compare the implied coefficient
-        from cyclemarket.rainflow import rainflow_map
-
         params = MarketParams(
             generators=[GeneratorParams(c=7.0, g_min=-1e9, g_max=1e9)],
             storages=[StorageParams(capacity_E=4.0, b=1.3, u_min=-1e9, u_max=1e9)],
