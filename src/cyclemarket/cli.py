@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -126,9 +127,9 @@ def _sweep_point(task):
 
 
 def _positive(value):
-    """Whether ``value`` is a number above zero."""
+    """Whether ``value`` is a finite number above zero."""
     try:
-        return float(value) > 0
+        return 0 < float(value) < math.inf
     except (TypeError, ValueError):
         return False
 
@@ -144,9 +145,9 @@ def _load_sweep_spec(path):
     problems = [problem for ok, problem in (
         (axis in ("B", "E"), "axis must be 'B' or 'E'"),
         (isinstance(values, list) and values and all(map(_positive, values)),
-         "values must be a non-empty list of positive numbers"),
+         "values must be a non-empty list of finite positive numbers"),
         (isinstance(fixed, dict) and all(_positive(fixed[k]) for k in {"B", "E"} & set(fixed)),
-         "fixed must be an object whose B and E are positive numbers"),
+         "fixed must be an object whose B and E are finite positive numbers"),
         (isinstance(strategies, list) and all(s in STRATEGIES for s in strategies),
          f"strategies must be a subset of {STRATEGIES}"),
         (isinstance(metrics, list) and all(m in METRICS for m in metrics),

@@ -150,6 +150,7 @@ _GENERATOR_KEYS = {"c", "a", "g_min", "g_max"}
 _STORAGE_KEYS = {"capacity_E", "capital_cost_B", "rho", "x0", "duration_hours"}
 _CONFIG_KEYS = {"generators", "storages", "mode"}
 _MODE_KEYS = {"enforce_soc_bounds"}
+_NO_LIMIT = {"g_min": -np.inf, "g_max": np.inf}  # the only infinities a config may give
 
 
 def load_json(path):
@@ -172,9 +173,15 @@ def _entry_violations(where, entry, keys, required):
     nums = {}
     for key in sorted(keys & set(entry)):
         try:
-            nums[key] = float(entry[key])
+            x = float(entry[key])
         except (TypeError, ValueError):
             found.append(f"{where}: {key} must be a number")
+            continue
+        if np.isfinite(x) or _NO_LIMIT.get(key) == x:
+            nums[key] = x
+        else:
+            no_limit = f" or {_NO_LIMIT[key]}" if key in _NO_LIMIT else ""
+            found.append(f"{where}: {key} must be finite{no_limit}")
     for key in ("c", "capacity_E", "duration_hours"):
         if not nums.get(key, 1.0) > 0:
             found.append(f"{where}: {key} must be positive")

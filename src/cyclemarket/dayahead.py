@@ -41,6 +41,8 @@ class DayAheadBids:
         self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float)) \
             if np.size(self.beta) else np.zeros(0)
+        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.beta))):
+            raise InvalidInputError("day-ahead bid slopes must be finite")
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise InvalidInputError("bid slopes must be nonnegative")
         if self.alpha.sum() + self.beta.sum() <= 0:

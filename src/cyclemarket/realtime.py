@@ -6,14 +6,17 @@ their day-ahead position into the slope choice; the competitive equilibrium
 exists uniquely and is found either in closed form or by the best-response
 iteration the mechanism implies.  Its price coefficient may be negative (the
 price then runs opposite to residual demand), and the iteration reaches it
-there too.  Every price of the iteration lies on the residual-demand ray, so
-both read the same per-window inner products (``_unaware_terms``) and the
-loop runs on scalars; the half-cycle map check behind ``map_stable`` runs
-when the flag is first read.  In the second (``aware``) the bid itself
-subtracts the day-ahead commitment, g = alpha*price - g_da; the equilibrium
-slopes are constants and clearing is a single algebraic step.  The rolling case-study windows use
-``clear_constrained_aware``, which re-optimizes total dispatch subject to
-power limits and the SoC corridor without periodicity.
+there too.  Every price of the iteration lies on the residual-demand ray,
+price = d_r/xi, where each participant's first-order slope is affine in xi,
+slope_i = k_i - xi*m_i.  One table of (k_i, m_i) per window
+(``_unaware_table``) is the only place those conditions are evaluated: both
+solvers read its sums, the loop runs on scalars, and the final bids are
+k - xi*m.  The half-cycle map check behind ``map_stable`` runs when the flag
+is first read.  In the second (``aware``) the bid itself subtracts the
+day-ahead commitment, g = alpha*price - g_da; the equilibrium slopes are
+constants and clearing is a single algebraic step.  The rolling case-study
+windows use ``clear_constrained_aware``, which re-optimizes total dispatch
+subject to power limits and the SoC corridor without periodicity.
 """
 
 from dataclasses import dataclass, field
@@ -86,23 +89,47 @@ class RealTimeResult:
         return self._map_stable
 
 
-def _storage_da_quantities(params, da, d_r):
-    """Per-storage day-ahead map, prices, and the projections the slopes need."""
-    out = []
-    for s in range(params.n_storages):
+def _unaware_table(params, da, d_r):
+    """Each unaware participant's first-order slope on the residual-demand ray.
+
+    At price = d_r / xi participant i re-bids k_i - xi * m_i (generators
+    first): k_j = 1/c_j and m_j = <g_j, d_r>/||d_r||^2 for a generator, and
+    k_s = ||d_r||^2/(b_s D_s), m_s = <theta_s, N_s d_r>/(b_s D_s) with
+    D_s = ||N_s d_r||^2 for a storage unit.  Returns (k, m, K, B, numer):
+    the slopes sum to F(xi) = K - xi * B, and F(xi) = xi gives
+    omega = 1/xi = numer / K with numer = 1 + B, both summed term by term.
+    """
+    norm2 = float(d_r @ d_r)
+    if norm2 <= 0.0:
+        raise DegenerateDemandError("zero residual demand: proportional price undefined")
+    J = params.n_generators
+    k = np.empty(J + params.n_storages)
+    m = np.empty_like(k)
+    for j, gen in enumerate(params.generators):
+        k[j] = 1.0 / gen.c
+        m[j] = float(da.g[j] @ d_r) / norm2
+    for s, st in enumerate(params.storages):
         dec = da.maps[s]
         if dec.n_half_cycles == 0:
             raise DegeneratePriceError(
                 f"storage {s} has no day-ahead cycling; its real-time slope is unbounded"
             )
         Nd = dec.map @ d_r
-        if float(Nd @ Nd) <= 0.0:
+        D = float(Nd @ Nd)
+        if D <= 0.0:
             raise DegeneratePriceError(
                 f"residual demand produces no cycling through storage {s}'s day-ahead map"
             )
-        theta = np.asarray(da.cycle_prices[s], dtype=float)
-        out.append((dec, theta, Nd))
-    return out
+        k[J + s] = norm2 / (st.b * D)
+        m[J + s] = float(np.asarray(da.cycle_prices[s], dtype=float) @ Nd) / (st.b * D)
+    K = float(k[:J].sum())
+    for term in k[J:].tolist():
+        K += term
+    numer, B = 1.0, 0.0
+    for term in m.tolist():
+        numer += term
+        B += term
+    return k, m, K, B, numer
 
 
 def equilibrium_unaware(params: MarketParams, d_r, da):
@@ -123,73 +150,20 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     on the result, never silently accepted.
     """
     d_r = np.asarray(d_r, dtype=float)
-    norm2 = float(d_r @ d_r)
-    if norm2 <= 0.0:
-        raise DegenerateDemandError("zero residual demand: proportional price undefined")
-    storage_terms = _storage_da_quantities(params, da, d_r)
-    K, numer, _ = _unaware_terms(params, da, d_r, norm2, storage_terms)
+    k, m, K, _, numer = _unaware_table(params, da, d_r)
     omega = numer / K
-    price = omega * d_r
-
-    bids, result = _unaware_from_price(params, da, d_r, price, storage_terms)
-    result.price_coeff = omega
-    result.iterations = 0
-    return bids, result
+    return _unaware_result(params, da, d_r, k - m / omega, omega * d_r, omega)
 
 
-def _unaware_terms(params, da, d_r, norm2, storage_terms):
-    """The per-window scalars of the unaware first-order conditions.
-
-    At a price on the residual-demand ray, price = d_r / xi, the re-bid
-    slopes sum to the affine F(xi) = K - xi * B, and F(xi) = xi gives
-    omega = 1/xi = numer / K with numer = 1 + B.  Returns (K, numer, B);
-    numer and B add the same terms in the same order.
-    """
-    K = float(np.array([1.0 / gen.c for gen in params.generators]).sum())
-    numer = 1.0
-    B = 0.0
-    for j in range(params.n_generators):
-        term = float(da.g[j] @ d_r) / norm2
-        numer += term
-        B += term
-    for s, st in enumerate(params.storages):
-        _, theta, Nd = storage_terms[s]
-        D = float(Nd @ Nd)
-        K += norm2 / (st.b * D)
-        term = float(theta @ Nd) / (st.b * D)
-        numer += term
-        B += term
-    return K, numer, B
-
-
-def _unaware_slopes(params, da, price, storage_terms):
-    """Both bid first-order conditions evaluated at a clearing price."""
-    p2 = float(price @ price)
-    alpha_r = np.array([
-        1.0 / gen.c - float(da.g[j] @ price) / p2
-        for j, gen in enumerate(params.generators)
-    ])
-    beta_r = np.zeros(params.n_storages)
-    for s, st in enumerate(params.storages):
-        dec, theta, _ = storage_terms[s]
-        Np = dec.map @ price
-        denom = float(Np @ Np)
-        if denom <= 0.0:
-            raise DegeneratePriceError(
-                f"price vector produces no cycling through storage {s}'s day-ahead map"
-            )
-        beta_r[s] = (p2 - float(theta @ Np)) / (st.b * denom)
-    return alpha_r, beta_r
-
-
-def _unaware_from_price(params, da, d_r, price, storage_terms):
-    """Evaluate the bid first-order conditions at a price and clear."""
-    alpha_r, beta_r = _unaware_slopes(params, da, price, storage_terms)
-    g_r = np.outer(alpha_r, price)
-    u_r = np.outer(beta_r, price)
-    bids = RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="unaware")
+def _unaware_result(params, da, d_r, slopes, price, coeff):
+    """Bids ``slopes`` (generators, then storage) cleared at ``price``,
+    which is ``coeff * d_r``."""
+    J = params.n_generators
+    bids = RealTimeBids(alpha_r=slopes[:J], beta_r=slopes[J:], mode="unaware")
+    g_r = np.outer(bids.alpha_r, price)
+    u_r = np.outer(bids.beta_r, price)
     result = RealTimeResult(
-        g_r=g_r, u_r=u_r, price=price, price_coeff=None, iterations=0,
+        g_r=g_r, u_r=u_r, price=price, price_coeff=coeff, iterations=0,
         kkt_residual=float(np.max(np.abs(g_r.sum(axis=0) + u_r.sum(axis=0) - d_r)))
         / max(1.0, float(np.max(np.abs(d_r)))),
     )
@@ -207,22 +181,19 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     each participant then re-solves its slope first-order condition at that
     price.  Every price lies on the d_r ray, so the loop tracks the scalar
     aggregate slope xi, whose re-bid value F(xi) = K - xi * B is affine
-    in xi with coefficients computed once per window (``_unaware_terms``,
-    the inner products the closed form reads); an iteration is a few float
+    in xi with coefficients summed once per window from the slope table the
+    closed form reads (``_unaware_table``); an iteration is a few float
     operations, with no matrix product.  The first step probes 1 % from the
     start toward F; from then on secant steps solve F(xi) = xi, which is
     exact for an affine map, so the loop typically certifies convergence
     within a few rounds, also at a negative fixed point (price opposite to
     residual demand).  Only a zero or non-finite aggregate slope raises
     ``DivergenceError``.  The bids and result are evaluated once, at the
-    final price; the result's ``map_stable`` check runs when it is read.
+    final xi, as k - xi * m; the result's ``map_stable`` check runs when it is
+    read.
     """
     d_r = np.asarray(d_r, dtype=float)
-    norm2 = float(d_r @ d_r)
-    if norm2 <= 0.0:
-        raise DegenerateDemandError("zero residual demand: proportional price undefined")
-    storage_terms = _storage_da_quantities(params, da, d_r)
-    K, _, B = _unaware_terms(params, da, d_r, norm2, storage_terms)
+    k, m, K, B, _ = _unaware_table(params, da, d_r)
     d_max = float(np.max(np.abs(d_r)))
 
     if initial_bids is None:
@@ -249,9 +220,8 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
         # point reached by extrapolating across xi = 0 gets one more secant step
         if abs(F - xi) <= tol * max(1.0, xi) or (
                 trace and trace[-1] <= tol * max(1.0, d_max / abs(xi))):
-            bids, result = _unaware_from_price(params, da, d_r, d_r / xi, storage_terms)
+            bids, result = _unaware_result(params, da, d_r, k - xi * m, d_r / xi, inv)
             result.iterations = it
-            result.price_coeff = inv
             result.trace = trace
             return bids, result
         if prev_point is not None and abs(xi - prev_point[0]) > 0:

@@ -129,8 +129,14 @@ class TestRun:
         b'{"generators": [{"c": "\xff"}]}',
         b'[{"c": 20}]',
         b'{"generators": [{"c": 20}], "tolerances": {"tol": 1e-8}}',
+        b'{"generators": [{"c": 20, "a": NaN}]}',
+        b'{"generators": [{"c": 20, "g_min": NaN}]}',
+        b'{"generators": [{"c": Infinity}]}',
+        b'{"generators": [{"c": 20}], "storages": [{"capacity_E": Infinity}]}',
+        b'{"generators": [{"c": 20}],'
+        b' "storages": [{"capacity_E": 50, "capital_cost_B": Infinity}]}',
     ], ids=["non-numeric", "non-object-entry", "truncated", "not-utf8", "top-level-list",
-            "tolerances"])
+            "tolerances", "nan-a", "nan-g_min", "infinite-c", "infinite-E", "infinite-B"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, content):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(content)
@@ -219,8 +225,11 @@ class TestSweep:
         b'{"axis": "B", "values": [100], "strategies": [["mechanism"]]}',
         b'[{"axis": "B", "values": [100]}]',
         b'{"axis": "B", "values": [100]',
+        b'{"axis": "B", "values": [100, Infinity]}',
+        b'{"axis": "E", "values": [NaN]}',
+        b'{"axis": "B", "values": [100], "fixed": {"E": Infinity}}',
     ], ids=["non-numeric-value", "values-not-list", "non-numeric-fixed", "unhashable-strategy",
-            "top-level-list", "truncated"])
+            "top-level-list", "truncated", "infinite-value", "nan-value", "infinite-fixed"])
     def test_malformed_spec_exits_two(self, tmp_path, capsys, content):
         spec = tmp_path / "bad.json"
         spec.write_bytes(content)

@@ -158,6 +158,21 @@ class TestMarketConfig:
         ({"generators": [{"c": 1.0}], "mode": {"enforce_soc_bounds": "no"}},
          "mode: enforce_soc_bounds must be true or false"),
         ({"generators": [{"c": 1.0}], "mode": []}, "mode must be a JSON object"),
+        ({"generators": [{"c": 1.0, "a": float("nan")}]}, "generator 0: a must be finite"),
+        ({"generators": [{"c": 1.0, "g_min": float("nan")}]},
+         "generator 0: g_min must be finite or -inf"),
+        ({"generators": [{"c": 1.0, "g_max": -float("inf")}]},
+         "generator 0: g_max must be finite or inf"),
+        ({"generators": [{"c": float("inf")}]}, "generator 0: c must be finite"),
+        ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": float("inf")}]},
+         "storage 0: capacity_E must be finite"),
+        ({"generators": [{"c": 1.0}],
+          "storages": [{"capacity_E": 5.0, "capital_cost_B": float("inf")}]},
+         "storage 0: capital_cost_B must be finite"),
+        ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "rho": float("inf")}]},
+         "storage 0: rho must be finite"),
+        ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "x0": float("nan")}]},
+         "storage 0: x0 must be finite"),
     ])
     def test_malformed_entries_rejected(self, doc, violation):
         with pytest.raises(ConfigError) as err:

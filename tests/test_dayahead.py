@@ -38,6 +38,10 @@ class TestEquilibriumBids:
             DayAheadBids(alpha=[-1.0], beta=[])
         with pytest.raises(InvalidInputError):
             DayAheadBids(alpha=[0.0], beta=[0.0])
+        for alpha, beta in (([np.nan], [1.0]), ([1.0], [np.nan]), ([np.inf], [1.0]),
+                            ([1.0], [np.inf])):
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                DayAheadBids(alpha=alpha, beta=beta)
 
 
 class TestClearUniform:

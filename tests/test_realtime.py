@@ -50,6 +50,27 @@ def correlated_residual(rng, d_da, scale=0.25):
     return scale * np.abs(d_da) * rng.uniform(0.4, 1.2, d_da.size)
 
 
+def price_vector_slopes(params, da, price):
+    """Both bid first-order conditions evaluated directly on a price vector:
+    alpha_j = 1/c_j - <g_j, p>/||p||^2 and
+    beta_s = (||p||^2 - <theta_s, N_s p>) / (b_s ||N_s p||^2)."""
+    p2 = float(price @ price)
+    alpha = np.array([1.0 / gen.c - float(da.g[j] @ price) / p2
+                      for j, gen in enumerate(params.generators)])
+    beta = np.zeros(params.n_storages)
+    for s, st in enumerate(params.storages):
+        Np = da.maps[s].map @ price
+        beta[s] = (p2 - float(np.asarray(da.cycle_prices[s]) @ Np)) / (st.b * float(Np @ Np))
+    return alpha, beta
+
+
+def first_order_gaps(params, da, bids, res):
+    """How far each bid (generators, then storage) lies from the best
+    response at the result's own price."""
+    alpha, beta = price_vector_slopes(params, da, res.price)
+    return np.abs(np.concatenate([bids.alpha_r - alpha, bids.beta_r - beta]))
+
+
 def eager_map_stable(params, da, res):
     """The half-cycle map check, run directly on the result's adjustments."""
     return all(rainflow_map(da.u[s] + res.u_r[s], st.capacity_E, st.x0).signature()
@@ -158,12 +179,12 @@ class TestEquilibriumUnaware:
         calls = []
 
         def doubled(*args):
-            K, numer, B = unaware_terms(*args)
+            k, m, K, B, numer = unaware_table(*args)
             calls.append(None)
-            return 2.0 * K, numer, B
+            return k, m, 2.0 * K, B, numer
 
-        unaware_terms = realtime._unaware_terms
-        monkeypatch.setattr(realtime, "_unaware_terms", doubled)
+        unaware_table = realtime._unaware_table
+        monkeypatch.setattr(realtime, "_unaware_table", doubled)
         omega_eq = equilibrium_unaware(params, d_r, da)[1].price_coeff
         omega_br = best_response_unaware(params, d_r, da, tol=1e-12)[1].price_coeff
         assert len(calls) == 2
@@ -229,18 +250,13 @@ class TestBestResponseUnaware:
             best_response_unaware(params, correlated_residual(rng, d_da), da, initial_bids=init)
 
     def test_foc_residual_at_convergence(self):
+        # re-evaluating the best responses at the final price reproduces the bids
         rng = np.random.default_rng(6)
         params = make_market(rng)
         d_da, da = cleared_day_ahead(rng, params)
         d_r = correlated_residual(rng, d_da)
         bids, res = best_response_unaware(params, d_r, da, tol=1e-12)
-        # re-evaluating the best responses at the final price reproduces the bids
-        from cyclemarket.realtime import _storage_da_quantities, _unaware_from_price
-
-        terms = _storage_da_quantities(params, da, d_r)
-        bids2, _ = _unaware_from_price(params, da, d_r, res.price, terms)
-        assert np.max(np.abs(bids2.alpha_r - bids.alpha_r)) < 1e-9
-        assert np.max(np.abs(bids2.beta_r - bids.beta_r)) < 1e-9
+        assert np.max(first_order_gaps(params, da, bids, res)) < 1e-9
 
     def test_random_initializations_reach_same_point(self):
         rng = np.random.default_rng(7)
@@ -323,6 +339,9 @@ class TestUnawareFixedPointProperty:
         slopes_br = np.concatenate([b_br.alpha_r, b_br.beta_r])
         scale = max(1.0, float(np.max(np.abs(slopes_eq))))
         assert np.max(np.abs(slopes_br - slopes_eq)) <= 1e-9 * scale
+        # both bid sets solve the price-vector form of the first-order conditions
+        assert np.max(first_order_gaps(params, da, b_eq, r_eq)) <= 1e-9 * scale
+        assert np.max(first_order_gaps(params, da, b_br, r_br)) <= 1e-9 * scale
 
 
 class TestEquilibriumAware:
