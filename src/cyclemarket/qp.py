@@ -41,8 +41,18 @@ Hessian on the complement.  Each add and each drop updates all three, so an
 iteration solves only the directions the working rows leave free.  A working
 row that the equalities and the kept rows already imply parks outside the
 factorization until a drop frees it.
+
+A market solve runs that core on one active-set state (``_ActiveSet``).  Its
+first round forms what depends only on A, b, G and h (x_r, G x_r and the
+rows' right-hand sides) and factors its working rows; every later round
+starts at the last round's optimum from the rows that round kept, and
+rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient, the
+complement and its reduced Hessian).  The kink bisection starts once, and
+each probe solves from a copy of that start.  ``solve_qp`` runs the same
+core from a fresh state.
 """
 
+import copy
 import functools
 import math
 import weakref
@@ -57,7 +67,7 @@ __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "marke
 
 _KKT_TOL = 1e-8  # the certificate: the largest KKT residual a certified answer may carry
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
-_MAX_ITER = 2000  # active-set iterations per solve_qp call
+_MAX_ITER = 2000  # active-set iterations per solve (a solve_qp call or one round)
 _MAX_ROUNDS = 200  # alternation rounds per solve_market_qp start
 _STRUCTURES = 4  # constraint structures _structure keeps; a sweep point uses 3
 
@@ -71,39 +81,69 @@ class QPSolution:
 
 
 class _WorkingRows:
-    """The kept working rows of one ``solve_qp`` call, factored for its
-    iterations and updated per add and drop.
+    """The kept working rows of the solves over one G and h, factored for
+    their iterations, updated per add and drop, and carried from one solve
+    to the next.
 
     The kept rows' null-space parts satisfy ``GZ[kept] = L @ basis``, with
     ``basis`` orthonormal (Gram-Schmidt in the order the rows joined) and
     ``L`` lower triangular, and ``y`` solves ``L y = rhs[kept]``, so the
-    point ``basis' y`` meets every kept row exactly.  The rows of ``comp``
-    complete ``basis`` to an orthonormal basis of the null space, and ``M``
-    is the reduced Hessian ``comp Hz comp'`` on those free directions.  The
-    starting rows' complement comes from one QR.  After that, a row that
-    joins leaves the complement by one Householder reflection, in O(nz^2);
-    a drop refactors the rows after the dropped one by one QR of their
-    coefficients and hands the complement back the one direction that only
-    the dropped row pinned.  Every buffer is allocated once per call.
+    point ``basis' y`` meets every kept row exactly.  None of these depend
+    on the Hessian, so a solve starts from the rows the last one kept
+    (``carry``).  The rows of ``comp`` complete ``basis`` to an orthonormal
+    basis of the null space; ``carry`` builds them by one QR.  ``M`` is the
+    reduced Hessian ``comp Hz comp'`` of one solve's ``Hz`` on those free
+    directions (``reduce``).  During the solve a row that joins leaves the
+    complement by one Householder reflection, in O(nz^2); a drop refactors
+    the rows after the dropped one by one QR of their coefficients and
+    hands the complement back the one direction that only the dropped row
+    pinned.  Every buffer is allocated once, when the rows are first made.
     """
 
-    def __init__(self, GZ, rhs, Hz, grad, thresholds, rows):
+    def __init__(self, GZ, rhs, thresholds):
         nz = GZ.shape[1]
-        self.GZ, self.rhs, self.Hz, self.grad, self.thresholds = GZ, rhs, Hz, grad, thresholds
-        self.k = 0
+        self.GZ, self.rhs, self.thresholds = GZ, rhs, thresholds
+        self.k = self.r = 0  # kept rows, free directions
         self.kept = np.empty(nz, np.intp)
         self.basis = np.empty((nz, nz))
         self.L = np.zeros((nz, nz))
         self.y = np.empty(nz)
-        for i in rows:
-            self._join(i)
-        self.r = nz - self.k  # free directions
         self.comp = np.empty((nz, nz))
         self.M = np.empty((nz, nz))
+
+    def carry(self, working):
+        """Factor the rows of the boolean mask ``working`` over G.
+
+        The kept rows stay, in their order, up to the first that is not in
+        ``working``; the other working rows then join in index order, each
+        parking if the basis already implies it.  One QR of the basis
+        builds the complement.
+        """
+        still = working[self.kept[:self.k]]
+        if not still.all():
+            self.k = int(np.argmin(still))
+        joining = working.copy()
+        joining[self.kept[:self.k]] = False
+        for i in np.flatnonzero(joining):
+            self._join(i)
+        self.r = self.GZ.shape[1] - self.k
         if self.r:
-            U = np.linalg.qr(self.basis[:self.k].T, mode="complete")[0][:, self.k:].T
-            self.comp[:self.r] = U
-            self.M[:self.r, :self.r] = U @ Hz @ U.T
+            Q = np.linalg.qr(self.basis[:self.k].T, mode="complete")[0]
+            self.comp[:self.r] = Q[:, self.k:].T
+
+    def reduce(self, Hz, grad):
+        """Take one solve's reduced Hessian ``Hz`` and gradient ``grad``:
+        ``M`` becomes ``comp Hz comp'``."""
+        self.Hz, self.grad = Hz, grad
+        U = self.comp[:self.r]
+        self.M[:self.r, :self.r] = U @ Hz @ U.T
+
+    def copy(self):
+        """A copy whose updates leave this factorization as it is."""
+        other = copy.copy(self)
+        for name in ("kept", "basis", "L", "y", "comp", "M"):
+            setattr(other, name, getattr(self, name).copy())
+        return other
 
     def add(self, i):
         """Append row ``i`` of G if its part ``GZ[i]`` orthogonal to the
@@ -220,6 +260,106 @@ class _NullSpace:
 _VIEWS = weakref.WeakValueDictionary()
 
 
+class _ActiveSet:
+    """The state of the active-set solves over one A, b, G and h.
+
+    What depends on them alone is formed once: the null-space view, the
+    minimum-norm solution x_r of the equalities, G x_r and the rows'
+    right-hand sides h - G x_r.  ``start`` takes a feasible point and
+    carries the working rows there from wherever the last solve left them
+    (``_WorkingRows.carry``), so a solve that starts where the last one
+    ended rebuilds only what depends on its Hessian: Z'HZ, the reduced
+    gradient and M.  ``fork`` copies a started state, so that solves with
+    different Hessians can run from one start.
+    """
+
+    def __init__(self, A, b, G, h):
+        self.A, self.b, self.G, self.h = A, b, G, h
+        # a cached structure's matrices bring their view, others are reduced here
+        self.view = _VIEWS.get((id(A), id(G))) or _NullSpace(A, G)
+        if self.view.independent:
+            self.x_r = self.view.A_plus @ b
+            self.Gx_r = G @ self.x_r
+            self.rows = _WorkingRows(self.view.GZ, h - self.Gx_r, self.view.thresholds)
+
+    def start(self, x):
+        """Start at ``x``: the rows active there become the working set."""
+        A, b, G, h = self.A, self.b, self.G, self.h
+        if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
+            raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
+        Gx = G @ x
+        slack = h - Gx
+        if slack.size and slack.min() < -_START_TOL:
+            raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
+        if not self.view.independent:
+            raise SolverFailureError("solve_qp requires linearly independent equality rows",
+                                     best_iterate=x)
+        self.x, self.Gx = x, Gx
+        self.working = slack <= 1e-10 * np.maximum(1.0, np.abs(h))
+        self.rows.carry(self.working)
+
+    def fork(self):
+        """A copy of the started state whose solve leaves this one as it is."""
+        other = copy.copy(self)
+        other.working, other.rows = self.working.copy(), self.rows.copy()
+        return other
+
+    def solve(self, H, q):
+        """Minimize 0.5 x'Hx + q'x from the start (see ``solve_qp``); the
+        working rows end where the solve does."""
+        Z, A_plus, GZ = self.view.Z, self.view.A_plus, self.view.GZ
+        G, h, x_r, Gx_r = self.G, self.h, self.x_r, self.Gx_r
+        x, Gx, working, rows = self.x, self.Gx, self.working, self.rows
+        rows.reduce(Z.T @ H @ Z, Z.T @ (H @ x_r + q))
+        for it in range(_MAX_ITER):
+            try:
+                w = rows.point()
+            except np.linalg.LinAlgError:
+                raise SolverFailureError("active-set QP met a singular KKT system",
+                                         best_iterate=x) from None
+            kept = rows.kept[:rows.k]
+            p = x_r + Z @ w - x
+            step_scale = max(1.0, float(np.max(np.abs(x))))
+            if np.max(np.abs(p)) <= 1e-12 * step_scale:
+                mu_w = rows.multipliers(w)
+                if mu_w.size == 0 or mu_w.min() >= -1e-11 * max(1.0, np.abs(mu_w).max()):
+                    mu = np.zeros(G.shape[0])
+                    mu[kept] = np.maximum(mu_w, 0.0)
+                    y = -A_plus.T @ (H @ x + q + G[kept].T @ mu_w)
+                    return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
+                j = int(np.argmin(mu_w))
+                working[kept[j]] = False
+                # the kept rows after j stay independent without it; a parked
+                # row that only row j made dependent rejoins here
+                parked = working.copy()
+                parked[kept] = False
+                rows.drop(j, np.flatnonzero(parked))
+                continue
+            # step toward the EQP optimum, blocked by the nearest inactive row;
+            # ratios within 1e-9 of a full step saturate to one (the leftover
+            # violation is far inside feasibility tolerance and re-adding the
+            # row at a degenerate vertex would cycle); G x moves along with x,
+            # so the test multiplies GZ's nz columns rather than G's n
+            alpha = 1.0
+            Gp = Gx_r + GZ @ w - Gx
+            inactive = np.flatnonzero(~working)
+            if inactive.size:
+                gp = Gp[inactive]
+                slack = (h - Gx)[inactive]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratios = np.where(gp > 1e-13 * step_scale, slack / gp, np.inf)
+                best_ratio = float(np.min(ratios))
+                if best_ratio < 1.0 - 1e-9:
+                    near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
+                    alpha = max(best_ratio, 0.0)
+                    i = inactive[near[np.argmax(gp[near])]]
+                    working[i] = True
+                    rows.add(i)
+            x = x + alpha * p
+            Gx = Gx + alpha * Gp
+        raise SolverFailureError("active-set QP exceeded its iteration cap", best_iterate=x)
+
+
 def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     """Minimize 0.5 x'Hx + q'x subject to Ax = b and Gx <= h.
 
@@ -228,9 +368,11 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     optimum with equality duals ``y`` (stationarity Hx + q + A'y + G'mu = 0)
     and nonnegative inequality duals ``mu``.
 
-    A primal active-set method in the null space of the equalities.  One QR
-    of A' gives an orthonormal basis Z of that null space and the
-    minimum-norm solution x_r of Ax = b; every iterate is the point x_r + Z w.
+    A primal active-set method in the null space of the equalities, run
+    from a fresh ``_ActiveSet`` (a market solve runs it on one state for
+    all its rounds).  One QR of A' gives an orthonormal basis Z of that
+    null space and the minimum-norm solution x_r of Ax = b; every iterate
+    is the point x_r + Z w.
     The equalities are eliminated once per constraint structure: A and G
     that ``_structure`` built (read-only, keyed by participant counts,
     horizon, periodicity, SoC corridor and which limits are finite) bring
@@ -267,75 +409,9 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     G = np.zeros((0, n)) if G is None else np.asarray(G, float)
     h = np.zeros(0) if h is None else np.asarray(h, float)
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
-
-    if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
-        raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
-    Gx = G @ x
-    slack0 = h - Gx
-    if slack0.size and slack0.min() < -_START_TOL:
-        raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
-
-    # every iterate solves for x_r + Z w, with x_r the minimum-norm solution
-    # of the equalities, so the reduced gradient at x_r and G x_r never
-    # change; a cached structure's matrices bring their view, others are
-    # reduced here
-    view = _VIEWS.get((id(A), id(G))) or _NullSpace(A, G)
-    if not view.independent:
-        raise SolverFailureError("solve_qp requires linearly independent equality rows",
-                                 best_iterate=x)
-    Z, A_plus, GZ = view.Z, view.A_plus, view.GZ
-    x_r = A_plus @ b
-    Hz, Gx_r = Z.T @ H @ Z, G @ x_r
-    working = slack0 <= 1e-10 * np.maximum(1.0, np.abs(h))
-    rows = _WorkingRows(GZ, h - Gx_r, Hz, Z.T @ (H @ x_r + q), view.thresholds,
-                        np.flatnonzero(working))
-    for it in range(_MAX_ITER):
-        try:
-            w = rows.point()
-        except np.linalg.LinAlgError:
-            raise SolverFailureError("active-set QP met a singular KKT system",
-                                     best_iterate=x) from None
-        kept = rows.kept[:rows.k]
-        p = x_r + Z @ w - x
-        step_scale = max(1.0, float(np.max(np.abs(x))))
-        if np.max(np.abs(p)) <= 1e-12 * step_scale:
-            mu_w = rows.multipliers(w)
-            if mu_w.size == 0 or mu_w.min() >= -1e-11 * max(1.0, np.abs(mu_w).max()):
-                mu = np.zeros(G.shape[0])
-                mu[kept] = np.maximum(mu_w, 0.0)
-                y = -A_plus.T @ (H @ x + q + G[kept].T @ mu_w)
-                return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
-            j = int(np.argmin(mu_w))
-            working[kept[j]] = False
-            # the kept rows after j stay independent without it; a parked row
-            # that only row j made dependent rejoins here
-            parked = working.copy()
-            parked[kept] = False
-            rows.drop(j, np.flatnonzero(parked))
-            continue
-        # step toward the EQP optimum, blocked by the nearest inactive row;
-        # ratios within 1e-9 of a full step saturate to one (the leftover
-        # violation is far inside feasibility tolerance and re-adding the row
-        # at a degenerate vertex would cycle); G x moves along with x, so the
-        # test multiplies GZ's nz columns rather than G's n
-        alpha = 1.0
-        Gp = Gx_r + GZ @ w - Gx
-        inactive = np.flatnonzero(~working)
-        if inactive.size:
-            gp = Gp[inactive]
-            slack = (h - Gx)[inactive]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(gp > 1e-13 * step_scale, slack / gp, np.inf)
-            best_ratio = float(np.min(ratios))
-            if best_ratio < 1.0 - 1e-9:
-                near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
-                alpha = max(best_ratio, 0.0)
-                i = inactive[near[np.argmax(gp[near])]]
-                working[i] = True
-                rows.add(i)
-        x = x + alpha * p
-        Gx = Gx + alpha * Gp
-    raise SolverFailureError("active-set QP exceeded its iteration cap", best_iterate=x)
+    state = _ActiveSet(A, b, G, h)
+    state.start(x)
+    return state.solve(H, q)
 
 
 @dataclass
@@ -645,31 +721,48 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
 
 
 def _evaluate(prob, sol, iterations, pieces=None):
-    """One fixed-map QP solution with its true-problem diagnostics."""
+    """One fixed-map QP solution with its maps and true objective.  Its
+    ``kkt_residual`` stays NaN until ``_certify`` computes it, which only a
+    result that may be returned needs."""
     g, u = prob.split(sol.x)
     maps = prob.maps(u)
     price = -sol.eq_duals[: prob.T]
     per_duals = sol.eq_duals[prob.T:] if prob.periodic else np.zeros(prob.S)
-    resid = market_kkt_residual(prob, g, u, price, per_duals, maps, sol.ineq_duals, pieces)
     return MarketQPResult(g=g, u=u, price=price, periodicity_duals=per_duals, maps=maps,
-                          objective=prob.objective(g, u, maps), kkt_residual=resid,
+                          objective=prob.objective(g, u, maps), kkt_residual=math.nan,
                           iterations=iterations,
                           stationarity_pieces=pieces or [[(1.0, m.map)] for m in maps])
 
 
-def _kink_bisection(prob, x, maps_a, maps_b, iterations):
+def _certify(prob, res, mu):
+    """Whether ``res`` meets the certificate; its ``kkt_residual`` is
+    computed the first time, from the QP's inequality duals ``mu``."""
+    if math.isnan(res.kkt_residual):
+        res.kkt_residual = market_kkt_residual(prob, res.g, res.u, res.price,
+                                               res.periodicity_duals, res.maps, mu,
+                                               res.stationarity_pieces)
+    return certified(res.kkt_residual)
+
+
+def _kink_bisection(prob, state, x, maps_a, maps_b, iterations):
     """Resolve a two-map assignment cycle by bisecting the subgradient weight.
 
     At a kink-seated optimum the stationarity holds with a convex combination
     of the two adjacent pieces' curvatures.  Solving the blended QP and
     bisecting the weight to the region boundary lands on that point exactly.
     ``x`` is the optimum under ``maps_a`` alone (weight 1), whose own maps are
-    ``maps_b``; the result reports ``iterations``.
+    ``maps_b``.  ``state`` starts at ``x`` once, and each probe solves from
+    a fork of it, since only the Hessian depends on the weight.  Returns
+    the (result, QP solution) pair, or None where both endpoints lie in
+    one region; the result counts ``iterations`` plus every probe's.
     """
+    state.start(x)
+    probe_iterations = 0
 
     def solve_at(gamma):
-        H, q = prob.hessian(maps_a, maps_b, gamma)
-        sol = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
+        nonlocal probe_iterations
+        sol = state.fork().solve(*prob.hessian(maps_a, maps_b, gamma))
+        probe_iterations += sol.iterations
         sig = tuple(m.signature() for m in prob.maps(prob.split(sol.x)[1]))
         return sol, sig
 
@@ -689,7 +782,7 @@ def _kink_bisection(prob, x, maps_a, maps_b, iterations):
             break
     gamma = 0.5 * (lo + hi)
     pieces = [[(gamma, maps_a[s].map), (1.0 - gamma, maps_b[s].map)] for s in range(prob.S)]
-    return _evaluate(prob, sol, iterations, pieces)
+    return _evaluate(prob, sol, iterations + probe_iterations, pieces), sol
 
 
 def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
@@ -731,37 +824,42 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
 
 
 def _alternate(prob, x):
-    """Alternate fixed-map QP solves from the feasible point ``x``."""
+    """Alternate fixed-map QP solves from the feasible point ``x``, every
+    round starting from the active-set state the last one ended in."""
+    state = _ActiveSet(prob.A, prob.b, prob.G, prob.h)
     maps = prob.maps(prob.split(x)[1])
     sig = tuple(m.signature() for m in maps)
     seen = set()
-    best = None
+    best = None  # the (result, QP solution) of least objective, for the failure
     total_iters = 0
     for _ in range(_MAX_ROUNDS):
-        H, q = prob.hessian(maps)
-        sol = solve_qp(H, q, prob.A, prob.b, prob.G, prob.h, x)
+        state.start(x)
+        sol = state.solve(*prob.hessian(maps))
         total_iters += sol.iterations
         x = sol.x
         res = _evaluate(prob, sol, total_iters)
-        if best is None or res.objective < best.objective:
-            best = res
+        if best is None or res.objective < best[0].objective:
+            best = res, sol
         res_sig = tuple(m.signature() for m in res.maps)
         if res_sig == sig:
-            if certified(res.kkt_residual):
+            if _certify(prob, res, sol.ineq_duals):
                 return res
             break  # assignment is stable but the residual is stuck
         if res_sig in seen:
             # assignment cycling: the optimum sits on a two-piece kink
-            kink = _kink_bisection(prob, x, maps, res.maps, total_iters)
-            if kink is not None and certified(kink.kkt_residual):
-                return kink
-            if kink is not None and kink.objective < best.objective:
-                best = kink
+            kink = _kink_bisection(prob, state, x, maps, res.maps, total_iters)
+            if kink is not None:
+                if _certify(prob, kink[0], kink[1].ineq_duals):
+                    return kink[0]
+                if kink[0].objective < best[0].objective:
+                    best = kink
             break
         seen.update((sig, res_sig))
         maps, sig = res.maps, res_sig
 
+    res, sol = best
+    _certify(prob, res, sol.ineq_duals)
     raise SolverFailureError(
         "dispatch solve did not reach tolerance within its alternation rounds",
-        best_iterate=(best.g, best.u), residual=best.kkt_residual,
+        best_iterate=(res.g, res.u), residual=res.kkt_residual,
     )

@@ -252,9 +252,9 @@ class TestUpdatedFactorization:
 def _kept_rows(A, G, working):
     A, G = np.asarray(A, float), np.asarray(G, float)
     Z = np.linalg.qr(A.T, mode="complete")[0][:, A.shape[0]:]
-    nz, rows = Z.shape[1], G.shape[0]
-    factored = qp._WorkingRows(G @ Z, np.zeros(rows), np.eye(nz), np.zeros(nz),
-                               1e-9 * np.linalg.norm(G, axis=1), np.asarray(working))
+    rows = G.shape[0]
+    factored = qp._WorkingRows(G @ Z, np.zeros(rows), 1e-9 * np.linalg.norm(G, axis=1))
+    factored.carry(np.isin(np.arange(rows), working))
     return factored.kept[:factored.k].tolist()
 
 
@@ -286,6 +286,18 @@ class TestWorkingRowDependence:
         assert prob.G[8] == pytest.approx(prob.G[4])
         assert _kept_rows(prob.A, prob.G, [4, 8]) == [4]
         assert _kept_rows(prob.A, prob.G, [8, 10]) == [8, 10]
+
+    def test_carried_rows_stop_at_the_first_that_left(self):
+        # rows e0, e1, e2 and e0 + e1, which parks while e0 and e1 are kept
+        G = np.vstack([np.eye(3), [[1.0, 1.0, 0.0]]])
+        rows = qp._WorkingRows(G, np.arange(4.0), np.full(4, 1e-9))
+        rows.carry(np.array([True, True, False, True]))
+        assert rows.kept[:rows.k].tolist() == [0, 1]
+        # e1 leaves: e0 stays, then e2 and e0 + e1 join in index order
+        rows.carry(np.array([True, False, True, True]))
+        assert rows.kept[:rows.k].tolist() == [0, 2, 3]
+        rows.reduce(np.eye(3), np.zeros(3))
+        assert max(_state_errors(rows)) <= 1e-15
 
     def test_more_working_rows_than_variables(self):
         A = [[1.0, 1.0]]
@@ -352,8 +364,9 @@ class TestMarketQP:
         # not the round budget
         monkeypatch.setattr(qp, "_KKT_TOL", 0.0)
         calls = []
-        inner = qp.solve_qp
-        monkeypatch.setattr(qp, "solve_qp", lambda *a, **k: calls.append(1) or inner(*a, **k))
+        inner = qp._ActiveSet.solve
+        monkeypatch.setattr(qp._ActiveSet, "solve",
+                            lambda *a, **k: calls.append(1) or inner(*a, **k))
         with pytest.raises(SolverFailureError) as err:
             solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
                             x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
@@ -652,10 +665,10 @@ class TestStructureCache:
         qp._structure.cache_clear()
         cleared = solve_market_qp(**template)
         warm = solve_market_qp(**template)
-        # writeable copies of A and G are reduced on every call
-        inner = qp.solve_qp
-        monkeypatch.setattr(qp, "solve_qp", lambda H, q, A, b, G, h, x0: inner(
-            H, q, np.array(A), b, np.array(G), h, x0))
+        # writeable copies of A and G are reduced by every active-set state
+        inner = qp._ActiveSet.__init__
+        monkeypatch.setattr(qp._ActiveSet, "__init__", lambda state, A, b, G, h: inner(
+            state, np.array(A), b, np.array(G), h))
         per_call = solve_market_qp(**template)
         for res in (warm, per_call):
             for name in ("g", "u", "price", "iterations", "kkt_residual"):
@@ -688,3 +701,156 @@ class TestStructureCache:
         second = solve_qp(np.eye(2), np.array([-2.0, -2.0]), None, None, G, h, np.zeros(2))
         assert first.x == pytest.approx([1.0, 2.0])
         assert second.x == pytest.approx([2.0, 1.0])
+
+
+def _state_errors(rows):
+    """Relative errors of a ``_WorkingRows``' invariants: ``GZ[kept] = L basis``,
+    ``basis`` orthonormal, ``L y = rhs[kept]``, the complement orthonormal and
+    orthogonal to ``basis``, and ``M = comp Hz comp'``."""
+    k, r = rows.k, rows.r
+    kept, B, U, L = rows.kept[:k], rows.basis[:k], rows.comp[:r], rows.L[:k, :k]
+
+    def rel(got, want):
+        scale = max(1.0, np.max(np.abs(want), initial=0.0))
+        return np.max(np.abs(got - want), initial=0.0) / scale
+
+    return [rel(L @ B, rows.GZ[kept]), rel(B @ B.T, np.eye(k)), rel(L @ rows.y[:k], rows.rhs[kept]),
+            rel(U @ U.T, np.eye(r)), rel(U @ B.T, np.zeros((r, k))),
+            rel(rows.M[:r, :r], U @ rows.Hz @ U.T)]
+
+
+def _two_wave_demand(T, a, p, b, q):
+    """60 MW plus a sine of amplitude a and period p hours and a cosine of
+    amplitude b and period q hours, over T hours, rounded to the kW."""
+    t = np.arange(T)
+    return np.round(60 + a * np.sin(2 * np.pi * t / p) + b * np.cos(2 * np.pi * t / q), 3)
+
+
+class TestCarriedState:
+    """Every round of a market solve starts from the active-set state the
+    last round ended in; each kink probe from a copy of one start."""
+
+    # a real-time window and a periodic day-ahead market: capped generators,
+    # binding rate limits and the SoC corridor; 3 and 6 rounds from a cold start
+    TEMPLATES = [
+        dict(alphas=[0.05, 0.1], a_lin=[0.0, 5.0], betas=[0.5], capacities=[60.0], x0s=[0.5],
+             demand=_two_wave_demand(24, 15.0, 6, 16.0, 5), g_lo=0.0, g_hi=[45.0, 60.0],
+             u_lo=-5.0, u_hi=5.0, periodic=False, soc_bounds=True),
+        dict(alphas=[0.05, 0.1], a_lin=[0.0, 5.0], betas=[0.5], capacities=[40.0], x0s=[0.5],
+             demand=_two_wave_demand(48, 21.0, 4, 12.0, 6), g_lo=0.0, g_hi=[55.0, np.inf],
+             u_lo=-8.0, u_hi=8.0, periodic=True, soc_bounds=True),
+    ]
+    # two storage units whose alternation cycles between two maps; the
+    # probes add and drop rows on their way from the cycling point
+    KINK = dict(alphas=[0.28], a_lin=[0.0], betas=[2.9, 1.4], capacities=[2.0, 4.0],
+                x0s=[0.5, 0.5], demand=np.array([2.0, 1.5, 3.9, 2.5, 4.4]), g_lo=0.0,
+                g_hi=np.inf, u_lo=-1.0, u_hi=1.0, periodic=False, soc_bounds=True)
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_state_meets_its_invariants_every_round(self, template, monkeypatch):
+        worst, rounds = [], []
+        reduce, solve = qp._WorkingRows.reduce, qp._ActiveSet.solve
+
+        def audited_reduce(rows, Hz, grad):
+            reduce(rows, Hz, grad)
+            worst.append(max(_state_errors(rows)))
+
+        def audited_solve(state, H, q):
+            sol = solve(state, H, q)
+            rounds.append(state.rows.k)
+            worst.append(max(_state_errors(state.rows)))
+            return sol
+
+        monkeypatch.setattr(qp._WorkingRows, "reduce", audited_reduce)
+        monkeypatch.setattr(qp._ActiveSet, "solve", audited_solve)
+        assert solve_market_qp(**template).kkt_residual <= 1e-8
+        assert len(rounds) >= 3 and min(rounds) > 0
+        assert max(worst) <= 1e-12
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_later_rounds_never_join_a_carried_row(self, template, monkeypatch):
+        joined, carried = [], []
+        carry, join = qp._WorkingRows.carry, qp._WorkingRows._join
+
+        def counted_carry(rows, working):
+            carried.append(set(rows.kept[:rows.k].tolist()))
+            joined.append([])
+            carry(rows, working)
+            carried[-1] = (carried[-1], set(rows.kept[:rows.k].tolist()))
+
+        def counted_join(rows, i):
+            if joined:
+                joined[-1].append(int(i))
+            return join(rows, i)
+
+        monkeypatch.setattr(qp._WorkingRows, "carry", counted_carry)
+        monkeypatch.setattr(qp._WorkingRows, "_join", counted_join)
+        solve_market_qp(**template)
+        assert len(carried) >= 3
+        # the first round factors its rows from nothing; every later round
+        # keeps the rows the last one kept and joins none of them again
+        assert carried[0][0] == set() and len(joined[0]) >= len(carried[0][1]) > 0
+        for (before, after), rows in zip(carried[1:], joined[1:]):
+            assert before and before <= after
+            assert not before.intersection(rows)
+
+    @pytest.mark.parametrize("template", TEMPLATES)
+    def test_carried_and_fresh_rounds_agree(self, template, monkeypatch):
+        carried = solve_market_qp(**template)
+        start = qp._ActiveSet.start
+
+        def fresh_start(state, x):
+            state.rows = qp._WorkingRows(state.view.GZ, state.h - state.Gx_r, state.view.thresholds)
+            start(state, x)
+
+        monkeypatch.setattr(qp._ActiveSet, "start", fresh_start)
+        fresh = solve_market_qp(**template)
+        for name in ("g", "u", "price", "periodicity_duals"):
+            assert _close(getattr(carried, name), getattr(fresh, name))
+        assert fresh.kkt_residual <= 1e-8 and carried.kkt_residual <= 1e-8
+
+    def test_kink_result_counts_its_probes(self, monkeypatch):
+        counts = []
+        solve = qp._ActiveSet.solve
+
+        def counted(state, H, q):
+            sol = solve(state, H, q)
+            counts.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(qp._ActiveSet, "solve", counted)
+        res = solve_market_qp(**self.KINK)
+        assert all(len(pieces) == 2 for pieces in res.stationarity_pieces)
+        assert res.kkt_residual <= 1e-8
+        assert len(counts) > 40  # the alternation rounds and the bisection's probes
+        assert sum(counts) == res.iterations
+
+    def test_probes_leave_the_shared_start_unchanged(self, monkeypatch):
+        seen = {}
+        bisect = qp._kink_bisection
+
+        def watched(prob, state, x, maps_a, maps_b, iterations):
+            state.start(x)
+            rows = state.rows
+            seen["start"] = [arr.copy() for arr in (state.working, rows.kept, rows.basis, rows.L,
+                                                    rows.y, rows.comp)]
+
+            def probe(gamma):
+                return state.fork().solve(*prob.hessian(maps_a, maps_b, gamma))
+
+            seen["alone"] = probe(0.3)
+            kink = bisect(prob, state, x, maps_a, maps_b, iterations)
+            seen["after"] = [probe(0.7), probe(0.3), probe(0.3)]
+            seen["end"] = [state.working, rows.kept, rows.basis, rows.L, rows.y, rows.comp]
+            return kink
+
+        monkeypatch.setattr(qp, "_kink_bisection", watched)
+        res = solve_market_qp(**self.KINK)
+        assert len(res.stationarity_pieces[0]) == 2
+        for before, after in zip(seen["start"], seen["end"]):
+            assert np.array_equal(before, after)
+        alone, (other, first, second) = seen["alone"], seen["after"]
+        assert not np.array_equal(other.x, alone.x)
+        for sol in (first, second):
+            for name in ("x", "eq_duals", "ineq_duals", "iterations"):
+                assert np.array_equal(getattr(sol, name), getattr(alone, name))
