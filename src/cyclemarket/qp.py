@@ -40,12 +40,17 @@ coefficients, an orthonormal complement of that basis, and the reduced
 Hessian on the complement.  Each add and each drop updates all three, so an
 iteration solves only the directions the working rows leave free.  A working
 row that the equalities and the kept rows already imply parks outside the
-factorization until a drop frees it.
+factorization until a drop frees it.  The ratio test needs G p for each step
+p; every row of the template's G reads one variable or one storage unit's
+prefix sum, with a sign, so the view computes G p as a signed gather from p
+extended by the per-unit cumulative sums of its storage block.  The test
+divides only on the rows that the step moves toward their limits.
 
 A market solve runs that core on one active-set state (``_ActiveSet``).  Its
 first round forms what depends only on A, b, G and h (x_r, G x_r and the
 rows' right-hand sides) and factors its working rows; every later round
-starts at the last round's optimum from the rows that round kept, and
+starts at the last round's optimum from the rows that round kept, tests
+none of the rows that parked there again unless a kept row left, and
 rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient, the
 complement and its reduced Hessian).  The kink bisection starts once, and
 each probe solves from a copy of that start.  ``solve_qp`` runs the same
@@ -105,6 +110,7 @@ class _WorkingRows:
         self.GZ, self.rhs, self.thresholds = GZ, rhs, thresholds
         self.k = self.r = 0  # kept rows, free directions
         self.kept = np.empty(nz, np.intp)
+        self.parked = np.zeros(GZ.shape[0], bool)  # the working rows not kept
         self.basis = np.empty((nz, nz))
         self.L = np.zeros((nz, nz))
         self.y = np.empty(nz)
@@ -116,13 +122,17 @@ class _WorkingRows:
 
         The kept rows stay, in their order, up to the first that is not in
         ``working``; the other working rows then join in index order, each
-        parking if the basis already implies it.  One QR of the basis
-        builds the complement.
+        parking if the basis already implies it.  A row that parked in the
+        last solve and is still working is not tested again unless a kept
+        row was cut, since the same basis still implies it.  One QR of the
+        basis builds the complement.
         """
         still = working[self.kept[:self.k]]
         if not still.all():
             self.k = int(np.argmin(still))
-        joining = working.copy()
+            self.parked[:] = False
+        self.parked &= working
+        joining = working & ~self.parked
         joining[self.kept[:self.k]] = False
         for i in np.flatnonzero(joining):
             self._join(i)
@@ -141,7 +151,7 @@ class _WorkingRows:
     def copy(self):
         """A copy whose updates leave this factorization as it is."""
         other = copy.copy(self)
-        for name in ("kept", "basis", "L", "y", "comp", "M"):
+        for name in ("kept", "parked", "basis", "L", "y", "comp", "M"):
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -181,7 +191,9 @@ class _WorkingRows:
         c2 = B @ v
         v -= c2 @ B
         norm = math.sqrt(v @ v)
-        if norm <= self.thresholds[i]:
+        parks = norm <= self.thresholds[i]
+        self.parked[i] = parks
+        if parks:
             return False
         c += c2
         self.basis[k] = v / norm
@@ -243,16 +255,31 @@ class _NullSpace:
     and ``thresholds`` 1e-9 ||G_i||, at or below which a working row's part
     orthogonal to the kept rows parks.  ``independent`` is False where A has
     more rows than columns or dependent rows; the rest is then not formed.
+
+    A view that ``_structure`` built also knows how its rows read x: row i
+    of G is ``sign[i]`` times entry ``pick[i]`` of x followed by the
+    cumulative sums of the ``prefix`` = (S, T) storage blocks that end x.
+    ``product`` gathers G p from them; any other view multiplies by G.
     """
 
-    def __init__(self, A, G):
+    def __init__(self, A, G, pick=None, sign=None, prefix=None):
         m, n = A.shape
         self.A, self.G = A, G
+        self.pick, self.sign, self.prefix = pick, sign, prefix
         Q, R = np.linalg.qr(A.T, mode="complete")
         self.independent = not (m > n or (m and np.abs(np.diagonal(R)).min() <= 1e-12))
         if self.independent:
             self.Z, self.A_plus = Q[:, m:], np.linalg.solve(R[:m], Q[:, :m].T).T
             self.GZ, self.thresholds = G @ self.Z, 1e-9 * np.linalg.norm(G, axis=1)
+
+    def product(self, p):
+        """G p, gathered through ``pick`` and ``sign`` where the view has
+        them."""
+        if self.pick is None:
+            return self.G @ p
+        S, T = self.prefix
+        sums = np.cumsum(p[p.size - S * T:].reshape(S, T), axis=1)
+        return self.sign * np.concatenate([p, sums.ravel()])[self.pick]
 
 
 # (id(A), id(G)) -> the _NullSpace of a structure that _structure built; a
@@ -307,8 +334,8 @@ class _ActiveSet:
     def solve(self, H, q):
         """Minimize 0.5 x'Hx + q'x from the start (see ``solve_qp``); the
         working rows end where the solve does."""
-        Z, A_plus, GZ = self.view.Z, self.view.A_plus, self.view.GZ
-        G, h, x_r, Gx_r = self.G, self.h, self.x_r, self.Gx_r
+        view, Z, A_plus = self.view, self.view.Z, self.view.A_plus
+        G, h, x_r = self.G, self.h, self.x_r
         x, Gx, working, rows = self.x, self.Gx, self.working, self.rows
         rows.reduce(Z.T @ H @ Z, Z.T @ (H @ x_r + q))
         for it in range(_MAX_ITER):
@@ -331,28 +358,24 @@ class _ActiveSet:
                 working[kept[j]] = False
                 # the kept rows after j stay independent without it; a parked
                 # row that only row j made dependent rejoins here
-                parked = working.copy()
-                parked[kept] = False
-                rows.drop(j, np.flatnonzero(parked))
+                rows.drop(j, np.flatnonzero(rows.parked))
                 continue
-            # step toward the EQP optimum, blocked by the nearest inactive row;
-            # ratios within 1e-9 of a full step saturate to one (the leftover
-            # violation is far inside feasibility tolerance and re-adding the
-            # row at a degenerate vertex would cycle); G x moves along with x,
-            # so the test multiplies GZ's nz columns rather than G's n
+            # step toward the EQP optimum, blocked by the nearest inactive row
+            # that the step moves toward its limit; ratios within 1e-9 of a
+            # full step saturate to one (the leftover violation is far inside
+            # feasibility tolerance and re-adding the row at a degenerate
+            # vertex would cycle); G x moves along with x
             alpha = 1.0
-            Gp = Gx_r + GZ @ w - Gx
-            inactive = np.flatnonzero(~working)
-            if inactive.size:
-                gp = Gp[inactive]
-                slack = (h - Gx)[inactive]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(gp > 1e-13 * step_scale, slack / gp, np.inf)
-                best_ratio = float(np.min(ratios))
+            Gp = view.product(p)
+            blocking = np.flatnonzero(~working & (Gp > 1e-13 * step_scale))
+            if blocking.size:
+                gp = Gp[blocking]
+                ratios = (h[blocking] - Gx[blocking]) / gp
+                best_ratio = float(ratios.min())
                 if best_ratio < 1.0 - 1e-9:
                     near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
                     alpha = max(best_ratio, 0.0)
-                    i = inactive[near[np.argmax(gp[near])]]
+                    i = blocking[near[np.argmax(gp[near])]]
                     working[i] = True
                     rows.add(i)
             x = x + alpha * p
@@ -376,8 +399,9 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     The equalities are eliminated once per constraint structure: A and G
     that ``_structure`` built (read-only, keyed by participant counts,
     horizon, periodicity, SoC corridor and which limits are finite) bring
-    that QR, G Z and the row thresholds with them, and any other A and G
-    are reduced on each call.
+    that QR, G Z, the row thresholds and the rows' structure with them, and
+    any other A and G are reduced on each call.  The ratio test takes G p
+    for a step p from that structure (``_NullSpace.product``).
     The rows that enter the solve keep an orthonormal basis of their parts
     G_i Z with the triangular Gram-Schmidt coefficients L, an orthonormal
     complement U of that basis, and the reduced Hessian M = U'(Z'HZ)U.  An
@@ -448,12 +472,18 @@ def _structure(J, S, T, periodic, soc_bounds, finite):
     A = np.tile(np.eye(T), J + S)
     if periodic:
         A = np.vstack([A, np.hstack([np.zeros((S, J * T)), np.kron(np.eye(S), np.ones(T))])])
-    G = _with_negations(np.eye(n))[np.frombuffer(finite, dtype=bool)]
+    keep = np.frombuffer(finite, dtype=bool)
+    G = _with_negations(np.eye(n))[keep]
     if soc_bounds:
         prefix = np.hstack([np.zeros((S * T, J * T)),
                             np.kron(np.eye(S), np.tril(np.ones((T, T))))])
         G = np.vstack([G, _with_negations(prefix)])
-    view = _NullSpace(A, G)
+    # the same rows as signed picks from x followed by its storage prefix sums
+    units = S if soc_bounds else 0
+    rows = np.concatenate([keep, np.ones(2 * units * T, bool)])
+    pick = np.repeat(np.arange(n + units * T), 2)[rows]
+    sign = np.tile([1.0, -1.0], n + units * T)[rows]
+    view = _NullSpace(A, G, pick, sign, (units, T))
     for arr in vars(view).values():
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False

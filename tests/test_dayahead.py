@@ -224,6 +224,22 @@ class TestClearGeneral:
         gen_only = d  # single generator covers everything as E -> 0
         assert np.max(np.abs(res.g[0] - gen_only)) < 1e-2
 
+    @pytest.mark.xfail(strict=True, raises=SolverFailureError,
+                       reason="four units of unequal capacity with slack limits: the "
+                              "alternation stops at a KKT residual of 1.4e-6 (CHANGES.md "
+                              "FOUND on clear_general and small several-unit pools)")
+    def test_several_units_of_unequal_capacity_certify(self):
+        d = np.array([10.5284, 8.7896, 7.7175, 6.6232, 6.6815, 6.9811, 7.94, 8.8277, 10.1162,
+                      11.7975, 13.2034, 13.8053, 13.6309, 12.7096, 11.9105])
+        params = MarketParams(
+            generators=[GeneratorParams(c=26.9282, g_min=-1e9, g_max=1e9)],
+            storages=[StorageParams(capacity_E=E, b=b, u_min=-1e9, u_max=1e9)
+                      for E, b in ((300.0, 2.0728), (300.0, 3.0308), (300.0, 1.0955),
+                                   (150.0, 3.9128))],
+        )
+        res = clear_general(equilibrium_bids_dayahead(params), d, params)
+        assert res.kkt_residual <= 1e-8
+
 
 class TestVerifyKKT:
     def test_clearing_output_verifies(self):

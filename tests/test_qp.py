@@ -693,6 +693,23 @@ class TestStructureCache:
         alive = [ref() is not None for ref in views]
         assert alive == [False] * 3 + [True] * qp._STRUCTURES
 
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2), st.integers(0, 3), st.integers(1, 30), st.booleans(), st.booleans(),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_structured_product_matches_dense_rows(self, J, S, T, periodic, soc_bounds,
+                                                    infinite, seed):
+        rng = np.random.default_rng(seed)
+        n = (J + S) * T
+        finite = rng.random(2 * n) >= infinite
+        view = qp._structure(J, S, T, periodic, soc_bounds, finite.tobytes())
+        assert view.G.shape[0] == finite.sum() + (2 * S * T if soc_bounds else 0)
+        p = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
+        got = view.product(p)
+        assert got.shape == (view.G.shape[0],)
+        assert np.max(np.abs(got - view.G @ p), initial=0.0) <= 1e-13 * max(1.0, np.abs(p).sum())
+        for arr in (view.pick, view.sign):
+            assert not arr.flags.writeable
+
     def test_caller_mutating_its_own_constraints_is_honoured(self):
         # min 0.5 ||x - (2, 2)||^2 under one row of G, then under another
         G, h = np.array([[1.0, 0.0]]), np.array([1.0])
@@ -793,6 +810,39 @@ class TestCarriedState:
         for (before, after), rows in zip(carried[1:], joined[1:]):
             assert before and before <= after
             assert not before.intersection(rows)
+
+    def test_parked_rows_are_tested_again_only_after_a_cut(self, monkeypatch):
+        # the window parks one row from its second round on
+        joined, parked, carried = [], [], []
+        carry, join = qp._WorkingRows.carry, qp._WorkingRows._join
+
+        def counted_carry(rows, working):
+            parked.append(set(np.flatnonzero(rows.parked & working).tolist()))
+            joined.append([])
+            carried.append(rows)
+            carry(rows, working)
+
+        def counted_join(rows, i):
+            if joined:
+                joined[-1].append(int(i))
+            return join(rows, i)
+
+        monkeypatch.setattr(qp._WorkingRows, "carry", counted_carry)
+        monkeypatch.setattr(qp._WorkingRows, "_join", counted_join)
+        assert solve_market_qp(**self.TEMPLATES[0]).kkt_residual <= 1e-8
+        # no round tests again a row that parked in the round before it
+        assert len(parked) >= 3 and all(parked[2:])
+        for before, rows in zip(parked, joined):
+            assert not before.intersection(rows)
+        # once the first kept row leaves, every parked row is tested again
+        rows = carried[-1]
+        before = set(np.flatnonzero(rows.parked).tolist())
+        working = rows.parked.copy()
+        working[rows.kept[1:rows.k]] = True
+        rows.carry(working)
+        assert before and before <= set(joined[-1])
+        rows.reduce(rows.Hz, rows.grad)
+        assert max(_state_errors(rows)) <= 1e-12
 
     @pytest.mark.parametrize("template", TEMPLATES)
     def test_carried_and_fresh_rounds_agree(self, template, monkeypatch):
