@@ -36,9 +36,13 @@ horizon, periodicity, the SoC corridor and which limits are finite, so
 such key and keeps the last few in an LRU cache; every window, round and
 sweep point of one structure shares them.  It keeps the working rows
 factored: an orthonormal basis of their parts with its triangular
-coefficients, an orthonormal complement of that basis, and the reduced
-Hessian on the complement.  Each add and each drop updates all three, so an
-iteration solves only the directions the working rows leave free.  A working
+coefficients, an orthonormal complement of that basis, and a square inverse
+factor T of the reduced Hessian M on the complement (T M T' = I), built
+from a Cholesky factor of M when a solve's rows first change.  Each add and
+each drop updates all three in O(nz^2), so an iteration takes its Newton
+step in the directions the working rows leave free without solving
+anything; a step after a drop that moves toward the dropped row carries
+the rounding of an updated T, and is taken again from M.  A working
 row that the equalities and the kept rows already imply parks outside the
 factorization until a drop frees it.  The ratio test needs G p for each step
 p; every row of the template's G reads one variable or one storage unit's
@@ -96,13 +100,19 @@ class _WorkingRows:
     point ``basis' y`` meets every kept row exactly.  None of these depend
     on the Hessian, so a solve starts from the rows the last one kept
     (``carry``).  The rows of ``comp`` complete ``basis`` to an orthonormal
-    basis of the null space; ``carry`` builds them by one QR.  ``M`` is the
-    reduced Hessian ``comp Hz comp'`` of one solve's ``Hz`` on those free
-    directions (``reduce``).  During the solve a row that joins leaves the
-    complement by one Householder reflection, in O(nz^2); a drop refactors
-    the rows after the dropped one by one QR of their coefficients and
-    hands the complement back the one direction that only the dropped row
-    pinned.  Every buffer is allocated once, when the rows are first made.
+    basis of the null space; ``carry`` builds them by one QR.  One solve's
+    reduced Hessian on those free directions is M = ``comp Hz comp'``.
+    ``reduce`` puts M itself in ``T``; when the solve's rows first change,
+    ``T`` becomes a square inverse factor of M, T M T' = I, so that
+    M^-1 = T'T, built from a Cholesky factor of M.  During the solve a row
+    that joins leaves the complement by one Householder reflection, which
+    T takes from the right, and a second reflection from the left leaves
+    the new factor in T's leading block, in O(nz^2); a drop refactors the
+    rows after the dropped one by one QR of their coefficients and hands
+    the complement back the one direction that only the dropped row
+    pinned, which borders T with one row.  ``comp`` stays orthonormal and
+    apart from T, so T's rounding stays inside the Newton step.  Every
+    buffer is allocated once, when the rows are first made.
     """
 
     def __init__(self, GZ, rhs, thresholds):
@@ -115,7 +125,8 @@ class _WorkingRows:
         self.L = np.zeros((nz, nz))
         self.y = np.empty(nz)
         self.comp = np.empty((nz, nz))
-        self.M = np.empty((nz, nz))
+        self.T = np.empty((nz, nz))
+        self.factored = False  # whether T holds M's inverse factor or M itself
 
     def carry(self, working):
         """Factor the rows of the boolean mask ``working`` over G.
@@ -143,15 +154,16 @@ class _WorkingRows:
 
     def reduce(self, Hz, grad):
         """Take one solve's reduced Hessian ``Hz`` and gradient ``grad``:
-        ``M`` becomes ``comp Hz comp'``."""
+        ``T`` holds M = ``comp Hz comp'`` until the rows first change."""
         self.Hz, self.grad = Hz, grad
         U = self.comp[:self.r]
-        self.M[:self.r, :self.r] = U @ Hz @ U.T
+        self.T[:self.r, :self.r] = U @ Hz @ U.T
+        self.factored = False
 
     def copy(self):
         """A copy whose updates leave this factorization as it is."""
         other = copy.copy(self)
-        for name in ("kept", "parked", "basis", "L", "y", "comp", "M"):
+        for name in ("kept", "parked", "basis", "L", "y", "comp", "T"):
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -203,40 +215,71 @@ class _WorkingRows:
         self.k = k + 1
         return True
 
+    def _factor(self):
+        # M = C C' with C lower triangular gives T = C^-1; a Cholesky
+        # factorization that fails raises LinAlgError (M not positive definite)
+        r = self.r
+        if r and not self.factored:
+            self.T[:r, :r] = np.linalg.inv(np.linalg.cholesky(self.T[:r, :r]))
+        self.factored = True
+
     def _leave_complement(self, q):
         # the reflection P = I - t vv' maps c = comp q to sigma e_last, so the
-        # last row of P comp is +-q: only the rows before it are kept, and M
-        # becomes the leading block of P M P (a rank-2 update)
+        # last row of P comp is +-q: only the rows before it are kept.  T P
+        # factors P M P; the reflection I - tau uu' zeroes its last column
+        # above the corner, and the leading block that is left factors the
+        # leading block of P M P
         r = self.r - 1
-        U, M = self.comp[:r + 1], self.M[:r + 1, :r + 1]
+        if r == 0:  # the last free direction leaves: nothing is left to factor
+            self.r, self.factored = 0, True
+            return
+        self._factor()
+        U, T = self.comp[:r + 1], self.T[:r + 1, :r + 1]
         v = U @ q
         v[-1] += math.copysign(math.sqrt(v @ v), v[-1])
         t = 2.0 / (v @ v)
         U[:r] -= (t * v[:r])[:, None] * (v @ U)
-        Mv = M @ v
-        a = (t * Mv - (0.5 * t * t * (v @ Mv)) * v)[:r]
-        S = v[:r, None] * a
-        M[:r, :r] -= S + S.T
+        T -= (t * (T @ v))[:, None] * v
+        u = T[:, r].copy()
+        u[-1] += math.copysign(math.sqrt(u @ u), u[-1])
+        T[:r, :r] -= ((2.0 / (u @ u)) * u[:r])[:, None] * (u @ T[:, :r])
         self.r = r
 
     def _enter_complement(self, z):
-        # z becomes the complement's last row; M gains the matching border
+        # z becomes the complement's last row, and T gains the border row
+        # [-x', 1] / s, with x = M^-1 comp Hz z.  s^2 = z'Hz z - |T comp Hz z|^2
+        # would cancel where M is ill-conditioned; the curvature of
+        # p = z - comp' x, which Hz-projects z off the complement, is the same
+        # s^2, and a rounded x only adds to it
+        self._factor()
         r = self.r
+        U, T = self.comp[:r], self.T[:r, :r]
+        x = (T @ (U @ (self.Hz @ z))) @ T
+        p = z - x @ U
+        s2 = p @ (self.Hz @ p)
+        if not s2 > 0.0:
+            raise np.linalg.LinAlgError("the freed direction has no curvature left")
+        s = math.sqrt(s2)
         self.comp[r] = z
-        Hzz = self.Hz @ z
-        self.M[r, :r] = self.M[:r, r] = self.comp[:r] @ Hzz
-        self.M[r, r] = z @ Hzz
+        self.T[r, :r] = x / -s
+        self.T[:r, r] = 0.0
+        self.T[r, r] = 1.0 / s
         self.r = r + 1
 
     def point(self):
         """The null-space point ``w`` that minimizes the reduced objective on
         the kept rows: ``basis' y`` plus the Newton step in the free
-        directions, from one solve with ``M``."""
+        directions, ``-comp' T'T comp (Hz w + grad)``, or from one solve
+        with M while T still holds it."""
         k, r = self.k, self.r
         w = self.y[:k] @ self.basis[:k]
         if r:
-            U = self.comp[:r]
-            w += np.linalg.solve(self.M[:r, :r], -(U @ (self.Hz @ w + self.grad))) @ U
+            U, T = self.comp[:r], self.T[:r, :r]
+            g = U @ (self.Hz @ w + self.grad)
+            if self.factored:
+                w -= ((T @ g) @ T) @ U
+            else:
+                w += np.linalg.solve(T, -g) @ U
         return w
 
     def multipliers(self, w):
@@ -338,48 +381,60 @@ class _ActiveSet:
         G, h, x_r = self.G, self.h, self.x_r
         x, Gx, working, rows = self.x, self.Gx, self.working, self.rows
         rows.reduce(Z.T @ H @ Z, Z.T @ (H @ x_r + q))
-        for it in range(_MAX_ITER):
-            try:
+        dropped = -1  # the row the last iteration dropped
+        try:
+            for it in range(_MAX_ITER):
                 w = rows.point()
-            except np.linalg.LinAlgError:
-                raise SolverFailureError("active-set QP met a singular KKT system",
-                                         best_iterate=x) from None
-            kept = rows.kept[:rows.k]
-            p = x_r + Z @ w - x
-            step_scale = max(1.0, float(np.max(np.abs(x))))
-            if np.max(np.abs(p)) <= 1e-12 * step_scale:
-                mu_w = rows.multipliers(w)
-                if mu_w.size == 0 or mu_w.min() >= -1e-11 * max(1.0, np.abs(mu_w).max()):
-                    mu = np.zeros(G.shape[0])
-                    mu[kept] = np.maximum(mu_w, 0.0)
-                    y = -A_plus.T @ (H @ x + q + G[kept].T @ mu_w)
-                    return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
-                j = int(np.argmin(mu_w))
-                working[kept[j]] = False
-                # the kept rows after j stay independent without it; a parked
-                # row that only row j made dependent rejoins here
-                rows.drop(j, np.flatnonzero(rows.parked))
-                continue
-            # step toward the EQP optimum, blocked by the nearest inactive row
-            # that the step moves toward its limit; ratios within 1e-9 of a
-            # full step saturate to one (the leftover violation is far inside
-            # feasibility tolerance and re-adding the row at a degenerate
-            # vertex would cycle); G x moves along with x
-            alpha = 1.0
-            Gp = view.product(p)
-            blocking = np.flatnonzero(~working & (Gp > 1e-13 * step_scale))
-            if blocking.size:
-                gp = Gp[blocking]
-                ratios = (h[blocking] - Gx[blocking]) / gp
-                best_ratio = float(ratios.min())
-                if best_ratio < 1.0 - 1e-9:
-                    near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
-                    alpha = max(best_ratio, 0.0)
-                    i = blocking[near[np.argmax(gp[near])]]
-                    working[i] = True
-                    rows.add(i)
-            x = x + alpha * p
-            Gx = Gx + alpha * Gp
+                kept = rows.kept[:rows.k]
+                p = x_r + Z @ w - x
+                step_scale = max(1.0, float(np.max(np.abs(x))))
+                if np.max(np.abs(p)) <= 1e-12 * step_scale:
+                    mu_w = rows.multipliers(w)
+                    if mu_w.size == 0 or mu_w.min() >= -1e-11 * max(1.0, np.abs(mu_w).max()):
+                        mu = np.zeros(G.shape[0])
+                        mu[kept] = np.maximum(mu_w, 0.0)
+                        y = -A_plus.T @ (H @ x + q + G[kept].T @ mu_w)
+                        return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
+                    j = int(np.argmin(mu_w))
+                    dropped = kept[j]
+                    working[dropped] = False
+                    # the kept rows after j stay independent without it; a parked
+                    # row that only row j made dependent rejoins here
+                    rows.drop(j, np.flatnonzero(rows.parked))
+                    continue
+                # step toward the EQP optimum, blocked by the nearest inactive row
+                # that the step moves toward its limit; ratios within 1e-9 of a
+                # full step saturate to one (the leftover violation is far inside
+                # feasibility tolerance and re-adding the row at a degenerate
+                # vertex would cycle); G x moves along with x
+                alpha = 1.0
+                Gp = view.product(p)
+                if dropped >= 0 and Gp[dropped] > 1e-13 * step_scale:
+                    # a step after a drop moves away from the dropped row's
+                    # limit; one that moves toward it carries the rounding of
+                    # an updated factor of an ill-conditioned M, so the point
+                    # is taken again from M itself
+                    dropped = -1
+                    rows.reduce(rows.Hz, rows.grad)
+                    continue
+                dropped = -1
+                blocking = np.flatnonzero(~working & (Gp > 1e-13 * step_scale))
+                if blocking.size:
+                    gp = Gp[blocking]
+                    ratios = (h[blocking] - Gx[blocking]) / gp
+                    best_ratio = float(ratios.min())
+                    if best_ratio < 1.0 - 1e-9:
+                        near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
+                        alpha = max(best_ratio, 0.0)
+                        i = blocking[near[np.argmax(gp[near])]]
+                        working[i] = True
+                        rows.add(i)
+                x = x + alpha * p
+                Gx = Gx + alpha * Gp
+        except np.linalg.LinAlgError:
+            # M is singular or, where T is built or bordered, not positive definite
+            raise SolverFailureError("active-set QP met a singular KKT system",
+                                     best_iterate=x) from None
         raise SolverFailureError("active-set QP exceeded its iteration cap", best_iterate=x)
 
 
@@ -404,28 +459,27 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     for a step p from that structure (``_NullSpace.product``).
     The rows that enter the solve keep an orthonormal basis of their parts
     G_i Z with the triangular Gram-Schmidt coefficients L, an orthonormal
-    complement U of that basis, and the reduced Hessian M = U'(Z'HZ)U.  An
-    iteration solves only the free directions: the point basis' y, with
-    L y the kept rows' right-hand side, meets the kept rows, and one solve
-    with M, of order nz - k, adds the Newton step within U.  A row that
-    joins leaves U by one Householder reflection, which M takes as a rank-2
-    update.  A dropped row's successors are refactored by one QR of their
-    coefficients, and the direction only it pinned returns to U with one
-    border of M.  Multipliers are formed only on stationary iterations, from
-    L' mu = -basis (reduced gradient), and the equality duals once, at the
-    optimum.  The point is optimal when no multiplier is below -1e-11 times
-    max(1, largest |multiplier|); otherwise the most negative one's row
-    drops.  A row that joins the working set is tested against the basis
-    alone: it parks, sitting out of the solve with a zero multiplier, when
-    its part orthogonal to the basis is at most 1e-9 ||G_i||, since it then
-    pins nothing the equalities and the kept rows do not.  Every drop tests
-    the parked rows again.  The starting working set is tested in index
-    order.
+    complement U of that basis (as rows), and an inverse factor T of the
+    reduced Hessian M = U(Z'HZ)U', with T M T' = I (``_WorkingRows``).  The
+    point basis' y, with L y the kept rows' right-hand side, meets the kept
+    rows, and the Newton step -U' T'T U (reduced gradient) stays within U,
+    so an iteration solves nothing once T is built.  Each add and drop
+    updates U and T in O(nz^2).  Multipliers are formed only on stationary
+    iterations, from L' mu = -basis (reduced gradient), and the equality
+    duals once, at the optimum.  The point is optimal when no multiplier is
+    below -1e-11 times max(1, largest |multiplier|); otherwise the most
+    negative one's row drops.  A row that joins the working set is tested
+    against the basis alone: it parks, sitting out of the solve with a zero
+    multiplier, when its part orthogonal to the basis is at most
+    1e-9 ||G_i||, since it then pins nothing the equalities and the kept
+    rows do not.  Every drop tests the parked rows again.  The starting
+    working set is tested in index order.
 
     A start that violates a constraint by more than 1e-7 raises
     ``InvalidInputError``; dependent equality rows, the iteration cap and a
-    singular reduced Hessian M (H not positive definite on the working
-    subspace) raise ``SolverFailureError`` carrying the current iterate.
+    reduced Hessian M that is singular, or not positive definite where T is
+    built or bordered (H not positive definite on the working subspace),
+    raise ``SolverFailureError`` carrying the current iterate.
     """
     n = H.shape[0]
     A = np.zeros((0, n)) if A is None else np.asarray(A, float)
@@ -695,11 +749,19 @@ def certified(residual):
     return residual <= _KKT_TOL
 
 
+def idle_dispatch(u):
+    """Storage dispatch ``u``, one unit's (T,) or several units' (S, T), with
+    the rounding-level entries a solve leaves, |u_s| <= 1e-9 max(1, max |u_s|)
+    per unit, set idle."""
+    size = np.abs(u)
+    scale = np.max(size, axis=-1, keepdims=True, initial=1.0)
+    return np.where(size <= 1e-9 * scale, 0.0, u)
+
+
 def dispatch_map(u_s, capacity, x0):
-    """The half-cycle map of one storage's dispatch that every certificate reads:
-    the rounding-level entries |u_s| <= 1e-9 max(1, max |u_s|) a solve leaves are idle."""
-    idle = np.abs(u_s) <= 1e-9 * max(1.0, float(np.max(np.abs(u_s), initial=0.0)))
-    return rainflow_map(np.where(idle, 0.0, u_s), capacity, x0)
+    """The half-cycle map of one storage's dispatch that every certificate
+    reads, with its rounding-level entries idle (``idle_dispatch``)."""
+    return rainflow_map(idle_dispatch(u_s), capacity, x0)
 
 
 def blended_stationarity_gap(target, pieces, u_s, beta):

@@ -18,6 +18,7 @@ from .costs import MarketParams, generator_cost, storage_cost
 from .data import DemandScenario
 from .dayahead import DayAheadResult, clear_general, clear_uniform, equilibrium_bids_dayahead
 from .errors import DegeneratePriceError, InfeasibleError, InvalidInputError
+from .qp import idle_dispatch
 from .rainflow import rainflow_map
 from .realtime import (
     MODES,
@@ -103,18 +104,22 @@ def _window_demand(scenario, hour):
     return w
 
 
-def _window_da_view(da, params, hour, end):
+def _window_da_view(da, params, hour, end, u_idle):
     """Day-ahead quantities restricted to a window, with window-local
     cycle structure (maps, depths, prices) so the unaware-bid formulas stay
-    self-consistent."""
+    self-consistent.  The maps and depths read ``u_idle``, the day-ahead
+    storage dispatch with its rounding-level entries over the whole horizon
+    idle (``qp.idle_dispatch``), so they do not follow the sign of those
+    entries."""
     view = DayAheadResult(
         g=da.g[:, hour:end], u=da.u[:, hour:end], nu=[], energy_price=da.energy_price[hour:end],
         cycle_prices=[], periodicity_duals=da.periodicity_duals, shares=da.shares,
         objective=0.0, kkt_residual=da.kkt_residual, demand=None, uniform=da.uniform,
     )
     for s, st in enumerate(params.storages):
-        dec = rainflow_map(view.u[s], st.capacity_E, st.x0)
-        nu = dec.map @ view.u[s]
+        u_s = u_idle[s, hour:end]
+        dec = rainflow_map(u_s, st.capacity_E, st.x0)
+        nu = dec.map @ u_s
         view.maps.append(dec)
         view.nu.append(nu)
         view.cycle_prices.append(st.b * nu)  # bid-consistent local prices (beta = 1/b)
@@ -158,6 +163,7 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
         soc[s, 0] = st.x0
     x0_run = [st.x0 for st in params.storages]
     prev_g, prev_u = da.g, da.u  # the seed's source, from the window's first hour on
+    u_idle = idle_dispatch(da.u)  # what the unaware windows read
 
     for hour in range(BINDING_HOURS):
         end = min(hour + WINDOW_HOURS, scenario.horizon)
@@ -168,7 +174,7 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
             prev_g = (da.g[:, hour:end] + res.g_r)[:, 1:]
             prev_u = (da.u[:, hour:end] + res.u_r)[:, 1:]
         else:
-            res = _unaware_window(w, da, params, hour, end)
+            res = _unaware_window(w, da, params, hour, end, u_idle)
         steps.append(res)
         for j in range(J):
             g_rt[j, hour] = res.g_r[j, 0]
@@ -212,7 +218,7 @@ def _aware_window(w, da, params, hour, end, x0_run, start):
         ) from exc
 
 
-def _unaware_window(w, da, params, hour, end):
+def _unaware_window(w, da, params, hour, end, u_idle):
     forecast = np.asarray(da.demand, dtype=float)[hour:end]
     d_r = w - forecast
     J, S = params.n_generators, params.n_storages
@@ -222,7 +228,7 @@ def _unaware_window(w, da, params, hour, end):
             g_r=np.zeros((J, W)), u_r=np.zeros((S, W)), price=np.zeros(W),
             price_coeff=0.0, iterations=0,
         )
-    view = _window_da_view(da, params, hour, end)
+    view = _window_da_view(da, params, hour, end, u_idle)
     try:
         return best_response_unaware(params, d_r, view)[1]
     except DegeneratePriceError:

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp
+from cyclemarket import GeneratorParams, MarketParams, StorageParams, dayahead, qp
 from cyclemarket.dayahead import (
     DayAheadBids,
     clear_general,
@@ -101,9 +101,27 @@ class TestClearUniform:
         assert report.components["depth_constraint_st0"] <= 1e-8
 
     @pytest.mark.xfail(strict=True, raises=SolverFailureError,
-                       reason="scaling the aggregate dispatch by each unit's share breaks "
-                              "an exact SoC tie another way; depth_constraint stays at 0.08")
-    def test_share_split_of_soc_tie_certifies(self):
+                       reason="the split reads each unit's map of its share again, which "
+                              "breaks an exact SoC tie another way than the aggregate's map; "
+                              "depth_constraint stays at 0.08")
+    def test_share_split_of_soc_tie_certifies(self, monkeypatch):
+        # the aggregate optimum on this demand is w = a [-1, 2, -2, 2, -1]: its
+        # SoC levels tie at intervals 0 and 2 and at 1 and 3, where either
+        # pairing is a map of w.  The wrapped solve returns w exactly on the tie,
+        # with the pairing that a rounding which lifts interval 2's level gives,
+        # so the fault does not rest on the solve's own rounding
+        solve = dayahead.solve_market_qp
+
+        def on_the_tie(**kwargs):
+            res = solve(**kwargs)
+            E, x0 = kwargs["capacities"][0], kwargs["x0s"][0]
+            w = -res.u[0][0] * np.array([-1.0, 2.0, -2.0, 2.0, -1.0])
+            lifted = qp.dispatch_map(w + 1e-9 * np.array([0.0, 0.0, -1.0, 1.0, 0.0]), E, x0)
+            assert lifted.signature() != qp.dispatch_map(w, E, x0).signature()
+            res.u[0], res.maps[0], res.stationarity_pieces[0] = w, lifted, [(1.0, lifted.map)]
+            return res
+
+        monkeypatch.setattr(dayahead, "solve_market_qp", on_the_tie)
         params = MarketParams(generators=[GeneratorParams(c=1.5)],
                               storages=[StorageParams(capacity_E=4.0, b=1.0),
                                         StorageParams(capacity_E=4.0, b=2.0)])

@@ -46,6 +46,22 @@ class TestActiveSetCore:
             solve_qp(np.diag([1.0, 0.0]), np.ones(2), x0=x0)
         assert err.value.best_iterate == pytest.approx(x0)
 
+    def test_indefinite_hessian_raises_when_its_factor_is_built(self):
+        # the first point solves with M = diag(1, -1); the row x1 <= 0.5 then
+        # joins, and the Cholesky factorization that builds T fails
+        with pytest.raises(SolverFailureError, match="singular") as err:
+            solve_qp(np.diag([1.0, -1.0]), np.array([0.0, 1.0]), None, None,
+                     np.array([[0.0, 1.0]]), np.array([0.5]), x0=np.zeros(2))
+        assert err.value.best_iterate == pytest.approx([0.0, 0.0])
+
+    def test_drop_freeing_a_flat_direction_raises_with_iterate(self):
+        # x1 <= 0 pins the flat direction of H; its multiplier at (-1, 0) is
+        # -1, and the direction its drop frees has no curvature to border T
+        with pytest.raises(SolverFailureError, match="singular") as err:
+            solve_qp(np.diag([1.0, 0.0]), np.array([1.0, 1.0]), None, None,
+                     np.array([[0.0, 1.0]]), np.array([0.0]), x0=np.zeros(2))
+        assert err.value.best_iterate == pytest.approx([-1.0, 0.0])
+
     def test_infeasible_start_equalities_raises_invalid_input(self):
         with pytest.raises(InvalidInputError, match="equalities"):
             solve_qp(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]), np.array([1.0]),
@@ -166,11 +182,25 @@ def _template_qp(rng, T, P, corridor, duplicates, flat):
     return H, rng.normal(0.0, 1.0, n), A, A @ x0, G, h, x0
 
 
+def _factor_error(rows):
+    """How far ``T`` is from the complement's reduced Hessian M = comp Hz comp',
+    relative to max(1, |Hz|): in backward form, |T^-1 T^-T - M|, once T is
+    M's inverse factor, and |T - M| while T still holds M."""
+    r = rows.r
+    U, T = rows.comp[:r], rows.T[:r, :r]
+    if rows.factored:
+        T_inv = np.linalg.inv(T)
+        T = T_inv @ T_inv.T
+    return (np.max(np.abs(T - U @ rows.Hz @ U.T), initial=0.0)
+            / max(1.0, np.max(np.abs(rows.Hz), initial=0.0)))
+
+
 class _Audit:
     """Checks the factorization of every ``solve_qp`` iteration while
     installed: [basis; complement] is orthogonal, ``GZ[kept] = L basis`` and
-    ``M`` is the complement's reduced Hessian.  Counts parked rows, drops
-    after which a parked row rejoined, and stationary points at a vertex."""
+    ``T`` factors the complement's reduced Hessian (``_factor_error``).
+    Counts parked rows, drops after which a parked row rejoined, and
+    stationary points at a vertex."""
 
     def __init__(self, monkeypatch):
         self.worst, self.parked, self.rejoined, self.vertex = 0.0, 0, 0, 0
@@ -207,8 +237,7 @@ class _Audit:
         errors = [np.max(np.abs(frame @ frame.T - np.eye(frame.shape[0])), initial=0.0),
                   np.max(np.abs(factored.GZ[factored.kept[:k]] - factored.L[:k, :k] @ B),
                          initial=0.0),
-                  np.max(np.abs(factored.M[:r, :r] - U @ factored.Hz @ U.T), initial=0.0)
-                  / max(1.0, np.max(np.abs(factored.Hz), initial=0.0))]
+                  _factor_error(factored)]
         self.worst = max(self.worst, *errors)
 
 
@@ -247,6 +276,63 @@ class TestUpdatedFactorization:
             _assert_certified(solve_qp(*qp_data), *qp_data[:6])
         assert audit.worst <= 1e-10
         assert audit.parked >= 10 and audit.rejoined >= 10 and audit.vertex >= 10
+
+
+@st.composite
+def ill_conditioned_solves(draw):
+    """A solve whose reduced Hessians are ill-conditioned: a market of two to
+    four storage units, some of equal capacity, whose depth-preserving swaps
+    only the 1e-12 ridge pins; or the elastic phase 1 of a two-unit window
+    whose capped generator breaks the cold start, with curvature 1e-6 on
+    dispatch and 1e8 on slacks."""
+    T = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        S = draw(st.integers(2, 4))
+        demand = 60.0 + rng.uniform(5.0, 20.0) * np.sin(2 * np.pi * np.arange(T) / T
+                                                         + rng.uniform(0, 2 * np.pi))
+        return "market", dict(alphas=[0.05], a_lin=[0.0], betas=1.0 / rng.uniform(0.5, 4.0, S),
+                              capacities=rng.choice([20.0, 50.0], S), x0s=rng.uniform(0.2, 0.8, S),
+                              demand=demand, g_lo=0.0, g_hi=rng.uniform(55.0, 90.0),
+                              u_lo=-rng.uniform(2.0, 10.0, S), u_hi=rng.uniform(2.0, 10.0, S),
+                              periodic=draw(st.booleans()), soc_bounds=True)
+    demand = 60.0 + rng.uniform(-3.0, 3.0, T)
+    demand[0] = 60.0 + rng.uniform(0.2, 2.0)
+    return "elastic", dict(alphas=[0.2], a_lin=[0.0], betas=[1.0, 1.0],
+                           capacities=rng.uniform(1.5, 8.0, 2), x0s=rng.uniform(0.1, 0.5, 2),
+                           demand=demand, g_lo=0.0, g_hi=60.0, u_lo=-1.0, u_hi=1.0,
+                           periodic=False, soc_bounds=True)
+
+
+class TestIllConditionedPoints:
+    """The Newton step stays in the complement of the kept rows, so every
+    point meets them, however ill-conditioned the reduced Hessian M is."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ill_conditioned_solves())
+    def test_every_point_meets_the_kept_rows(self, drawn):
+        kind, template = drawn
+        worst = []
+        point = qp._WorkingRows.point
+
+        def audited(rows):
+            w = point(rows)
+            kept = rows.kept[:rows.k]
+            want = rows.rhs[kept]
+            scale = max(1.0, np.max(np.abs(want), initial=0.0), np.max(np.abs(w)))
+            worst.append(np.max(np.abs(rows.GZ[kept] @ w - want), initial=0.0) / scale)
+            return w
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qp._WorkingRows, "point", audited)
+            try:
+                if kind == "elastic":
+                    qp._Problem(**template).elastic_start()
+                else:
+                    solve_market_qp(**template)
+            except (InfeasibleError, SolverFailureError):
+                pass  # the points before the error are checked all the same
+        assert worst and max(worst) <= 1e-12
 
 
 def _kept_rows(A, G, working):
@@ -456,11 +542,43 @@ class TestMarketQP:
                        reason="the elastic phase-1 QP cycles to solve_qp's iteration cap")
     def test_elastic_start_of_two_unit_window(self):
         # the generator's 60 MW cap binds at interval 0, so storage must
-        # discharge there and the cold start is not feasible
+        # discharge there and the cold start is not feasible; on this demand,
+        # within 1.4e-6 MW of [61, 60, 60, 60], the phase 1 still cycles
+        demand = [61.000000640824425, 59.99999915875877, 59.9999988036579, 60.00000131227435]
         res = solve_market_qp([0.2], [0.0], [1.0, 1.0], [5.0, 2.5], [0.25, 0.25],
-                              [61.0, 60.0, 60.0, 60.0], 0.0, 60.0, -1.0, 1.0,
+                              demand, 0.0, 60.0, -1.0, 1.0, periodic=False, soc_bounds=True)
+        assert res.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("demand, capacities, x0s", [
+        ([61.0, 60.0, 60.0, 60.0], [5.0, 2.5], [0.25, 0.25]),
+        ([61.5, 60.0, 60.0, 60.0], [5.0, 2.5], [0.5, 0.5]),
+    ])
+    def test_elastic_start_of_two_unit_windows_certifies(self, demand, capacities, x0s):
+        # two-unit windows whose phase 1 cycled to the iteration cap before
+        # a step that moves toward the row just dropped was taken again (a
+        # third is the next test's)
+        res = solve_market_qp([0.2], [0.0], [1.0, 1.0], capacities, x0s, demand, 0.0, 60.0,
+                              -1.0, 1.0, periodic=False, soc_bounds=True)
+        assert res.kkt_residual <= 1e-8
+
+    def test_step_toward_the_dropped_row_is_taken_again_from_M(self, monkeypatch):
+        # in this window's phase 1, which cycled to the iteration cap before,
+        # a step after a drop moves toward the dropped row's limit; the solve
+        # rebuilds M in T's place (a second ``reduce`` with the same Hz) and
+        # takes the point again
+        again = []
+        reduce = qp._WorkingRows.reduce
+
+        def counted(rows, Hz, grad):
+            again.append(Hz is getattr(rows, "Hz", None))
+            reduce(rows, Hz, grad)
+
+        monkeypatch.setattr(qp._WorkingRows, "reduce", counted)
+        res = solve_market_qp([0.2], [0.0], [1.0, 1.0], [2.5, 5.0], [0.25, 0.25],
+                              [61.5, 60.0, 60.0, 60.0], 0.0, 60.0, -1.0, 1.0,
                               periodic=False, soc_bounds=True)
         assert res.kkt_residual <= 1e-8
+        assert any(again)
 
     def test_soc_corridor_enforced(self):
         # long discharge pull: the corridor caps cumulative output at x0 * E
@@ -723,7 +841,7 @@ class TestStructureCache:
 def _state_errors(rows):
     """Relative errors of a ``_WorkingRows``' invariants: ``GZ[kept] = L basis``,
     ``basis`` orthonormal, ``L y = rhs[kept]``, the complement orthonormal and
-    orthogonal to ``basis``, and ``M = comp Hz comp'``."""
+    orthogonal to ``basis``, and ``T`` factoring ``comp Hz comp'``."""
     k, r = rows.k, rows.r
     kept, B, U, L = rows.kept[:k], rows.basis[:k], rows.comp[:r], rows.L[:k, :k]
 
@@ -732,8 +850,7 @@ def _state_errors(rows):
         return np.max(np.abs(got - want), initial=0.0) / scale
 
     return [rel(L @ B, rows.GZ[kept]), rel(B @ B.T, np.eye(k)), rel(L @ rows.y[:k], rows.rhs[kept]),
-            rel(U @ U.T, np.eye(r)), rel(U @ B.T, np.zeros((r, k))),
-            rel(rows.M[:r, :r], U @ rows.Hz @ U.T)]
+            rel(U @ U.T, np.eye(r)), rel(U @ B.T, np.zeros((r, k))), _factor_error(rows)]
 
 
 def _two_wave_demand(T, a, p, b, q):

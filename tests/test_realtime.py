@@ -25,6 +25,7 @@ from cyclemarket.realtime import (
     equilibrium_aware,
     equilibrium_unaware,
 )
+from cyclemarket.qp import idle_dispatch
 from cyclemarket.rainflow import rainflow_map
 from cyclemarket.simulation import _window_da_view
 
@@ -320,7 +321,7 @@ def unaware_markets(draw):
         g=g, u=u, nu=[], energy_price=np.zeros(T), cycle_prices=[],
         periodicity_duals=np.zeros(S), shares=None, objective=0.0, kkt_residual=0.0,
     )
-    da = _window_da_view(schedule, params, 0, T)
+    da = _window_da_view(schedule, params, 0, T, idle_dispatch(u))
     return params, da, sign * correlated_residual(rng, d_da)
 
 

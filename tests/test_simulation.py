@@ -192,11 +192,6 @@ class TestRunRealTime:
         assert g_rt.sum(axis=0) == pytest.approx(scn.residual, abs=1e-8)
         assert steps[0].kkt_residual <= 1e-8
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="unaware windows read half-cycle maps from the day-ahead "
-                              "dispatch as cleared, so ~1e-12 entries open half-cycles "
-                              "with their sign; rt prices move 6.2% (CHANGES.md FOUND on "
-                              "run --mode unaware; ROADMAP item 4)")
     def test_unaware_prices_ignore_the_sign_of_rounding_level_dispatch(self, fixture_setup):
         scn, params = fixture_setup
         da = run_day_ahead(scn, params)
