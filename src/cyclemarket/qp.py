@@ -24,11 +24,12 @@ Every starting point is built from a dispatch pair (g, u): the generators
 take up what is left of each interval's balance within their limits, and
 the point is used if it meets every constraint.  The pair is a caller's
 seed, or the cold start (generators at their lower limits, storage at 0 or
-the nearest point of its box).  Where neither is usable, an elastic phase 1
-that gives every equality row, and each constraint the start breaks, its
-own penalized slack finds the pair, or shows that none exists.
+near its box, within its corridor and periodicity: ``storage_start``).
+Where the generators cannot take up the cold start's balance, phase 1 solves
+the template with two l1 penalty generators per interval
+(``elastic_start``), or shows that no dispatch exists.
 
-The active-set core ``solve_qp`` works in an orthonormal basis of the
+The active-set core (``_ActiveSet``) works in an orthonormal basis of the
 equalities' null space.  It eliminates the equalities once per constraint
 structure: the template's A and G depend only on the participant counts, the
 horizon, periodicity, the SoC corridor and which limits are finite, so
@@ -58,13 +59,12 @@ none of the rows that parked there again unless a kept row left, and
 rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient, the
 complement and its reduced Hessian).  The kink bisection starts once, and
 each probe solves from a copy of that start.  ``solve_qp`` runs the same
-core from a fresh state.
+core from a fresh state, on a view it reduces from its own A and G.
 """
 
 import copy
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,31 +325,25 @@ class _NullSpace:
         return self.sign * np.concatenate([p, sums.ravel()])[self.pick]
 
 
-# (id(A), id(G)) -> the _NullSpace of a structure that _structure built; a
-# live view keeps its A and G alive, so no other array pair has those ids
-_VIEWS = weakref.WeakValueDictionary()
-
-
 class _ActiveSet:
-    """The state of the active-set solves over one A, b, G and h.
+    """The state of the active-set solves over one null-space view of A and
+    G (``_Problem.structure``, or the one ``solve_qp`` builds), b and h.
 
-    What depends on them alone is formed once: the null-space view, the
-    minimum-norm solution x_r of the equalities, G x_r and the rows'
-    right-hand sides h - G x_r.  ``start`` takes a feasible point and
-    carries the working rows there from wherever the last solve left them
-    (``_WorkingRows.carry``), so a solve that starts where the last one
-    ended rebuilds only what depends on its Hessian: Z'HZ, the reduced
-    gradient and M.  ``fork`` copies a started state, so that solves with
-    different Hessians can run from one start.
+    What depends on them alone is formed once: the minimum-norm solution
+    x_r of the equalities, G x_r and the rows' right-hand sides h - G x_r.
+    ``start`` takes a feasible point and carries the working rows there
+    from wherever the last solve left them (``_WorkingRows.carry``), so a
+    solve that starts where the last one ended rebuilds only what depends
+    on its Hessian: Z'HZ, the reduced gradient and M.  ``fork`` copies a
+    started state, so that solves with different Hessians can run from one
+    start.
     """
 
-    def __init__(self, A, b, G, h):
-        self.A, self.b, self.G, self.h = A, b, G, h
-        # a cached structure's matrices bring their view, others are reduced here
-        self.view = _VIEWS.get((id(A), id(G))) or _NullSpace(A, G)
-        if self.view.independent:
-            self.x_r = self.view.A_plus @ b
-            self.Gx_r = G @ self.x_r
+    def __init__(self, view, b, h):
+        self.view, self.A, self.b, self.G, self.h = view, view.A, b, view.G, h
+        if view.independent:
+            self.x_r = view.A_plus @ b
+            self.Gx_r = self.G @ self.x_r
             self.rows = _WorkingRows(self.view.GZ, h - self.Gx_r, self.view.thresholds)
 
     def start(self, x):
@@ -447,16 +441,10 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     and nonnegative inequality duals ``mu``.
 
     A primal active-set method in the null space of the equalities, run
-    from a fresh ``_ActiveSet`` (a market solve runs it on one state for
-    all its rounds).  One QR of A' gives an orthonormal basis Z of that
-    null space and the minimum-norm solution x_r of Ax = b; every iterate
-    is the point x_r + Z w.
-    The equalities are eliminated once per constraint structure: A and G
-    that ``_structure`` built (read-only, keyed by participant counts,
-    horizon, periodicity, SoC corridor and which limits are finite) bring
-    that QR, G Z, the row thresholds and the rows' structure with them, and
-    any other A and G are reduced on each call.  The ratio test takes G p
-    for a step p from that structure (``_NullSpace.product``).
+    from a fresh ``_ActiveSet`` on a ``_NullSpace`` of this call's A and G
+    (a market solve runs one state on its structure's view for all its
+    rounds).  One QR of A' gives an orthonormal basis Z of that null space
+    and the minimum-norm solution x_r of Ax = b; every iterate is x_r + Z w.
     The rows that enter the solve keep an orthonormal basis of their parts
     G_i Z with the triangular Gram-Schmidt coefficients L, an orthonormal
     complement U of that basis (as rows), and an inverse factor T of the
@@ -487,7 +475,7 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     G = np.zeros((0, n)) if G is None else np.asarray(G, float)
     h = np.zeros(0) if h is None else np.asarray(h, float)
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
-    state = _ActiveSet(A, b, G, h)
+    state = _ActiveSet(_NullSpace(A, G), b, h)
     state.start(x)
     return state.solve(H, q)
 
@@ -514,7 +502,7 @@ def _with_negations(M):
 @functools.lru_cache(maxsize=_STRUCTURES)
 def _structure(J, S, T, periodic, soc_bounds, finite):
     """The template's constraint matrices for one structure, read-only, as
-    the ``_NullSpace`` that ``solve_qp`` finds them by.
+    the ``_NullSpace`` that every market solve of that structure runs on.
 
     ``finite`` is the bytes of the boolean mask, per variable in x order,
     of its upper then its lower limit being finite.  A holds the balance
@@ -541,7 +529,6 @@ def _structure(J, S, T, periodic, soc_bounds, finite):
     for arr in vars(view).values():
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
-    _VIEWS[id(A), id(G)] = view
     return view
 
 
@@ -654,14 +641,42 @@ class _Problem:
         return x[:k].reshape(self.J, self.T).copy(), x[k:].reshape(self.S, self.T).copy()
 
     def storage_start(self):
-        """Storage at 0, or at the nearest box point where 0 lies outside the
-        box by more than ``solve_qp``'s 1e-7 start tolerance.
-
-        A box that excludes 0 by less (a commitment rounded past its rate
-        limit) keeps the start at 0, which ``solve_qp`` accepts.
+        """Storage dispatch (S, T) at each box's point nearest 0, where the
+        SoC corridor and periodicity allow; a box that excludes 0 by at most
+        ``solve_qp``'s 1e-7 start tolerance counts as holding it.  A forward
+        pass bounds the reachable prefix sums, raising ``InfeasibleError``
+        where none is left or none nets to 0 (periodic); a backward pass
+        then keeps each entry at its box point wherever the next sum allows.
         """
-        nearest = np.clip(0.0, self.u_lo, self.u_hi)
-        return np.where(np.abs(nearest) > _START_TOL, nearest, 0.0)
+        S, T = self.S, self.T
+        want = np.clip(0.0, self.u_lo, self.u_hi)
+        want = np.where(np.abs(want) > _START_TOL, want, 0.0)
+        room = np.stack([self.x0s - 1.0, self.x0s]) * self.capacities if self.soc_bounds \
+            else np.array([[-np.inf], [np.inf]])
+        if not want.any() and room[0].max(initial=0.0) <= 0.0 <= room[1].min(initial=0.0):
+            return want  # 0 meets every box, the corridor and periodicity
+        lo, hi = np.minimum(self.u_lo, want), np.maximum(self.u_hi, want)
+        reach = np.zeros((2, S, T + 1))  # the least and the most prefix sum reachable
+        for t in range(T):
+            reach[0, :, t + 1] = np.maximum(reach[0, :, t] + lo[:, t], room[0])
+            reach[1, :, t + 1] = np.minimum(reach[1, :, t] + hi[:, t], room[1])
+            if np.any(reach[0, :, t + 1] > reach[1, :, t + 1] + _START_TOL):
+                raise InfeasibleError(
+                    f"participant limits and the SoC corridor leave no dispatch at interval {t}",
+                    interval=t,
+                )
+        net = np.maximum(reach[0, :, T], -reach[1, :, T])
+        if self.periodic and S and net.max() > _START_TOL:
+            s = int(np.argmax(net))
+            raise InfeasibleError(f"storage {s}'s limits admit no periodic dispatch "
+                                  f"(net energy off by {net[s]:.6g} MWh)")
+        level = np.clip(0.0 if self.periodic else want.sum(axis=1), *reach[:, :, T])
+        u = np.empty((S, T))
+        for t in range(T - 1, -1, -1):
+            before = np.clip(level - want[:, t], np.maximum(reach[0, :, t], level - hi[:, t]),
+                             np.minimum(reach[1, :, t], level - lo[:, t]))
+            u[:, t], level = level - before, before
+        return u
 
     def start_from(self, g, u):
         """The flat starting point for dispatch ``(g, u)``, shapes (J, T) and
@@ -691,54 +706,35 @@ class _Problem:
                     and np.all(self.G @ x - self.h <= _START_TOL))
 
     def elastic_start(self):
-        """Phase 1: penalized slack finds a feasible point when storage must
-        participate (for example a binding generator cap at the peak) or
-        when storage's start breaks periodicity.
-
-        Every equality row (balance and periodicity) gets a free slack, and
-        each row of G that the start breaks (an SoC corridor that storage's
-        start leaves) a nonnegative one.  A slack that stays above 1e-6 of
-        the demand scale raises ``InfeasibleError``, naming its interval
-        where it has one.  The point found goes through ``start_from``.
+        """Phase 1, where the generators cannot take up the cold start's
+        balance (for example a binding generator cap at the peak): one
+        active-set solve of this template from its cold start, with a
+        shortfall generator in [0, inf) at linear cost +1 and a surplus one
+        in (-inf, 0] at -1 per interval, and curvature 1e-3 over the demand
+        scale on every variable.  This exact l1 penalty drives both to 0
+        wherever a dispatch exists; one left above 1e-6 of the demand scale
+        raises ``InfeasibleError`` naming its interval.
         """
-        n, T, m, rows = self.n, self.T, self.A.shape[0], self.G.shape[0]
+        J, T = self.J, self.T
         scale = max(1.0, float(np.max(np.abs(self.demand))))
-        lo_start = np.concatenate([np.clip(0.0, self.g_lo, self.g_hi).ravel(),
-                                   self.storage_start().ravel()])
-        excess = self.G @ lo_start - self.h
-        broken = np.flatnonzero(excess > _START_TOL)
-        k = broken.size
-        H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(m + k, 1e8)]))
-        # each equality row + its slack = b; a broken row minus its slack stays within h
-        A = np.hstack([self.A, np.eye(m), np.zeros((m, k))])
-        relax = np.zeros((rows, k))
-        relax[broken, np.arange(k)] = -1.0
-        G = np.vstack([np.hstack([self.G, np.zeros((rows, m)), relax]),
-                       np.hstack([np.zeros((k, n + m)), -np.eye(k)])])
-        x0 = np.concatenate([lo_start, self.b - self.A @ lo_start, excess[broken]])
-        sol = solve_qp(H, np.zeros(n + m + k), A, self.b, G,
-                       np.concatenate([self.h, np.zeros(k)]), x0)
-        slack, net, over = sol.x[n:n + T], np.abs(sol.x[n + T:n + m]), sol.x[n + m:]
-        worst = int(np.argmax(np.abs(slack)))
-        if np.abs(slack[worst]) > 1e-6 * scale:
+        zero, inf = np.zeros((1, T)), np.full((1, T), np.inf)
+        phase = _Problem(np.full(J + 2, 1e3 * scale), np.r_[np.zeros(J), 1.0, -1.0],
+                         self.betas, self.capacities, self.x0s, self.demand,
+                         np.vstack([self.g_lo, zero, -inf]), np.vstack([self.g_hi, inf, zero]),
+                         self.u_lo, self.u_hi, self.periodic, self.soc_bounds)
+        state = _ActiveSet(phase.structure, phase.b, phase.h)
+        state.start(phase.cold_start())
+        q = np.concatenate([np.repeat(phase.a_lin, T), np.zeros(self.S * T)])
+        g, u = phase.split(state.solve(np.eye(phase.n) / (1e3 * scale), q).x)
+        penalty = g[J] + g[J + 1]
+        worst = int(np.argmax(np.abs(penalty)))
+        if abs(penalty[worst]) > 1e-6 * scale:
             raise InfeasibleError(
                 f"demand at interval {worst} cannot be met within participant limits "
-                f"(shortfall {slack[worst]:.6g} MW)",
+                f"(shortfall {penalty[worst]:.6g} MW)",
                 interval=worst,
             )
-        if net.size and net.max() > 1e-6 * scale:
-            s = int(np.argmax(net))
-            raise InfeasibleError(f"storage {s}'s limits admit no periodic dispatch "
-                                  f"(net energy off by {net[s]:.6g} MWh)")
-        if k and over.max() > 1e-6 * scale:
-            # a row's last variable sits at its interval: box rows hold one
-            # variable, corridor rows a storage's prefix up to the interval
-            t = int(np.flatnonzero(self.G[broken[np.argmax(over)]])[-1] % T)
-            raise InfeasibleError(
-                f"participant limits and the SoC corridor leave no dispatch at interval {t}",
-                interval=t,
-            )
-        x = self.start_from(*self.split(sol.x[:n]))
+        x = self.start_from(g[:J], u)
         if x is None:
             raise InfeasibleError("participant limits leave no dispatch within the start tolerance")
         return x
@@ -886,12 +882,12 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
     generators repair the seed's balance within their limits
     (``_Problem.start_from``).  A seed that still breaks a limit or the SoC
     corridor is ignored, and a seeded solve that fails runs again without
-    it.  Without a usable seed the solve starts from the cold start, or
-    from the elastic phase where the cold start breaks a constraint; a
-    template with no feasible point raises ``InfeasibleError`` there.  The
-    first half-cycle maps come from the starting point's storage dispatch,
-    so a start near the optimum carries its maps and its active rows with
-    it.
+    it.  Without a usable seed the solve starts from the cold start
+    (``_Problem.storage_start``), or from phase 1 where the generators
+    cannot take up its balance (``_Problem.elastic_start``); a template with
+    no feasible point raises ``InfeasibleError`` in either.  The first
+    half-cycle maps come from the starting point's storage dispatch, so a
+    start near the optimum carries its maps and its active rows with it.
     """
     prob = _Problem(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic, soc_bounds)
@@ -918,7 +914,7 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
 def _alternate(prob, x):
     """Alternate fixed-map QP solves from the feasible point ``x``, every
     round starting from the active-set state the last one ended in."""
-    state = _ActiveSet(prob.A, prob.b, prob.G, prob.h)
+    state = _ActiveSet(prob.structure, prob.b, prob.h)
     maps = prob.maps(prob.split(x)[1])
     sig = tuple(m.signature() for m in maps)
     seen = set()

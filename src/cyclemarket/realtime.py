@@ -31,7 +31,7 @@ from .errors import (
     InvalidInputError,
     NonConvergenceError,
 )
-from .qp import solve_market_qp
+from .qp import dispatch_map, solve_market_qp
 from .rainflow import rainflow_map
 
 __all__ = [
@@ -79,11 +79,11 @@ class RealTimeResult:
 
     @property
     def map_stable(self) -> bool:
-        """Whether each storage's half-cycle map of u_da + u_r equals its
-        day-ahead map (unaware mode; True otherwise).  Computed on first
+        """Whether each storage's ``qp.dispatch_map`` of u_da + u_r equals
+        its day-ahead map (unaware mode; True otherwise).  Computed on first
         read and cached."""
         if self._map_stable is None:
-            self._map_stable = all(rainflow_map(u, E, x0).signature() == sig
+            self._map_stable = all(dispatch_map(u, E, x0).signature() == sig
                                    for u, E, x0, sig in self._map_checks)
             self._map_checks = ()
         return self._map_stable

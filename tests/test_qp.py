@@ -131,8 +131,8 @@ class TestActiveSetCore:
         assert err.value.best_iterate == pytest.approx(x0)
 
     def test_optimality_test_scales_with_the_multipliers(self):
-        # an elastic phase-1 QP of a real-time window: curvature 1e-6 on the
-        # dispatch and 1e8 on the two balance slacks; next to multipliers of
+        # an l2 phase-1 QP of a real-time window (``_l2_phase_one``): curvature
+        # 1e-6 on the dispatch and 1e8 on the two balance slacks; next to multipliers of
         # 6e8 a multiplier of -2e-9 is rounding, not a row to drop, and a
         # solve that drops it can cycle to the iteration cap
         H = np.diag([1e-6] * 4 + [1e8] * 2)
@@ -180,6 +180,21 @@ def _template_qp(rng, T, P, corridor, duplicates, flat):
     F = rng.normal(0.0, 1.0, (n, 2))
     H = (1e-3 if flat else 1.0) * (np.diag(rng.uniform(0.5, 2.0, n)) + 0.1 * F @ F.T)
     return H, rng.normal(0.0, 1.0, n), A, A @ x0, G, h, x0
+
+
+def _l2_phase_one(prob):
+    """The l2 phase-1 QP that once found a market's feasible start: the cold
+    start's dispatch (storage at 0, which must meet every row of G) with a
+    free slack on each equality row, curvature 1e-6 on the dispatch and 1e8
+    on the slacks.  Its 1e14 curvature ratio makes the reduced Hessian
+    ill-conditioned.  Returns ``solve_qp``'s arguments."""
+    n, m = prob.n, prob.A.shape[0]
+    x = np.concatenate([np.clip(0.0, prob.g_lo, prob.g_hi).ravel(), np.zeros(prob.S * prob.T)])
+    assert np.all(prob.G @ x <= prob.h)
+    H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(m, 1e8)]))
+    A = np.hstack([prob.A, np.eye(m)])
+    G = np.hstack([prob.G, np.zeros((prob.G.shape[0], m))])
+    return H, np.zeros(n + m), A, prob.b, G, prob.h, np.concatenate([x, prob.b - prob.A @ x])
 
 
 def _factor_error(rows):
@@ -282,9 +297,8 @@ class TestUpdatedFactorization:
 def ill_conditioned_solves(draw):
     """A solve whose reduced Hessians are ill-conditioned: a market of two to
     four storage units, some of equal capacity, whose depth-preserving swaps
-    only the 1e-12 ridge pins; or the elastic phase 1 of a two-unit window
-    whose capped generator breaks the cold start, with curvature 1e-6 on
-    dispatch and 1e8 on slacks."""
+    only the 1e-12 ridge pins; or the l2 phase-1 QP (``_l2_phase_one``) of a
+    two-unit window whose capped generator breaks the cold start."""
     T = draw(st.integers(3, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -298,7 +312,7 @@ def ill_conditioned_solves(draw):
                               periodic=draw(st.booleans()), soc_bounds=True)
     demand = 60.0 + rng.uniform(-3.0, 3.0, T)
     demand[0] = 60.0 + rng.uniform(0.2, 2.0)
-    return "elastic", dict(alphas=[0.2], a_lin=[0.0], betas=[1.0, 1.0],
+    return "l2 phase 1", dict(alphas=[0.2], a_lin=[0.0], betas=[1.0, 1.0],
                            capacities=rng.uniform(1.5, 8.0, 2), x0s=rng.uniform(0.1, 0.5, 2),
                            demand=demand, g_lo=0.0, g_hi=60.0, u_lo=-1.0, u_hi=1.0,
                            periodic=False, soc_bounds=True)
@@ -326,8 +340,8 @@ class TestIllConditionedPoints:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qp._WorkingRows, "point", audited)
             try:
-                if kind == "elastic":
-                    qp._Problem(**template).elastic_start()
+                if kind == "l2 phase 1":
+                    solve_qp(*_l2_phase_one(qp._Problem(**template)))
                 else:
                     solve_market_qp(**template)
             except (InfeasibleError, SolverFailureError):
@@ -390,6 +404,57 @@ class TestWorkingRowDependence:
         G = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]]
         assert _kept_rows(A, G, [0, 1, 2, 3]) == [0]
         assert _kept_rows(np.zeros((0, 2)), G, [0, 1, 2, 3]) == [0, 1]
+
+
+@st.composite
+def storage_limits(draw):
+    """Storage boxes, SoC corridors and periodicity that admit a dispatch.
+
+    A unit either holds 0 in every box, some lower limits up to 1e-7 above
+    it, or gets boxes around a random dispatch, which may exclude 0 and is
+    zero-sum where periodic; its corridor then holds that dispatch's prefix
+    sums."""
+    S, T = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    periodic, soc_bounds = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = np.empty((S, T)), np.empty((S, T))
+    E, x0 = rng.uniform(0.5, 10.0, S), rng.uniform(0.0, 1.0, S)
+    for s in range(S):
+        if rng.random() < 0.4:
+            near = rng.random(T) < 0.3
+            lo[s] = np.where(near, rng.uniform(0.0, 1e-7, T), -rng.uniform(0.0, 2.0, T))
+            hi[s] = rng.uniform(0.0, 2.0, T)
+            continue
+        u = rng.uniform(-2.0, 2.0, T)
+        if periodic:
+            u -= u.mean()
+        lo[s] = u - rng.uniform(0.0, 1.0, T) * (rng.random(T) < 0.7)
+        hi[s] = u + rng.uniform(0.0, 1.0, T) * (rng.random(T) < 0.7)
+        level = np.concatenate([[0.0], np.cumsum(u)])
+        span = level.max() - level.min()
+        E[s] = span + rng.uniform(0.5, 3.0)
+        x0[s] = (level.max() + rng.uniform(0.0, E[s] - span)) / E[s]
+    return dict(alphas=[1.0], a_lin=[0.0], betas=np.ones(S), capacities=E, x0s=x0,
+                demand=np.zeros(T), g_lo=-np.inf, g_hi=np.inf, u_lo=lo, u_hi=hi,
+                periodic=periodic, soc_bounds=soc_bounds)
+
+
+class TestStorageStart:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(storage_limits())
+    def test_start_meets_each_units_limits(self, limits):
+        u = qp._Problem(**limits).storage_start()
+        lo, hi = limits["u_lo"], limits["u_hi"]
+        assert np.all(u >= lo - 1e-7) and np.all(u <= hi + 1e-7)
+        if limits["soc_bounds"]:
+            level = np.cumsum(u, axis=1)
+            E, x0 = limits["capacities"][:, None], limits["x0s"][:, None]
+            assert np.all(level <= x0 * E + 1e-7) and np.all(level >= (x0 - 1.0) * E - 1e-7)
+        if limits["periodic"]:
+            assert np.all(np.abs(u.sum(axis=1)) <= 1e-7)
+        # a unit whose boxes all hold 0 within the start tolerance starts at 0
+        idle = np.all((lo <= 1e-7) & (hi >= -1e-7), axis=1)
+        assert np.all(u[idle] == 0.0)
 
 
 class TestMarketQP:
@@ -538,12 +603,11 @@ class TestMarketQP:
         assert res.u[0][1] >= 0.4 - 1e-9
         assert res.kkt_residual <= 1e-8
 
-    @pytest.mark.xfail(strict=True, raises=SolverFailureError,
-                       reason="the elastic phase-1 QP cycles to solve_qp's iteration cap")
     def test_elastic_start_of_two_unit_window(self):
         # the generator's 60 MW cap binds at interval 0, so storage must
         # discharge there and the cold start is not feasible; on this demand,
-        # within 1.4e-6 MW of [61, 60, 60, 60], the phase 1 still cycles
+        # within 1.4e-6 MW of [61, 60, 60, 60], the l2 phase 1 cycled to the
+        # iteration cap
         demand = [61.000000640824425, 59.99999915875877, 59.9999988036579, 60.00000131227435]
         res = solve_market_qp([0.2], [0.0], [1.0, 1.0], [5.0, 2.5], [0.25, 0.25],
                               demand, 0.0, 60.0, -1.0, 1.0, periodic=False, soc_bounds=True)
@@ -552,20 +616,25 @@ class TestMarketQP:
     @pytest.mark.parametrize("demand, capacities, x0s", [
         ([61.0, 60.0, 60.0, 60.0], [5.0, 2.5], [0.25, 0.25]),
         ([61.5, 60.0, 60.0, 60.0], [5.0, 2.5], [0.5, 0.5]),
+        ([61.714675805126625, 59.39758103535018, 60.15466980047742, 57.58509089781212,
+          57.51213697035891], [6.873638531032299, 3.991380859966072],
+         [0.38263387288515105, 0.30717324397426615]),
+        ([60.999999958652644, 60.0000008410384, 59.999999034717156, 60.000000818884665],
+         [5.0, 2.5], [0.25, 0.25]),
     ])
     def test_elastic_start_of_two_unit_windows_certifies(self, demand, capacities, x0s):
-        # two-unit windows whose phase 1 cycled to the iteration cap before
-        # a step that moves toward the row just dropped was taken again (a
-        # third is the next test's)
+        # two-unit windows whose l2 phase 1 cycled to the iteration cap: the
+        # first two until a step that moves toward the row just dropped was
+        # taken again from M, the last two even with that repair
         res = solve_market_qp([0.2], [0.0], [1.0, 1.0], capacities, x0s, demand, 0.0, 60.0,
                               -1.0, 1.0, periodic=False, soc_bounds=True)
         assert res.kkt_residual <= 1e-8
 
     def test_step_toward_the_dropped_row_is_taken_again_from_M(self, monkeypatch):
-        # in this window's phase 1, which cycled to the iteration cap before,
-        # a step after a drop moves toward the dropped row's limit; the solve
-        # rebuilds M in T's place (a second ``reduce`` with the same Hz) and
-        # takes the point again
+        # in this window's l2 phase-1 QP, which cycled to the iteration cap
+        # before the repair, a step after a drop moves toward the dropped
+        # row's limit; the solve rebuilds M in T's place (a second ``reduce``
+        # with the same Hz) and takes the point again
         again = []
         reduce = qp._WorkingRows.reduce
 
@@ -574,11 +643,14 @@ class TestMarketQP:
             reduce(rows, Hz, grad)
 
         monkeypatch.setattr(qp._WorkingRows, "reduce", counted)
-        res = solve_market_qp([0.2], [0.0], [1.0, 1.0], [2.5, 5.0], [0.25, 0.25],
-                              [61.5, 60.0, 60.0, 60.0], 0.0, 60.0, -1.0, 1.0,
-                              periodic=False, soc_bounds=True)
-        assert res.kkt_residual <= 1e-8
+        H, q, A, b, G, h, x0 = _l2_phase_one(qp._Problem(
+            [0.2], [0.0], [1.0, 1.0], [2.5, 5.0], [0.25, 0.25], [61.5, 60.0, 60.0, 60.0],
+            0.0, 60.0, -1.0, 1.0, periodic=False, soc_bounds=True))
+        sol = solve_qp(H, q, A, b, G, h, x0)
         assert any(again)
+        # the solve ends on a feasible dispatch: its balance slacks are 0
+        assert np.max(np.abs(A @ sol.x - b)) <= 1e-9 and np.all(G @ sol.x <= h + 1e-9)
+        assert np.max(np.abs(sol.x[-4:])) <= 1e-9 and np.all(sol.ineq_duals >= 0)
 
     def test_soc_corridor_enforced(self):
         # long discharge pull: the corridor caps cumulative output at x0 * E
@@ -781,12 +853,21 @@ class TestStructureCache:
     @pytest.mark.parametrize("template", TEMPLATES)
     def test_cleared_warm_and_per_call_views_agree(self, template, monkeypatch):
         qp._structure.cache_clear()
+        views = []
+        inner = qp._ActiveSet.__init__
+
+        def recorded(state, view, b, h):
+            views.append(view)
+            inner(state, view, b, h)
+
+        monkeypatch.setattr(qp._ActiveSet, "__init__", recorded)
         cleared = solve_market_qp(**template)
         warm = solve_market_qp(**template)
-        # writeable copies of A and G are reduced by every active-set state
-        inner = qp._ActiveSet.__init__
-        monkeypatch.setattr(qp._ActiveSet, "__init__", lambda state, A, b, G, h: inner(
-            state, np.array(A), b, np.array(G), h))
+        # a market solve's state runs on its problem's structure
+        assert views and all(view is qp._Problem(**template).structure for view in views)
+        # a view reduced per call from writeable copies of A and G
+        monkeypatch.setattr(qp._ActiveSet, "__init__", lambda state, view, b, h: inner(
+            state, qp._NullSpace(np.array(view.A), np.array(view.G)), b, h))
         per_call = solve_market_qp(**template)
         for res in (warm, per_call):
             for name in ("g", "u", "price", "iterations", "kkt_residual"):
@@ -796,8 +877,8 @@ class TestStructureCache:
         first = qp._Problem(**TestSeededStart.WINDOW)
         window = dict(TestSeededStart.WINDOW, demand=np.array([2.0, 1.0, 2.0, 1.0]), g_hi=8.0)
         second = qp._Problem(**window)
+        assert second.structure is first.structure
         assert second.A is first.A and second.G is first.G
-        assert qp._VIEWS[id(first.A), id(first.G)] is first.structure
         for matrix in (first.A, second.G):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 2.0

@@ -25,7 +25,7 @@ from cyclemarket.realtime import (
     equilibrium_aware,
     equilibrium_unaware,
 )
-from cyclemarket.qp import idle_dispatch
+from cyclemarket.qp import dispatch_map, idle_dispatch
 from cyclemarket.rainflow import rainflow_map
 from cyclemarket.simulation import _window_da_view
 
@@ -74,7 +74,7 @@ def first_order_gaps(params, da, bids, res):
 
 def eager_map_stable(params, da, res):
     """The half-cycle map check, run directly on the result's adjustments."""
-    return all(rainflow_map(da.u[s] + res.u_r[s], st.capacity_E, st.x0).signature()
+    return all(dispatch_map(da.u[s] + res.u_r[s], st.capacity_E, st.x0).signature()
                == da.maps[s].signature() for s, st in enumerate(params.storages))
 
 
@@ -159,9 +159,9 @@ class TestEquilibriumUnaware:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return rainflow_map(*args, **kwargs)
+            return dispatch_map(*args, **kwargs)
 
-        monkeypatch.setattr(realtime, "rainflow_map", counted)
+        monkeypatch.setattr(realtime, "dispatch_map", counted)
         _, res = best_response_unaware(params, d_r, da)
         assert calls == []
         assert res.map_stable is True
