@@ -36,16 +36,16 @@ horizon, periodicity, the SoC corridor and which limits are finite, so
 ``_structure`` builds them read-only, with their null-space view, once per
 such key and keeps the last few in an LRU cache; every window, round and
 sweep point of one structure shares them.  It keeps the working rows
-factored: an orthonormal basis of their parts with its triangular
-coefficients, an orthonormal complement of that basis, and a square inverse
-factor T of the reduced Hessian M on the complement (T M T' = I), built
-from a Cholesky factor of M when a solve's rows first change.  Each add and
-each drop updates all three in O(nz^2), so an iteration takes its Newton
-step in the directions the working rows leave free without solving
-anything; a step after a drop that moves toward the dropped row carries
-the rounding of an updated T, and is taken again from M.  A working
-row that the equalities and the kept rows already imply parks outside the
-factorization until a drop frees it.  The ratio test needs G p for each step
+factored: one orthogonal Q whose leading rows are an orthonormal basis of
+their parts, with its triangular coefficients, and whose trailing rows are
+the complement, and a square inverse factor T of the reduced Hessian M on
+the complement (T M T' = I), built from a Cholesky factor of M when a solve
+starts.  Each add and each drop updates Q and T in O(nz^2), so an iteration
+takes its Newton step in the directions the working rows leave free without
+solving anything; a step after a drop that moves toward the dropped row
+carries the rounding of an updated T, and is taken again from T factored
+anew.  A working row that the equalities and the kept rows already imply
+parks outside the factorization until a drop frees it.  The ratio test needs G p for each step
 p; every row of the template's G reads one variable or one storage unit's
 prefix sum, with a sign, so the view computes G p as a signed gather from p
 extended by the per-unit cumulative sums of its storage block.  The test
@@ -56,10 +56,10 @@ first round forms what depends only on A, b, G and h (x_r, G x_r and the
 rows' right-hand sides) and factors its working rows; every later round
 starts at the last round's optimum from the rows that round kept, tests
 none of the rows that parked there again unless a kept row left, and
-rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient, the
-complement and its reduced Hessian).  The kink bisection starts once, and
-each probe solves from a copy of that start.  ``solve_qp`` runs the same
-core from a fresh state, on a view it reduces from its own A and G.
+rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient and
+T).  The kink bisection starts once, and each probe solves from a copy of
+that start.  ``solve_qp`` runs the same core from a fresh state, on a view
+it reduces from its own A and G.
 """
 
 import copy
@@ -94,49 +94,45 @@ class _WorkingRows:
     their iterations, updated per add and drop, and carried from one solve
     to the next.
 
-    The kept rows' null-space parts satisfy ``GZ[kept] = L @ basis``, with
-    ``basis`` orthonormal (Gram-Schmidt in the order the rows joined) and
-    ``L`` lower triangular, and ``y`` solves ``L y = rhs[kept]``, so the
-    point ``basis' y`` meets every kept row exactly.  None of these depend
-    on the Hessian, so a solve starts from the rows the last one kept
-    (``carry``).  The rows of ``comp`` complete ``basis`` to an orthonormal
-    basis of the null space; ``carry`` builds them by one QR.  One solve's
-    reduced Hessian on those free directions is M = ``comp Hz comp'``.
-    ``reduce`` puts M itself in ``T``; when the solve's rows first change,
-    ``T`` becomes a square inverse factor of M, T M T' = I, so that
-    M^-1 = T'T, built from a Cholesky factor of M.  During the solve a row
-    that joins leaves the complement by one Householder reflection, which
-    T takes from the right, and a second reflection from the left leaves
-    the new factor in T's leading block, in O(nz^2); a drop refactors the
-    rows after the dropped one by one QR of their coefficients and hands
-    the complement back the one direction that only the dropped row
-    pinned, which borders T with one row.  ``comp`` stays orthonormal and
-    apart from T, so T's rounding stays inside the Newton step.  Every
-    buffer is allocated once, when the rows are first made.
+    One orthogonal ``Q`` splits the null space at ``k``: the kept rows'
+    parts satisfy ``GZ[kept] = L @ Q[:k]``, with ``L`` lower triangular,
+    and ``y`` solves ``L y = rhs[kept]``, so the point ``Q[:k]' y`` meets
+    every kept row exactly.  ``Q[k:]`` spans the directions they leave
+    free.  None of this depends on the Hessian, so a solve starts from the
+    rows the last one kept (``carry``).  One solve's
+    reduced Hessian on the free directions is M = ``Q[k:] Hz Q[k:]'``, and
+    ``T[k:, k:]`` is a square inverse factor of it, T M T' = I, so that
+    M^-1 = T'T.  A row that joins reflects ``Q[k:]`` once, so that its
+    first row becomes the new basis direction; T takes the reflection from
+    the right, and a second one from the left leaves the new factor in its
+    trailing block, in O(nz^2).  A drop refactors the rows after the
+    dropped one by one QR of their coefficients, which turns ``Q[k-1]``
+    into the one direction that only the dropped row pinned; it becomes
+    the complement's first row, and T is bordered there.  ``Q`` stays
+    orthogonal and apart from T, so T's rounding stays inside the Newton
+    step.  Every buffer is allocated once, when the rows are first made.
     """
 
     def __init__(self, GZ, rhs, thresholds):
         nz = GZ.shape[1]
         self.GZ, self.rhs, self.thresholds = GZ, rhs, thresholds
-        self.k = self.r = 0  # kept rows, free directions
+        self.k = 0  # kept rows
         self.kept = np.empty(nz, np.intp)
         self.parked = np.zeros(GZ.shape[0], bool)  # the working rows not kept
-        self.basis = np.empty((nz, nz))
+        self.Q = np.eye(nz)
         self.L = np.zeros((nz, nz))
         self.y = np.empty(nz)
-        self.comp = np.empty((nz, nz))
         self.T = np.empty((nz, nz))
-        self.factored = False  # whether T holds M's inverse factor or M itself
 
     def carry(self, working):
         """Factor the rows of the boolean mask ``working`` over G.
 
         The kept rows stay, in their order, up to the first that is not in
-        ``working``; the other working rows then join in index order, each
-        parking if the basis already implies it.  A row that parked in the
-        last solve and is still working is not tested again unless a kept
-        row was cut, since the same basis still implies it.  One QR of the
-        basis builds the complement.
+        ``working``, and the rows of ``Q`` after them span the complement;
+        the other working rows then join in index order, each parking if
+        the basis already implies it.  A row that parked in the last solve
+        and is still working is not tested again unless a kept row was cut,
+        since the same basis still implies it.
         """
         still = working[self.kept[:self.k]]
         if not still.all():
@@ -147,146 +143,120 @@ class _WorkingRows:
         joining[self.kept[:self.k]] = False
         for i in np.flatnonzero(joining):
             self._join(i)
-        self.r = self.GZ.shape[1] - self.k
-        if self.r:
-            Q = np.linalg.qr(self.basis[:self.k].T, mode="complete")[0]
-            self.comp[:self.r] = Q[:, self.k:].T
 
     def reduce(self, Hz, grad):
-        """Take one solve's reduced Hessian ``Hz`` and gradient ``grad``:
-        ``T`` holds M = ``comp Hz comp'`` until the rows first change."""
+        """Take one solve's reduced Hessian ``Hz`` and gradient ``grad``, and
+        factor M = ``Q[k:] Hz Q[k:]'`` = C C' with C lower triangular, so
+        that T = C^-1; a Cholesky factorization that fails raises
+        LinAlgError (M not positive definite)."""
         self.Hz, self.grad = Hz, grad
-        U = self.comp[:self.r]
-        self.T[:self.r, :self.r] = U @ Hz @ U.T
-        self.factored = False
+        k, U = self.k, self.Q[self.k:]
+        if U.size:
+            self.T[k:, k:] = np.linalg.inv(np.linalg.cholesky(U @ Hz @ U.T))
 
     def copy(self):
         """A copy whose updates leave this factorization as it is."""
         other = copy.copy(self)
-        for name in ("kept", "parked", "basis", "L", "y", "comp", "T"):
+        for name in ("kept", "parked", "Q", "L", "y", "T"):
             setattr(other, name, getattr(self, name).copy())
         return other
 
     def add(self, i):
         """Append row ``i`` of G if its part ``GZ[i]`` orthogonal to the
         basis exceeds ``thresholds[i]``; otherwise it parks."""
-        if self._join(i):
-            self._leave_complement(self.basis[self.k - 1])
+        reflection = self._join(i)
+        if reflection:
+            # T P factors P M P; the reflection I - tau uu' zeroes its first
+            # column below the corner, and the trailing block that is left
+            # factors the trailing block of P M P
+            v, t = reflection
+            T = self.T[self.k - 1:, self.k - 1:]
+            T -= (t * (T @ v))[:, None] * v
+            u = T[:, 0].copy()
+            u[0] += math.copysign(math.sqrt(u @ u), u[0])
+            T[1:, 1:] -= ((2.0 / (u @ u)) * u[1:])[:, None] * (u @ T[:, 1:])
 
     def drop(self, j, parked):
         """Drop the ``j``-th kept row, then test the ``parked`` rows again.
 
-        The rows kept after it keep their coefficients on ``basis[:j]``; on
-        ``basis[j:k]`` they are R'Q' by one QR, so ``Q' basis[j:k]`` is their
-        new basis followed by the one direction that only row ``j`` pinned,
-        which returns to the complement.
+        The rows kept after it keep their coefficients on ``Q[:j]``; on
+        ``Q[j:k]`` they are R'P' by one QR, so ``P' Q[j:k]`` is their new
+        basis followed by the one direction that only row ``j`` pinned,
+        which becomes the complement's first row.
         """
-        k, L, B = self.k, self.L, self.basis
-        Q, R = np.linalg.qr(L[j + 1:k, j:k].T, mode="complete")
-        B[j:k] = Q.T @ B[j:k]
-        self.y[j:k - 1] = (Q.T @ self.y[j:k])[:-1]
+        k, L, Q = self.k, self.L, self.Q
+        P, R = np.linalg.qr(L[j + 1:k, j:k].T, mode="complete")
+        Q[j:k] = P.T @ Q[j:k]
+        self.y[j:k - 1] = (P.T @ self.y[j:k])[:-1]
         L[j:k - 1, :j] = L[j + 1:k, :j]
         L[j:k - 1, j:k] = R.T
         self.kept[j:k - 1] = self.kept[j + 1:k]
         self.k = k - 1
-        self._enter_complement(B[k - 1])
+        self._enter_complement()
         for i in parked:
             self.add(i)
 
     def _join(self, i):
-        # classical Gram-Schmidt run twice; the summed coefficients are row
-        # i's entries of L, and y gains its forward-substitution entry
-        k = self.k
-        B, g = self.basis[:k], self.GZ[i]
-        c = B @ g
-        v = g - c @ B
-        c2 = B @ v
-        v -= c2 @ B
+        # the reflection P = I - t vv' maps c = Q[k:] GZ[i] to -s|c| e_1, so
+        # that -s times the first row of P Q[k:] is row i's part orthogonal
+        # to the basis over |c|; L gains row i's coefficients, with |c| on
+        # its diagonal, and y its forward-substitution entry.  Returns
+        # (v, t), or None where the row parks
+        k, Q = self.k, self.Q
+        c = Q @ self.GZ[i]
+        v = c[k:]
         norm = math.sqrt(v @ v)
         parks = norm <= self.thresholds[i]
         self.parked[i] = parks
         if parks:
-            return False
-        c += c2
-        self.basis[k] = v / norm
-        self.L[k, :k], self.L[k, k] = c, norm
-        self.y[k] = (self.rhs[i] - c @ self.y[:k]) / norm
+            return None
+        # the sign of +0.0 is +1: Q starts as the identity, where v[0] is often 0
+        s = math.copysign(1.0, v[0])
+        v[0] += s * norm
+        t = 1.0 / (norm * abs(v[0]))
+        U = Q[k:]
+        U -= (t * v)[:, None] * (v @ U)
+        U[0] *= -s
+        self.L[k, :k], self.L[k, k] = c[:k], norm
+        self.y[k] = (self.rhs[i] - c[:k] @ self.y[:k]) / norm
         self.kept[k] = i
         self.k = k + 1
-        return True
+        return v, t
 
-    def _factor(self):
-        # M = C C' with C lower triangular gives T = C^-1; a Cholesky
-        # factorization that fails raises LinAlgError (M not positive definite)
-        r = self.r
-        if r and not self.factored:
-            self.T[:r, :r] = np.linalg.inv(np.linalg.cholesky(self.T[:r, :r]))
-        self.factored = True
-
-    def _leave_complement(self, q):
-        # the reflection P = I - t vv' maps c = comp q to sigma e_last, so the
-        # last row of P comp is +-q: only the rows before it are kept.  T P
-        # factors P M P; the reflection I - tau uu' zeroes its last column
-        # above the corner, and the leading block that is left factors the
-        # leading block of P M P
-        r = self.r - 1
-        if r == 0:  # the last free direction leaves: nothing is left to factor
-            self.r, self.factored = 0, True
-            return
-        self._factor()
-        U, T = self.comp[:r + 1], self.T[:r + 1, :r + 1]
-        v = U @ q
-        v[-1] += math.copysign(math.sqrt(v @ v), v[-1])
-        t = 2.0 / (v @ v)
-        U[:r] -= (t * v[:r])[:, None] * (v @ U)
-        T -= (t * (T @ v))[:, None] * v
-        u = T[:, r].copy()
-        u[-1] += math.copysign(math.sqrt(u @ u), u[-1])
-        T[:r, :r] -= ((2.0 / (u @ u)) * u[:r])[:, None] * (u @ T[:, :r])
-        self.r = r
-
-    def _enter_complement(self, z):
-        # z becomes the complement's last row, and T gains the border row
-        # [-x', 1] / s, with x = M^-1 comp Hz z.  s^2 = z'Hz z - |T comp Hz z|^2
-        # would cancel where M is ill-conditioned; the curvature of
-        # p = z - comp' x, which Hz-projects z off the complement, is the same
-        # s^2, and a rounded x only adds to it
-        self._factor()
-        r = self.r
-        U, T = self.comp[:r], self.T[:r, :r]
+    def _enter_complement(self):
+        # z = Q[k] becomes the complement's first row, and T gains the border
+        # row [1, -x'] / s, with x = M^-1 U Hz z over the complement U after
+        # it.  s^2 = z'Hz z - |T U Hz z|^2 would cancel where M is
+        # ill-conditioned; the curvature of p = z - U'x, which Hz-projects z
+        # off the complement, is the same s^2, and a rounded x only adds to it
+        k = self.k
+        z, U, T = self.Q[k], self.Q[k + 1:], self.T[k + 1:, k + 1:]
         x = (T @ (U @ (self.Hz @ z))) @ T
         p = z - x @ U
         s2 = p @ (self.Hz @ p)
         if not s2 > 0.0:
             raise np.linalg.LinAlgError("the freed direction has no curvature left")
         s = math.sqrt(s2)
-        self.comp[r] = z
-        self.T[r, :r] = x / -s
-        self.T[:r, r] = 0.0
-        self.T[r, r] = 1.0 / s
-        self.r = r + 1
+        self.T[k, k] = 1.0 / s
+        self.T[k, k + 1:] = x / -s
+        self.T[k + 1:, k] = 0.0
 
     def point(self):
         """The null-space point ``w`` that minimizes the reduced objective on
-        the kept rows: ``basis' y`` plus the Newton step in the free
-        directions, ``-comp' T'T comp (Hz w + grad)``, or from one solve
-        with M while T still holds it."""
-        k, r = self.k, self.r
-        w = self.y[:k] @ self.basis[:k]
-        if r:
-            U, T = self.comp[:r], self.T[:r, :r]
-            g = U @ (self.Hz @ w + self.grad)
-            if self.factored:
-                w -= ((T @ g) @ T) @ U
-            else:
-                w += np.linalg.solve(T, -g) @ U
+        the kept rows: ``Q[:k]' y`` plus the Newton step in the free
+        directions, ``-U' T'T U (Hz w + grad)`` with U = ``Q[k:]``."""
+        k, Q = self.k, self.Q
+        w = self.y[:k] @ Q[:k]
+        if k < Q.shape[0]:
+            U, T = Q[k:], self.T[k:, k:]
+            w -= ((T @ (U @ (self.Hz @ w + self.grad))) @ T) @ U
         return w
 
     def multipliers(self, w):
         """The kept rows' multipliers at the stationary point ``w``, from
-        ``L' mu = -basis (Hz w + grad)``."""
+        ``L' mu = -Q[:k] (Hz w + grad)``."""
         k = self.k
-        return np.linalg.solve(self.L[:k, :k].T, -(self.basis[:k] @ (self.Hz @ w + self.grad)))
+        return np.linalg.solve(self.L[:k, :k].T, -(self.Q[:k] @ (self.Hz @ w + self.grad)))
 
 
 class _NullSpace:
@@ -334,7 +304,7 @@ class _ActiveSet:
     ``start`` takes a feasible point and carries the working rows there
     from wherever the last solve left them (``_WorkingRows.carry``), so a
     solve that starts where the last one ended rebuilds only what depends
-    on its Hessian: Z'HZ, the reduced gradient and M.  ``fork`` copies a
+    on its Hessian: Z'HZ, the reduced gradient and T.  ``fork`` copies a
     started state, so that solves with different Hessians can run from one
     start.
     """
@@ -374,9 +344,9 @@ class _ActiveSet:
         view, Z, A_plus = self.view, self.view.Z, self.view.A_plus
         G, h, x_r = self.G, self.h, self.x_r
         x, Gx, working, rows = self.x, self.Gx, self.working, self.rows
-        rows.reduce(Z.T @ H @ Z, Z.T @ (H @ x_r + q))
         dropped = -1  # the row the last iteration dropped
         try:
+            rows.reduce(Z.T @ H @ Z, Z.T @ (H @ x_r + q))
             for it in range(_MAX_ITER):
                 w = rows.point()
                 kept = rows.kept[:rows.k]
@@ -406,8 +376,8 @@ class _ActiveSet:
                 if dropped >= 0 and Gp[dropped] > 1e-13 * step_scale:
                     # a step after a drop moves away from the dropped row's
                     # limit; one that moves toward it carries the rounding of
-                    # an updated factor of an ill-conditioned M, so the point
-                    # is taken again from M itself
+                    # an updated factor of an ill-conditioned M, so T is
+                    # factored anew from M and the point taken again
                     dropped = -1
                     rows.reduce(rows.Hz, rows.grad)
                     continue
@@ -426,7 +396,7 @@ class _ActiveSet:
                 x = x + alpha * p
                 Gx = Gx + alpha * Gp
         except np.linalg.LinAlgError:
-            # M is singular or, where T is built or bordered, not positive definite
+            # M is not positive definite where T is built or bordered
             raise SolverFailureError("active-set QP met a singular KKT system",
                                      best_iterate=x) from None
         raise SolverFailureError("active-set QP exceeded its iteration cap", best_iterate=x)
@@ -445,18 +415,19 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     (a market solve runs one state on its structure's view for all its
     rounds).  One QR of A' gives an orthonormal basis Z of that null space
     and the minimum-norm solution x_r of Ax = b; every iterate is x_r + Z w.
-    The rows that enter the solve keep an orthonormal basis of their parts
-    G_i Z with the triangular Gram-Schmidt coefficients L, an orthonormal
-    complement U of that basis (as rows), and an inverse factor T of the
-    reduced Hessian M = U(Z'HZ)U', with T M T' = I (``_WorkingRows``).  The
-    point basis' y, with L y the kept rows' right-hand side, meets the kept
+    The rows that enter the solve keep one orthogonal Q (``_WorkingRows``):
+    its first k rows B are an orthonormal basis of their parts G_i Z, with
+    the lower-triangular coefficients L, and the rest U the complement; and
+    an inverse factor T of the reduced Hessian M = U(Z'HZ)U', with
+    T M T' = I, built by a Cholesky factorization when the solve starts.
+    The point B' y, with L y the kept rows' right-hand side, meets the kept
     rows, and the Newton step -U' T'T U (reduced gradient) stays within U,
-    so an iteration solves nothing once T is built.  Each add and drop
-    updates U and T in O(nz^2).  Multipliers are formed only on stationary
-    iterations, from L' mu = -basis (reduced gradient), and the equality
-    duals once, at the optimum.  The point is optimal when no multiplier is
-    below -1e-11 times max(1, largest |multiplier|); otherwise the most
-    negative one's row drops.  A row that joins the working set is tested
+    so an iteration solves nothing.  Each add (one Householder reflection
+    of U) and each drop updates Q and T in O(nz^2).  Multipliers are
+    formed only on stationary iterations, from L' mu = -B (reduced
+    gradient), and the equality duals once, at the optimum.  The point is
+    optimal when no multiplier is below -1e-11 times max(1, largest
+    |multiplier|); otherwise the most negative one's row drops.  A row that joins the working set is tested
     against the basis alone: it parks, sitting out of the solve with a zero
     multiplier, when its part orthogonal to the basis is at most
     1e-9 ||G_i||, since it then pins nothing the equalities and the kept
@@ -465,9 +436,9 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
 
     A start that violates a constraint by more than 1e-7 raises
     ``InvalidInputError``; dependent equality rows, the iteration cap and a
-    reduced Hessian M that is singular, or not positive definite where T is
-    built or bordered (H not positive definite on the working subspace),
-    raise ``SolverFailureError`` carrying the current iterate.
+    reduced Hessian M that is not positive definite where T is built or
+    bordered (H not positive definite on the working subspace) raise
+    ``SolverFailureError`` carrying the current iterate.
     """
     n = H.shape[0]
     A = np.zeros((0, n)) if A is None else np.asarray(A, float)
@@ -712,8 +683,9 @@ class _Problem:
         shortfall generator in [0, inf) at linear cost +1 and a surplus one
         in (-inf, 0] at -1 per interval, and curvature 1e-3 over the demand
         scale on every variable.  This exact l1 penalty drives both to 0
-        wherever a dispatch exists; one left above 1e-6 of the demand scale
-        raises ``InfeasibleError`` naming its interval.
+        wherever a dispatch exists; penalties left above 1e-6 of the demand
+        scale raise ``InfeasibleError`` at the worst interval, naming every
+        such interval and their total.
         """
         J, T = self.J, self.T
         scale = max(1.0, float(np.max(np.abs(self.demand))))
@@ -727,11 +699,13 @@ class _Problem:
         q = np.concatenate([np.repeat(phase.a_lin, T), np.zeros(self.S * T)])
         g, u = phase.split(state.solve(np.eye(phase.n) / (1e3 * scale), q).x)
         penalty = g[J] + g[J + 1]
-        worst = int(np.argmax(np.abs(penalty)))
-        if abs(penalty[worst]) > 1e-6 * scale:
+        short = np.flatnonzero(np.abs(penalty) > 1e-6 * scale)
+        if short.size:
+            worst = int(np.argmax(np.abs(penalty)))
             raise InfeasibleError(
-                f"demand at interval {worst} cannot be met within participant limits "
-                f"(shortfall {penalty[worst]:.6g} MW)",
+                f"demand cannot be met within participant limits at intervals "
+                f"{', '.join(map(str, short))}, off by {np.abs(penalty[short]).sum():.6g} MW "
+                f"in all; the worst is interval {worst} (shortfall {penalty[worst]:.6g} MW)",
                 interval=worst,
             )
         x = self.start_from(g[:J], u)

@@ -19,13 +19,34 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def run_cli_at_threads(args, out, threads):
-    """Run the CLI in a fresh process with ``threads`` BLAS threads."""
+def run_at_threads(args, threads):
+    """Run ``python args`` in a fresh process with ``threads`` BLAS threads and
+    return its standard output."""
     path = os.pathsep.join([str(Path(cyclemarket.__file__).resolve().parents[1]),
                             os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-    subprocess.run([sys.executable, "-m", "cyclemarket.cli", *args, "--out", str(out)],
-                   env=env, check=True, timeout=600)
+    return subprocess.run([sys.executable, *args], env=env, check=True, timeout=600,
+                          capture_output=True, text=True).stdout
+
+
+def run_cli_at_threads(args, out, threads):
+    """Run the CLI in a fresh process with ``threads`` BLAS threads."""
+    run_at_threads(["-m", "cyclemarket.cli", *args, "--out", str(out)], threads)
+
+
+# the four-unit roster's day-ahead on the bundled fixture's demand; prints
+# the clearing's KKT residual and objective as JSON
+FOUR_UNIT_DAY_AHEAD = """
+import json
+from cyclemarket import MarketConfig, build_params, run_day_ahead
+from cyclemarket.data import synthetic_scenario
+scenario = synthetic_scenario()
+config = MarketConfig(
+    generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}],
+    storages=[{"capacity_E": 50.0, "capital_cost_B": b} for b in (100.0, 150.0, 250.0, 400.0)])
+da = run_day_ahead(scenario, build_params(config, scenario))
+print(json.dumps([da.kkt_residual, da.objective]))
+"""
 
 
 class TestRun:
@@ -50,6 +71,16 @@ class TestRun:
             run_cli_at_threads(["sweep", "--spec", str(spec)], out, threads)
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_four_unit_day_ahead_objective_independent_of_blas_threads(self):
+        # only a 1e-12 ridge pins the units' split, which can follow the
+        # thread count's rounding (ROADMAP item 4); the objective must not
+        cleared = [json.loads(run_at_threads(["-c", FOUR_UNIT_DAY_AHEAD], threads))
+                   for threads in ("1", "2")]
+        for residual, _ in cleared:
+            assert residual <= 1e-8
+        (_, first), (_, second) = cleared
+        assert abs(first - second) <= 1e-9 * abs(first)
 
     def test_bundled_fixture_produces_artifacts(self, tmp_path):
         out = tmp_path / "out"

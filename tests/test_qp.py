@@ -47,8 +47,8 @@ class TestActiveSetCore:
         assert err.value.best_iterate == pytest.approx(x0)
 
     def test_indefinite_hessian_raises_when_its_factor_is_built(self):
-        # the first point solves with M = diag(1, -1); the row x1 <= 0.5 then
-        # joins, and the Cholesky factorization that builds T fails
+        # M = diag(1, -1) is not positive definite, so the Cholesky
+        # factorization that builds T when the solve starts fails
         with pytest.raises(SolverFailureError, match="singular") as err:
             solve_qp(np.diag([1.0, -1.0]), np.array([0.0, 1.0]), None, None,
                      np.array([[0.0, 1.0]]), np.array([0.5]), x0=np.zeros(2))
@@ -198,22 +198,19 @@ def _l2_phase_one(prob):
 
 
 def _factor_error(rows):
-    """How far ``T`` is from the complement's reduced Hessian M = comp Hz comp',
-    relative to max(1, |Hz|): in backward form, |T^-1 T^-T - M|, once T is
-    M's inverse factor, and |T - M| while T still holds M."""
-    r = rows.r
-    U, T = rows.comp[:r], rows.T[:r, :r]
-    if rows.factored:
-        T_inv = np.linalg.inv(T)
-        T = T_inv @ T_inv.T
-    return (np.max(np.abs(T - U @ rows.Hz @ U.T), initial=0.0)
+    """How far ``T[k:, k:]`` is from an inverse factor of the complement's
+    reduced Hessian M = Q[k:] Hz Q[k:]', in backward form, |T^-1 T^-T - M|,
+    relative to max(1, |Hz|)."""
+    k = rows.k
+    U, T_inv = rows.Q[k:], np.linalg.inv(rows.T[k:, k:])
+    return (np.max(np.abs(T_inv @ T_inv.T - U @ rows.Hz @ U.T), initial=0.0)
             / max(1.0, np.max(np.abs(rows.Hz), initial=0.0)))
 
 
 class _Audit:
     """Checks the factorization of every ``solve_qp`` iteration while
-    installed: [basis; complement] is orthogonal, ``GZ[kept] = L basis`` and
-    ``T`` factors the complement's reduced Hessian (``_factor_error``).
+    installed: ``Q`` is orthogonal, ``GZ[kept] = L Q[:k]`` and ``T``
+    factors the complement's reduced Hessian (``_factor_error``).
     Counts parked rows, drops after which a parked row rejoined, and
     stationary points at a vertex."""
 
@@ -236,7 +233,7 @@ class _Audit:
             return point(factored)
 
         def audited_multipliers(factored, w):
-            self.vertex += factored.r == 0
+            self.vertex += factored.k == factored.Q.shape[0]
             return multipliers(factored, w)
 
         monkeypatch.setattr(rows, "_join", audited_join)
@@ -245,12 +242,9 @@ class _Audit:
         monkeypatch.setattr(rows, "multipliers", audited_multipliers)
 
     def check(self, factored):
-        k, r = factored.k, factored.r
-        B, U = factored.basis[:k], factored.comp[:r]
-        frame = np.vstack([B, U])
-        assert frame.shape[0] == factored.Hz.shape[0]
-        errors = [np.max(np.abs(frame @ frame.T - np.eye(frame.shape[0])), initial=0.0),
-                  np.max(np.abs(factored.GZ[factored.kept[:k]] - factored.L[:k, :k] @ B),
+        k, Q = factored.k, factored.Q
+        errors = [np.max(np.abs(Q @ Q.T - np.eye(Q.shape[0])), initial=0.0),
+                  np.max(np.abs(factored.GZ[factored.kept[:k]] - factored.L[:k, :k] @ Q[:k]),
                          initial=0.0),
                   _factor_error(factored)]
         self.worst = max(self.worst, *errors)
@@ -398,6 +392,15 @@ class TestWorkingRowDependence:
         assert rows.kept[:rows.k].tolist() == [0, 2, 3]
         rows.reduce(np.eye(3), np.zeros(3))
         assert max(_state_errors(rows)) <= 1e-15
+
+    def test_row_whose_part_leads_with_zero_joins_with_a_positive_diagonal(self):
+        # Q starts as the identity, so the part of e1 in the complement leads
+        # with +0.0, which the reflection must sign as positive
+        rows = qp._WorkingRows(np.eye(3), np.zeros(3), np.full(3, 1e-9))
+        rows.carry(np.array([False, True, False]))
+        assert rows.kept[:rows.k].tolist() == [1]
+        assert rows.L[0, 0] > 0
+        assert np.max(np.abs(rows.GZ[[1]] - rows.L[:1, :1] @ rows.Q[:1])) <= 1e-15
 
     def test_more_working_rows_than_variables(self):
         A = [[1.0, 1.0]]
@@ -631,10 +634,9 @@ class TestMarketQP:
         assert res.kkt_residual <= 1e-8
 
     def test_step_toward_the_dropped_row_is_taken_again_from_M(self, monkeypatch):
-        # in this window's l2 phase-1 QP, which cycled to the iteration cap
-        # before the repair, a step after a drop moves toward the dropped
-        # row's limit; the solve rebuilds M in T's place (a second ``reduce``
-        # with the same Hz) and takes the point again
+        # in this window's l2 phase-1 QP a step after a drop moves toward the
+        # dropped row's limit; the solve refactors T from M (a second
+        # ``reduce`` with the same Hz) and takes the point again
         again = []
         reduce = qp._WorkingRows.reduce
 
@@ -644,13 +646,13 @@ class TestMarketQP:
 
         monkeypatch.setattr(qp._WorkingRows, "reduce", counted)
         H, q, A, b, G, h, x0 = _l2_phase_one(qp._Problem(
-            [0.2], [0.0], [1.0, 1.0], [2.5, 5.0], [0.25, 0.25], [61.5, 60.0, 60.0, 60.0],
+            [0.2], [0.0], [1.0, 1.0], [6.5, 3.6], [0.47, 0.29], [61.8, 59.1, 60.1],
             0.0, 60.0, -1.0, 1.0, periodic=False, soc_bounds=True))
         sol = solve_qp(H, q, A, b, G, h, x0)
         assert any(again)
         # the solve ends on a feasible dispatch: its balance slacks are 0
         assert np.max(np.abs(A @ sol.x - b)) <= 1e-9 and np.all(G @ sol.x <= h + 1e-9)
-        assert np.max(np.abs(sol.x[-4:])) <= 1e-9 and np.all(sol.ineq_duals >= 0)
+        assert np.max(np.abs(sol.x[-3:])) <= 1e-9 and np.all(sol.ineq_duals >= 0)
 
     def test_soc_corridor_enforced(self):
         # long discharge pull: the corridor caps cumulative output at x0 * E
@@ -920,18 +922,18 @@ class TestStructureCache:
 
 
 def _state_errors(rows):
-    """Relative errors of a ``_WorkingRows``' invariants: ``GZ[kept] = L basis``,
-    ``basis`` orthonormal, ``L y = rhs[kept]``, the complement orthonormal and
-    orthogonal to ``basis``, and ``T`` factoring ``comp Hz comp'``."""
-    k, r = rows.k, rows.r
-    kept, B, U, L = rows.kept[:k], rows.basis[:k], rows.comp[:r], rows.L[:k, :k]
+    """Relative errors of a ``_WorkingRows``' invariants: ``GZ[kept] = L Q[:k]``,
+    ``Q`` orthogonal, ``L y = rhs[kept]`` and ``T[k:, k:]`` factoring
+    ``Q[k:] Hz Q[k:]'``."""
+    k, Q = rows.k, rows.Q
+    kept, L = rows.kept[:k], rows.L[:k, :k]
 
     def rel(got, want):
         scale = max(1.0, np.max(np.abs(want), initial=0.0))
         return np.max(np.abs(got - want), initial=0.0) / scale
 
-    return [rel(L @ B, rows.GZ[kept]), rel(B @ B.T, np.eye(k)), rel(L @ rows.y[:k], rows.rhs[kept]),
-            rel(U @ U.T, np.eye(r)), rel(U @ B.T, np.zeros((r, k))), _factor_error(rows)]
+    return [rel(L @ Q[:k], rows.GZ[kept]), rel(Q @ Q.T, np.eye(Q.shape[0])),
+            rel(L @ rows.y[:k], rows.rhs[kept]), _factor_error(rows)]
 
 
 def _two_wave_demand(T, a, p, b, q):
@@ -1080,8 +1082,8 @@ class TestCarriedState:
         def watched(prob, state, x, maps_a, maps_b, iterations):
             state.start(x)
             rows = state.rows
-            seen["start"] = [arr.copy() for arr in (state.working, rows.kept, rows.basis, rows.L,
-                                                    rows.y, rows.comp)]
+            seen["start"] = [arr.copy() for arr in (state.working, rows.kept, rows.Q, rows.L,
+                                                    rows.y)]
 
             def probe(gamma):
                 return state.fork().solve(*prob.hessian(maps_a, maps_b, gamma))
@@ -1089,7 +1091,7 @@ class TestCarriedState:
             seen["alone"] = probe(0.3)
             kink = bisect(prob, state, x, maps_a, maps_b, iterations)
             seen["after"] = [probe(0.7), probe(0.3), probe(0.3)]
-            seen["end"] = [state.working, rows.kept, rows.basis, rows.L, rows.y, rows.comp]
+            seen["end"] = [state.working, rows.kept, rows.Q, rows.L, rows.y]
             return kink
 
         monkeypatch.setattr(qp, "_kink_bisection", watched)

@@ -110,6 +110,17 @@ class TestRunDayAhead:
         assert err.value.interval == 0
         assert "participant limits cross at interval 0" in str(err.value)
 
+    def test_phase_one_names_every_short_hour_and_the_total(self, fixture_setup):
+        # an 805 MW cap with one 50 MWh unit leaves hours 15 and 39 short by
+        # 0.685165 MW each; the error sits at the first of the two
+        scn = fixture_setup[0]
+        config = MarketConfig(generators=[{"c": 20, "g_max": 805}],
+                              storages=[{"capacity_E": 50}])
+        with pytest.raises(InfeasibleError, match="cannot be met") as err:
+            run_day_ahead(scn, build_params(config, scn))
+        assert err.value.interval == 15
+        assert "at intervals 15, 39, off by 1.37033 MW in all" in str(err.value)
+        assert "interval 15 (shortfall 0.685165 MW)" in str(err.value)
 
     def test_unknown_clearing_raises_invalid_input(self, fixture_setup):
         scn, params = fixture_setup
