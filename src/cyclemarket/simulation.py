@@ -110,15 +110,32 @@ def _window_da_view(da, params, hour, end, u_idle):
     self-consistent.  The maps and depths read ``u_idle``, the day-ahead
     storage dispatch with its rounding-level entries over the whole horizon
     idle (``qp.idle_dispatch``), so they do not follow the sign of those
-    entries."""
+    entries.
+
+    Under a uniform result (``da.shares`` set) the units of one
+    ``(capacity_E, x0)`` form a storage group that shares one map object,
+    the map of the group's total idle dispatch over the window, as
+    ``clear_uniform`` maps the aggregate dispatch; where a unit's own map
+    would break an exact SoC tie another way, the unit reads the group's.
+    A general result keeps one map per unit.  Depths and prices stay per
+    unit: nu_s = N u_s and theta_s = b_s nu_s."""
     view = DayAheadResult(
         g=da.g[:, hour:end], u=da.u[:, hour:end], nu=[], energy_price=da.energy_price[hour:end],
         cycle_prices=[], periodicity_duals=da.periodicity_duals, shares=da.shares,
         objective=0.0, kkt_residual=da.kkt_residual, demand=None, uniform=da.uniform,
     )
+    group_maps = {}
     for s, st in enumerate(params.storages):
         u_s = u_idle[s, hour:end]
-        dec = rainflow_map(u_s, st.capacity_E, st.x0)
+        if da.shares is None:
+            dec = rainflow_map(u_s, st.capacity_E, st.x0)
+        else:
+            key = (st.capacity_E, st.x0)
+            if key not in group_maps:
+                members = [i for i, o in enumerate(params.storages)
+                           if (o.capacity_E, o.x0) == key]
+                group_maps[key] = rainflow_map(u_idle[members, hour:end].sum(axis=0), *key)
+            dec = group_maps[key]
         nu = dec.map @ u_s
         view.maps.append(dec)
         view.nu.append(nu)
@@ -144,8 +161,11 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     seed may select another of them.
     ``unaware`` mode runs the balance-only best-response clearing on the
     window's residual demand, the simplified setting its equilibrium theory
-    covers; power limits are not imposed on those adjustments.  Any other
-    mode raises ``InvalidInputError``.
+    covers; power limits are not imposed on those adjustments.  After
+    uniform clearing each window builds one half-cycle map per storage
+    group, units of one capacity and initial state of charge, rather than
+    one per unit (``_window_da_view``).  Any other mode raises
+    ``InvalidInputError``.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -185,7 +205,7 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
             total = da.u[s, hour] + u_rt[s, hour]
             x_next = x0_run[s] - total / st.capacity_E
             # binding-solve noise can overshoot the corridor by ~1e-14
-            x0_run[s] = float(np.clip(x_next, 0.0, 1.0))
+            x0_run[s] = min(max(float(x_next), 0.0), 1.0)
             soc[s, hour + 1] = x_next
     return steps, g_rt, u_rt, prices, soc
 

@@ -13,12 +13,15 @@ from cyclemarket.data import (
     default_config,
     synthetic_scenario,
 )
+from cyclemarket.dayahead import DayAheadResult
 from cyclemarket.errors import InfeasibleError, InvalidInputError
 from cyclemarket.planner import solve_planner
-from cyclemarket.realtime import aware_bids, clear_constrained_aware
+from cyclemarket.rainflow import rainflow_map
+from cyclemarket.realtime import aware_bids, best_response_unaware, clear_constrained_aware
 from cyclemarket.simulation import (
     BINDING_HOURS,
     MechanismConfig,
+    _window_da_view,
     run_day_ahead,
     run_real_time,
     run_two_stage,
@@ -287,6 +290,83 @@ class TestSeveralStorageUnits:
         assert rec.da_result.kkt_residual <= 1e-8
         assert len(rec.rt_steps) == BINDING_HOURS
         assert max(step.kkt_residual for step in rec.rt_steps) <= 1e-8
+
+
+class TestUniformUnawareWindows:
+    """Unaware windows after uniform clearing: the units of one (E, x0)
+    share the half-cycle map of their total idle dispatch."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        # the two-peak shape with seeded forecast noise and a slow forecast error
+        rng = np.random.default_rng(7)
+        h = np.arange(48.0)
+        forecast = (600 + 200 * np.sin(2 * np.pi * (h - 8) / 24)
+                    + 50 * np.sin(4 * np.pi * (h - 2) / 24) + rng.normal(0.0, 3.0, 48))
+        error = 0.04 * np.sin(2 * np.pi * (h[:24] + rng.uniform(0.0, 24.0)) / 24)
+        scn = DemandScenario(forecast=forecast, actual=forecast[:24] * (1 + error))
+        config = MarketConfig(
+            generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}],
+            storages=[{"capacity_E": 50.0, "capital_cost_B": b}
+                      for b in (100.0, 150.0, 250.0, 400.0)],
+        )
+        params = build_params(config, scn)
+        da = run_day_ahead(scn, params, MechanismConfig(clearing="uniform"))
+        return scn, params, da
+
+    def test_units_of_one_group_share_the_map_of_their_total(self, pool):
+        scn, params, da = pool
+        u_idle = qp.idle_dispatch(da.u)
+        for hour in range(BINDING_HOURS):
+            end = hour + 24
+            view = _window_da_view(da, params, hour, end, u_idle)
+            group = view.maps[0]
+            assert all(dec is group for dec in view.maps)
+            for s, st in enumerate(params.storages):
+                own = rainflow_map(u_idle[s, hour:end], st.capacity_E, st.x0)
+                assert own.signature() == group.signature()
+                assert np.array_equal(view.nu[s], own.map @ u_idle[s, hour:end])
+
+    def test_group_map_gives_the_per_unit_answers(self, pool):
+        scn, params, da = pool
+        u_idle = qp.idle_dispatch(da.u)
+        per_unit = dataclasses.replace(da, shares=None)
+        for hour in range(BINDING_HOURS):
+            end = hour + 24
+            d_r = np.zeros(24)  # the window's residual demand: its binding hour only
+            d_r[0] = scn.actual[hour] - scn.forecast[hour]
+            got, want = (best_response_unaware(
+                params, d_r, _window_da_view(result, params, hour, end, u_idle))[1]
+                for result in (da, per_unit))
+            for a, b in ((got.price, want.price), (got.g_r, want.g_r), (got.u_r, want.u_r)):
+                assert np.array_equal(a, b)
+
+    def test_exact_soc_tie_reads_the_total_map(self):
+        # unit 0's own map breaks an SoC tie of this profile another way than
+        # units 1 and 2 and the total do; every unit reads the total's map
+        w = np.array([3.0, 2.0, 2.0, -2.0, -1.0, 3.0, 0.0, -3.0])
+        shares = np.array([0.33190192432907056, 0.04816737123427453, 0.6199307044366549])
+        u = qp.idle_dispatch(np.outer(shares, w))
+        params = MarketParams(
+            generators=[GeneratorParams(c=20.0, g_min=-1e9, g_max=1e9)],
+            storages=[StorageParams(capacity_E=50.0, b=2.0 / eps, u_min=-1e9, u_max=1e9)
+                      for eps in shares],
+        )
+        demand = 10.0 + w
+        da = DayAheadResult(
+            g=(demand - u.sum(axis=0))[None, :], u=u, nu=[], energy_price=np.zeros(8),
+            cycle_prices=[], periodicity_duals=np.zeros(3), shares=shares,
+            objective=0.0, kkt_residual=0.0, demand=demand,
+        )
+        total = rainflow_map(u.sum(axis=0), 50.0, 0.5)
+        own = [rainflow_map(u[s], 50.0, 0.5).signature() for s in range(3)]
+        assert own[0] != total.signature()
+        assert own[1] == own[2] == total.signature()
+        view = _window_da_view(da, params, 0, 8, u)
+        assert view.maps[0] is view.maps[1] is view.maps[2]
+        assert view.maps[0].signature() == total.signature()
+        result = best_response_unaware(params, np.sin(np.arange(8.0)), view)[1]
+        assert result.kkt_residual <= 1e-8
 
 
 class TestSettlement:
