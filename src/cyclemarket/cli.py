@@ -67,6 +67,7 @@ def cmd_run(args):
         writer.writerow(["da_kkt_residual", "", _fmt(record.da_result.kkt_residual)])
         writer.writerow(["rt_iterations_total", "",
                          _fmt(sum(s.iterations for s in record.rt_steps))])
+        writer.writerow(["soc_outside_corridor", "", str(record.soc_outside_corridor)])
         for j in range(params.n_generators):
             writer.writerow(["generator_payment", f"g{j}", _fmt(st.generator_payments[j])])
             writer.writerow(["generator_profit", f"g{j}", _fmt(st.generator_profits[j])])

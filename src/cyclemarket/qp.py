@@ -45,21 +45,23 @@ takes its Newton step in the directions the working rows leave free without
 solving anything; a step after a drop that moves toward the dropped row
 carries the rounding of an updated T, and is taken again from T factored
 anew.  A working row that the equalities and the kept rows already imply
-parks outside the factorization until a drop frees it.  The ratio test needs G p for each step
-p; every row of the template's G reads one variable or one storage unit's
-prefix sum, with a sign, so the view computes G p as a signed gather from p
-extended by the per-unit cumulative sums of its storage block.  The test
-divides only on the rows that the step moves toward their limits.
+parks outside the factorization; a drop frees it untested, and a later
+step that moves toward it stops there at length zero.  The ratio test
+needs G p for each step p; every row of the template's G reads one
+variable or one storage unit's prefix sum, with a sign, so the view
+computes G p as a signed gather from p extended by the per-unit cumulative
+sums of its storage block.  The test divides only on the rows that the
+step moves toward their limits.
 
 A market solve runs that core on one active-set state (``_ActiveSet``).  Its
 first round forms what depends only on A, b, G and h (x_r, G x_r and the
 rows' right-hand sides) and factors its working rows; every later round
 starts at the last round's optimum from the rows that round kept, tests
-none of the rows that parked there again unless a kept row left, and
-rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient and
-T).  The kink bisection starts once, and each probe solves from a copy of
-that start.  ``solve_qp`` runs the same core from a fresh state, on a view
-it reduces from its own A and G.
+none of the rows parked since its last drop again unless a kept row left,
+and rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient
+and T).  The kink bisection starts once, and each probe solves from a copy
+of that start.  ``solve_qp`` runs the same core from a fresh state, on a
+view it reduces from its own A and G.
 """
 
 import copy
@@ -90,9 +92,10 @@ class QPSolution:
 
 
 class _WorkingRows:
-    """The kept working rows of the solves over one G and h, factored for
-    their iterations, updated per add and drop, and carried from one solve
-    to the next.
+    """The working rows of the solves over one G and h, factored for their
+    iterations, updated per add and drop, and carried from one solve to the
+    next.  The boolean mask ``working`` holds the kept rows and the parked
+    ones, which the kept rows imply; the ratio test reads the rows outside.
 
     One orthogonal ``Q`` splits the null space at ``k``: the kept rows'
     parts satisfy ``GZ[kept] = L @ Q[:k]``, with ``L`` lower triangular,
@@ -118,30 +121,27 @@ class _WorkingRows:
         self.GZ, self.rhs, self.thresholds = GZ, rhs, thresholds
         self.k = 0  # kept rows
         self.kept = np.empty(nz, np.intp)
-        self.parked = np.zeros(GZ.shape[0], bool)  # the working rows not kept
+        self.working = np.zeros(GZ.shape[0], bool)
         self.Q = np.eye(nz)
         self.L = np.zeros((nz, nz))
         self.y = np.empty(nz)
         self.T = np.empty((nz, nz))
 
-    def carry(self, working):
-        """Factor the rows of the boolean mask ``working`` over G.
+    def carry(self, active):
+        """Make the rows of the boolean mask ``active`` the working set.
 
-        The kept rows stay, in their order, up to the first that is not in
-        ``working``, and the rows of ``Q`` after them span the complement;
-        the other working rows then join in index order, each parking if
-        the basis already implies it.  A row that parked in the last solve
-        and is still working is not tested again unless a kept row was cut,
-        since the same basis still implies it.
-        """
-        still = working[self.kept[:self.k]]
+        The kept rows stay, in their order, up to the first that is not
+        active, and the rows of ``Q`` after them span the complement; the
+        other active rows not in the mask join in index order, each parking
+        if the basis already implies it.  A parked row that is still active
+        is not tested again unless a kept row was cut, since the same basis
+        still implies it."""
+        still = active[self.kept[:self.k]]
         if not still.all():
             self.k = int(np.argmin(still))
-            self.parked[:] = False
-        self.parked &= working
-        joining = working & ~self.parked
-        joining[self.kept[:self.k]] = False
-        for i in np.flatnonzero(joining):
+            self._free()
+        self.working &= active
+        for i in np.flatnonzero(active & ~self.working):
             self._join(i)
 
     def reduce(self, Hz, grad):
@@ -157,7 +157,7 @@ class _WorkingRows:
     def copy(self):
         """A copy whose updates leave this factorization as it is."""
         other = copy.copy(self)
-        for name in ("kept", "parked", "Q", "L", "y", "T"):
+        for name in ("kept", "working", "Q", "L", "y", "T"):
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -176,14 +176,13 @@ class _WorkingRows:
             u[0] += math.copysign(math.sqrt(u @ u), u[0])
             T[1:, 1:] -= ((2.0 / (u @ u)) * u[1:])[:, None] * (u @ T[:, 1:])
 
-    def drop(self, j, parked):
-        """Drop the ``j``-th kept row, then test the ``parked`` rows again.
+    def drop(self, j):
+        """Drop the ``j``-th kept row; the parked rows leave the mask untested.
 
         The rows kept after it keep their coefficients on ``Q[:j]``; on
         ``Q[j:k]`` they are R'P' by one QR, so ``P' Q[j:k]`` is their new
         basis followed by the one direction that only row ``j`` pinned,
-        which becomes the complement's first row.
-        """
+        which becomes the complement's first row."""
         k, L, Q = self.k, self.L, self.Q
         P, R = np.linalg.qr(L[j + 1:k, j:k].T, mode="complete")
         Q[j:k] = P.T @ Q[j:k]
@@ -192,23 +191,21 @@ class _WorkingRows:
         L[j:k - 1, j:k] = R.T
         self.kept[j:k - 1] = self.kept[j + 1:k]
         self.k = k - 1
+        self._free()
         self._enter_complement()
-        for i in parked:
-            self.add(i)
 
     def _join(self, i):
         # the reflection P = I - t vv' maps c = Q[k:] GZ[i] to -s|c| e_1, so
         # that -s times the first row of P Q[k:] is row i's part orthogonal
         # to the basis over |c|; L gains row i's coefficients, with |c| on
-        # its diagonal, and y its forward-substitution entry.  Returns
-        # (v, t), or None where the row parks
+        # its diagonal, and y its forward-substitution entry.  Row i enters
+        # the working mask either way.  Returns (v, t), or None where it parks
         k, Q = self.k, self.Q
         c = Q @ self.GZ[i]
         v = c[k:]
         norm = math.sqrt(v @ v)
-        parks = norm <= self.thresholds[i]
-        self.parked[i] = parks
-        if parks:
+        self.working[i] = True
+        if norm <= self.thresholds[i]:
             return None
         # the sign of +0.0 is +1: Q starts as the identity, where v[0] is often 0
         s = math.copysign(1.0, v[0])
@@ -222,6 +219,10 @@ class _WorkingRows:
         self.kept[k] = i
         self.k = k + 1
         return v, t
+
+    def _free(self):
+        self.working[:] = False  # only the kept rows stay in the mask
+        self.working[self.kept[:self.k]] = True
 
     def _enter_complement(self):
         # z = Q[k] becomes the complement's first row, and T gains the border
@@ -329,13 +330,12 @@ class _ActiveSet:
             raise SolverFailureError("solve_qp requires linearly independent equality rows",
                                      best_iterate=x)
         self.x, self.Gx = x, Gx
-        self.working = slack <= 1e-10 * np.maximum(1.0, np.abs(h))
-        self.rows.carry(self.working)
+        self.rows.carry(slack <= 1e-10 * np.maximum(1.0, np.abs(h)))
 
     def fork(self):
         """A copy of the started state whose solve leaves this one as it is."""
         other = copy.copy(self)
-        other.working, other.rows = self.working.copy(), self.rows.copy()
+        other.rows = self.rows.copy()
         return other
 
     def solve(self, H, q):
@@ -343,7 +343,7 @@ class _ActiveSet:
         working rows end where the solve does."""
         view, Z, A_plus = self.view, self.view.Z, self.view.A_plus
         G, h, x_r = self.G, self.h, self.x_r
-        x, Gx, working, rows = self.x, self.Gx, self.working, self.rows
+        x, Gx, rows = self.x, self.Gx, self.rows
         dropped = -1  # the row the last iteration dropped
         try:
             rows.reduce(Z.T @ H @ Z, Z.T @ (H @ x_r + q))
@@ -361,10 +361,7 @@ class _ActiveSet:
                         return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
                     j = int(np.argmin(mu_w))
                     dropped = kept[j]
-                    working[dropped] = False
-                    # the kept rows after j stay independent without it; a parked
-                    # row that only row j made dependent rejoins here
-                    rows.drop(j, np.flatnonzero(rows.parked))
+                    rows.drop(j)
                     continue
                 # step toward the EQP optimum, blocked by the nearest inactive row
                 # that the step moves toward its limit; ratios within 1e-9 of a
@@ -382,7 +379,7 @@ class _ActiveSet:
                     rows.reduce(rows.Hz, rows.grad)
                     continue
                 dropped = -1
-                blocking = np.flatnonzero(~working & (Gp > 1e-13 * step_scale))
+                blocking = np.flatnonzero(~rows.working & (Gp > 1e-13 * step_scale))
                 if blocking.size:
                     gp = Gp[blocking]
                     ratios = (h[blocking] - Gx[blocking]) / gp
@@ -390,9 +387,7 @@ class _ActiveSet:
                     if best_ratio < 1.0 - 1e-9:
                         near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
                         alpha = max(best_ratio, 0.0)
-                        i = blocking[near[np.argmax(gp[near])]]
-                        working[i] = True
-                        rows.add(i)
+                        rows.add(blocking[near[np.argmax(gp[near])]])
                 x = x + alpha * p
                 Gx = Gx + alpha * Gp
         except np.linalg.LinAlgError:
@@ -415,24 +410,21 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     (a market solve runs one state on its structure's view for all its
     rounds).  One QR of A' gives an orthonormal basis Z of that null space
     and the minimum-norm solution x_r of Ax = b; every iterate is x_r + Z w.
-    The rows that enter the solve keep one orthogonal Q (``_WorkingRows``):
-    its first k rows B are an orthonormal basis of their parts G_i Z, with
-    the lower-triangular coefficients L, and the rest U the complement; and
-    an inverse factor T of the reduced Hessian M = U(Z'HZ)U', with
-    T M T' = I, built by a Cholesky factorization when the solve starts.
-    The point B' y, with L y the kept rows' right-hand side, meets the kept
-    rows, and the Newton step -U' T'T U (reduced gradient) stays within U,
-    so an iteration solves nothing.  Each add (one Householder reflection
-    of U) and each drop updates Q and T in O(nz^2).  Multipliers are
-    formed only on stationary iterations, from L' mu = -B (reduced
-    gradient), and the equality duals once, at the optimum.  The point is
-    optimal when no multiplier is below -1e-11 times max(1, largest
-    |multiplier|); otherwise the most negative one's row drops.  A row that joins the working set is tested
-    against the basis alone: it parks, sitting out of the solve with a zero
+    The working rows keep the factors ``_WorkingRows`` describes, which each
+    add and drop update in O(nz^2), so an iteration solves nothing.
+    Multipliers are formed only on stationary iterations, from L' mu = -B
+    (reduced gradient) over the kept rows' basis B, and the equality duals
+    once, at the optimum.  The point is optimal when no multiplier is below
+    -1e-11 times max(1, largest |multiplier|); otherwise the most negative
+    one's row drops.  A row that joins the working set is tested against
+    the basis alone: it parks, sitting out of the solve with a zero
     multiplier, when its part orthogonal to the basis is at most
     1e-9 ||G_i||, since it then pins nothing the equalities and the kept
-    rows do not.  Every drop tests the parked rows again.  The starting
-    working set is tested in index order.
+    rows do not.  A drop frees the parked rows untested: they are still at
+    their limits, so one that a later step moves toward stops it at length
+    zero and joins or parks there (Nocedal and Wright, *Numerical
+    Optimization*, 2nd ed., 2006, section 16.5).  The starting working set
+    is tested in index order.
 
     A start that violates a constraint by more than 1e-7 raises
     ``InvalidInputError``; dependent equality rows, the iteration cap and a

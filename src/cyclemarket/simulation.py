@@ -76,6 +76,12 @@ class SimulationRecord:
     mode: str
     demand_actual: np.ndarray
 
+    @property
+    def soc_outside_corridor(self):
+        """How many states of charge after a binding hour leave [0, 1] by over 1e-9."""
+        soc = self.realized_soc[:, 1:]
+        return int(np.count_nonzero((soc < -1e-9) | (soc > 1.0 + 1e-9)))
+
 
 def run_day_ahead(scenario: DemandScenario, params: MarketParams,
                   mechanism_config: MechanismConfig | None = None) -> DayAheadResult:
@@ -122,7 +128,7 @@ def _window_da_view(da, params, hour, end, u_idle):
     view = DayAheadResult(
         g=da.g[:, hour:end], u=da.u[:, hour:end], nu=[], energy_price=da.energy_price[hour:end],
         cycle_prices=[], periodicity_duals=da.periodicity_duals, shares=da.shares,
-        objective=0.0, kkt_residual=da.kkt_residual, demand=None, uniform=da.uniform,
+        objective=0.0, kkt_residual=da.kkt_residual, demand=None,
     )
     group_maps = {}
     for s, st in enumerate(params.storages):

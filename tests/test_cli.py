@@ -139,6 +139,7 @@ class TestRun:
         assert code == 0
         rows = {r["metric"]: r["value"] for r in read_rows(out / "run_summary.csv")}
         assert float(rows["rt_iterations_total"]) >= 0
+        assert rows["soc_outside_corridor"] == "7"  # unaware mode leaves the corridor
 
     def test_custom_config(self, tmp_path):
         cfg = {"generators": [{"c": 25.0}], "storages": [{"capacity_E": 30.0}]}

@@ -114,14 +114,48 @@ class TestActiveSetCore:
             binding += int(np.any(sol.ineq_duals > 0))
         assert binding >= 10  # the draws exercise the working set, not just the equalities
 
+    # at x0 = 0 all three rows are active and row 2 = row 0 - row 1 parks;
+    # dropping row 1 must bring row 2 back, or the step crosses it to (0, -3)
+    PARKED = (np.eye(2), np.array([-1.0, 3.0]), None, None,
+              np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), np.zeros(3), np.zeros(2))
+
     def test_parked_row_rejoins_after_drop(self):
-        # at x0 = 0 all three rows are active and row 2 = row 0 - row 1 parks;
-        # dropping row 1 must bring row 2 back, or the step crosses it to (0, -3)
-        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
-        sol = solve_qp(np.eye(2), np.array([-1.0, 3.0]), None, None, G, np.zeros(3),
-                       x0=np.zeros(2))
+        sol = solve_qp(*self.PARKED)
         assert sol.x == pytest.approx([-1.0, -1.0], abs=1e-12)
         assert sol.ineq_duals == pytest.approx([0.0, 0.0, 2.0], abs=1e-12)
+
+    def test_freed_row_rejoins_through_the_ratio_test(self, monkeypatch):
+        # the start joins rows 0 and 1 and parks row 2; the drop of row 1
+        # tests no row, and the step toward (0, -3) meets row 2 at its limit,
+        # so row 2 joins after a step of length zero, still at x0 = 0
+        events = []
+        rows = qp._WorkingRows
+        join, drop, add, multipliers = rows._join, rows.drop, rows.add, rows.multipliers
+
+        def spied_join(factored, i):
+            events.append(("join", int(i)))
+            return join(factored, i)
+
+        def spied_drop(factored, j):
+            events.append(("drop", int(factored.kept[j])))
+            drop(factored, j)
+
+        def spied_add(factored, i):
+            events.append(("add", int(i)))
+            add(factored, i)
+
+        def spied_multipliers(factored, w):
+            events.append(("stationary", factored.kept[:factored.k].tolist(), w.tolist()))
+            return multipliers(factored, w)
+
+        for name, spy in [("_join", spied_join), ("drop", spied_drop), ("add", spied_add),
+                          ("multipliers", spied_multipliers)]:
+            monkeypatch.setattr(rows, name, spy)
+        sol = solve_qp(*self.PARKED)
+        assert sol.x == pytest.approx([-1.0, -1.0], abs=1e-12)
+        assert events[:8] == [("join", 0), ("join", 1), ("join", 2),
+                              ("stationary", [0, 1], [0.0, 0.0]), ("drop", 1),
+                              ("add", 2), ("join", 2), ("stationary", [0, 2], [0.0, 0.0])]
 
     def test_dependent_equality_rows_raise_with_start(self):
         x0 = np.array([0.5, 0.5])
@@ -207,26 +241,48 @@ def _factor_error(rows):
             / max(1.0, np.max(np.abs(rows.Hz), initial=0.0)))
 
 
+def _parked(rows):
+    """The rows in the working mask that the basis does not keep."""
+    parked = rows.working.copy()
+    parked[rows.kept[:rows.k]] = False
+    return parked
+
+
 class _Audit:
     """Checks the factorization of every ``solve_qp`` iteration while
     installed: ``Q`` is orthogonal, ``GZ[kept] = L Q[:k]`` and ``T``
     factors the complement's reduced Hessian (``_factor_error``).
-    Counts parked rows, drops after which a parked row rejoined, and
-    stationary points at a vertex."""
+    Counts parked rows, rows that a drop freed from the working mask and
+    that later rejoin the basis through ``add``, rows tested while a drop
+    runs, and stationary points at a vertex."""
 
     def __init__(self, monkeypatch):
         self.worst, self.parked, self.rejoined, self.vertex = 0.0, 0, 0, 0
+        self.tested_in_drop, self.freed, dropping = 0, {}, [False]
         rows = qp._WorkingRows
-        join, drop, point, multipliers = rows._join, rows.drop, rows.point, rows.multipliers
+        join, drop, add = rows._join, rows.drop, rows.add
+        point, multipliers = rows.point, rows.multipliers
 
         def audited_join(factored, i):
+            self.tested_in_drop += dropping[0]
             joined = join(factored, i)
             self.parked += not joined
             return joined
 
-        def audited_drop(factored, j, parked):
-            drop(factored, j, parked)
-            self.rejoined += bool(np.isin(parked, factored.kept[:factored.k]).any())
+        def audited_drop(factored, j):
+            parked = _parked(factored)
+            dropping[0] = True
+            drop(factored, j)
+            dropping[0] = False
+            freed = self.freed.setdefault(factored, set())
+            freed.update(np.flatnonzero(parked & ~factored.working).tolist())
+
+        def audited_add(factored, i):
+            k = factored.k
+            add(factored, i)
+            if factored.k > k and i in self.freed.get(factored, ()):
+                self.rejoined += 1
+                self.freed[factored].discard(i)
 
         def audited_point(factored):
             self.check(factored)
@@ -238,6 +294,7 @@ class _Audit:
 
         monkeypatch.setattr(rows, "_join", audited_join)
         monkeypatch.setattr(rows, "drop", audited_drop)
+        monkeypatch.setattr(rows, "add", audited_add)
         monkeypatch.setattr(rows, "point", audited_point)
         monkeypatch.setattr(rows, "multipliers", audited_multipliers)
 
@@ -285,6 +342,7 @@ class TestUpdatedFactorization:
             _assert_certified(solve_qp(*qp_data), *qp_data[:6])
         assert audit.worst <= 1e-10
         assert audit.parked >= 10 and audit.rejoined >= 10 and audit.vertex >= 10
+        assert audit.tested_in_drop == 0
 
 
 @st.composite
@@ -1016,11 +1074,11 @@ class TestCarriedState:
         joined, parked, carried = [], [], []
         carry, join = qp._WorkingRows.carry, qp._WorkingRows._join
 
-        def counted_carry(rows, working):
-            parked.append(set(np.flatnonzero(rows.parked & working).tolist()))
+        def counted_carry(rows, active):
+            parked.append(set(np.flatnonzero(_parked(rows) & active).tolist()))
             joined.append([])
             carried.append(rows)
-            carry(rows, working)
+            carry(rows, active)
 
         def counted_join(rows, i):
             if joined:
@@ -1036,10 +1094,10 @@ class TestCarriedState:
             assert not before.intersection(rows)
         # once the first kept row leaves, every parked row is tested again
         rows = carried[-1]
-        before = set(np.flatnonzero(rows.parked).tolist())
-        working = rows.parked.copy()
-        working[rows.kept[1:rows.k]] = True
-        rows.carry(working)
+        before = set(np.flatnonzero(_parked(rows)).tolist())
+        active = _parked(rows)
+        active[rows.kept[1:rows.k]] = True
+        rows.carry(active)
         assert before and before <= set(joined[-1])
         rows.reduce(rows.Hz, rows.grad)
         assert max(_state_errors(rows)) <= 1e-12
@@ -1082,7 +1140,7 @@ class TestCarriedState:
         def watched(prob, state, x, maps_a, maps_b, iterations):
             state.start(x)
             rows = state.rows
-            seen["start"] = [arr.copy() for arr in (state.working, rows.kept, rows.Q, rows.L,
+            seen["start"] = [arr.copy() for arr in (rows.working, rows.kept, rows.Q, rows.L,
                                                     rows.y)]
 
             def probe(gamma):
@@ -1091,7 +1149,7 @@ class TestCarriedState:
             seen["alone"] = probe(0.3)
             kink = bisect(prob, state, x, maps_a, maps_b, iterations)
             seen["after"] = [probe(0.7), probe(0.3), probe(0.3)]
-            seen["end"] = [state.working, rows.kept, rows.Q, rows.L, rows.y]
+            seen["end"] = [rows.working, rows.kept, rows.Q, rows.L, rows.y]
             return kink
 
         monkeypatch.setattr(qp, "_kink_bisection", watched)

@@ -10,7 +10,9 @@ from cyclemarket.data import (
     DemandScenario,
     MarketConfig,
     build_params,
+    bundled_demand_path,
     default_config,
+    load_demand_csv,
     synthetic_scenario,
 )
 from cyclemarket.dayahead import DayAheadResult
@@ -97,7 +99,7 @@ class TestRunDayAhead:
         scn, params = fixture_setup
         rec = run_two_stage(scn, params, mode="unaware",
                             mechanism_config=MechanismConfig(clearing="uniform"))
-        assert rec.da_result.uniform
+        assert rec.da_result.shares is not None
         assert rec.da_result.shares == pytest.approx([1.0])
         assert rec.da_result.kkt_residual <= 1e-8
         total = (rec.da_result.g[:, :BINDING_HOURS] + rec.g_rt).sum(axis=0) \
@@ -215,6 +217,16 @@ class TestRunRealTime:
         prices = run_real_time(scn, params, da, mode="unaware")[3]
         moved = run_real_time(scn, params, flipped, mode="unaware")[3]
         assert np.max(np.abs(moved - prices)) <= 1e-9 * np.max(np.abs(prices))
+
+    @pytest.mark.parametrize("mode, outside", [("aware", 0), ("unaware", 7)])
+    def test_states_of_charge_outside_the_corridor_are_counted(self, mode, outside):
+        # unaware windows clear balance only, so on the bundled fixture 7 of
+        # the 24 states of charge after a binding hour leave [0, 1]
+        scn = load_demand_csv(bundled_demand_path())
+        rec = run_two_stage(scn, build_params(default_config(), scn), mode=mode)
+        soc = rec.realized_soc[:, 1:]
+        assert rec.soc_outside_corridor == outside
+        assert np.count_nonzero((soc < -1e-6) | (soc > 1.0 + 1e-6)) == outside
 
     def test_infeasible_window_names_its_hour(self, fixture_setup):
         scn0, params = fixture_setup
