@@ -215,6 +215,7 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, enforce_soc_bo
         g=res.g, u=res.u, nu=nu, energy_price=res.price, cycle_prices=cycle_prices,
         periodicity_duals=res.periodicity_duals, shares=None, objective=res.objective,
         kkt_residual=res.kkt_residual, maps=res.maps, demand=d,
+        stationarity_pieces=res.stationarity_pieces,
     )
 
 

@@ -23,11 +23,12 @@ neither way within its round budget (``_MAX_ROUNDS``) raises
 Every starting point is built from a dispatch pair (g, u): the generators
 take up what is left of each interval's balance within their limits, and
 the point is used if it meets every constraint.  The pair is a caller's
-seed, or the cold start (generators at their lower limits, storage at 0 or
-near its box, within its corridor and periodicity: ``storage_start``).
-Where the generators cannot take up the cold start's balance, phase 1 solves
-the template with two l1 penalty generators per interval
-(``elastic_start``), or shows that no dispatch exists.
+seed, or the cold start: every participant at the point of its box nearest
+0, storage within its corridor and periodicity (``storage_start``).  Where
+the generators cannot take up its balance, phase 1 solves the template with
+two l1 penalty generators per interval (``elastic_start``), or shows that no
+dispatch exists; it starts by the same rule, and raises
+``SolverFailureError`` where rounding at the limits' scale breaks that start.
 
 The active-set core (``_ActiveSet``) works in an orthonormal basis of the
 equalities' null space.  It eliminates the equalities once per constraint
@@ -74,7 +75,7 @@ import numpy as np
 from .errors import InfeasibleError, InvalidInputError, SolverFailureError
 from .rainflow import rainflow_map
 
-__all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp", "market_kkt_residual"]
+__all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp"]
 
 _KKT_TOL = 1e-8  # the certificate: the largest KKT residual a certified answer may carry
 _START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
@@ -657,10 +658,9 @@ class _Problem:
         return x if self.admits(x) else None
 
     def cold_start(self):
-        """``start_from`` the generators at their lower limits (0 where
-        unbounded) and storage at ``storage_start``."""
-        return self.start_from(np.where(np.isfinite(self.g_lo), self.g_lo, 0.0),
-                               self.storage_start())
+        """``start_from`` every participant at the point of its box nearest 0:
+        the generators at ``np.clip(0, lo, hi)``, storage at ``storage_start``."""
+        return self.start_from(np.clip(0.0, self.g_lo, self.g_hi), self.storage_start())
 
     def admits(self, x):
         """Whether ``x`` meets every constraint within ``solve_qp``'s start
@@ -686,8 +686,11 @@ class _Problem:
                          self.betas, self.capacities, self.x0s, self.demand,
                          np.vstack([self.g_lo, zero, -inf]), np.vstack([self.g_hi, inf, zero]),
                          self.u_lo, self.u_hi, self.periodic, self.soc_bounds)
+        x = phase.cold_start()
+        if x is None:
+            raise SolverFailureError("rounding at this limit scale breaks phase 1's start")
         state = _ActiveSet(phase.structure, phase.b, phase.h)
-        state.start(phase.cold_start())
+        state.start(x)
         q = np.concatenate([np.repeat(phase.a_lin, T), np.zeros(self.S * T)])
         g, u = phase.split(state.solve(np.eye(phase.n) / (1e3 * scale), q).x)
         penalty = g[J] + g[J + 1]

@@ -148,6 +148,31 @@ class TestRun:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 0
 
+    def test_wide_generator_limits_certify(self, tmp_path):
+        # generators at +-1e9 start at 0, as unbounded ones do
+        gens = [{"c": c, "g_min": -1e9, "g_max": 1e9} for c in (27.397, 21.354, 17.968)]
+        cfg = {"generators": gens, "storages": [{"capacity_E": 300}, {"capacity_E": 150}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = {r["metric"]: r["value"] for r in read_rows(out / "run_summary.csv")}
+        assert float(rows["da_kkt_residual"]) <= 1e-8
+
+    @pytest.mark.parametrize("g_min, g_max, message", [
+        (1e9, 2e9, "cannot be met"),  # phase 1 names the surplus
+        (3e9, 2e11, "phase 1's start"),  # phase 1's own start misses its balance by rounding
+    ])
+    def test_must_run_generators_far_from_zero_exit_one(self, tmp_path, capsys, g_min, g_max,
+                                                        message):
+        gens = [{"c": c, "g_min": g_min, "g_max": g_max} for c in (20, 30)]
+        cfg = {"generators": gens, "storages": [{"capacity_E": 300}, {"capacity_E": 150}]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cyclemarket: ") and message in err
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"generators": [{"c": -3}]}), encoding="utf-8")

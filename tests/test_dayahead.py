@@ -296,6 +296,21 @@ class TestVerifyKKT:
         report = verify_kkt_dayahead(bad, bids, d, params)
         assert report.components["depth_constraint_st0"] == 1.0
 
+    def test_kink_seated_general_clearing_verifies(self):
+        # both units end on a kink between two adjacent maps; checked against
+        # each unit's own map alone, stationarity read 1e-5 or more
+        params = MarketParams(
+            generators=[GeneratorParams(c=13.405, g_min=-np.inf)],
+            storages=[StorageParams(capacity_E=E, b=b, u_min=-np.inf, u_max=np.inf)
+                      for E, b in ((50.0, 3.095), (20.0, 2.895))],
+        )
+        bids = equilibrium_bids_dayahead(params)
+        d = np.array([104.71, 77.7, 75.43, 92.28, 122.66, 128.56])
+        res = clear_general(bids, d, params)
+        assert [len(pieces) for pieces in res.stationarity_pieces] == [2, 2]
+        assert res.kkt_residual <= 1e-8
+        assert verify_kkt_dayahead(res, bids, d, params).max_residual <= 1e-8
+
     def test_planner_solution_with_equilibrium_bids_verifies(self):
         rng = np.random.default_rng(9)
         params = MarketParams(

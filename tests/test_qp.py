@@ -544,6 +544,15 @@ class TestMarketQP:
                             u_lo=0.0, u_hi=0.0, periodic=False)
         assert err.value.interval == 1
 
+    def test_phase_one_shortfall_below_its_threshold_is_refused(self):
+        # the cap is 5e-4 MW short of a 1000 MW demand at every interval:
+        # phase 1's penalties stay under its 1e-3 MW threshold, and no
+        # generator can take up what they leave
+        with pytest.raises(InfeasibleError, match="within the start tolerance"):
+            solve_market_qp(alphas=[1.0], a_lin=[0.0], betas=[1.0], capacities=[10.0],
+                            x0s=[0.5], demand=np.full(4, 1000.0), g_lo=0.0,
+                            g_hi=1000.0 - 5e-4, u_lo=-np.inf, u_hi=np.inf, periodic=True)
+
     def test_storage_absorbs_demand_below_generator_minimum(self):
         res = solve_market_qp(alphas=[1.0], a_lin=[0.0], betas=[1.0], capacities=[2.0],
                               x0s=[0.5], demand=np.array([10.0, 4.5, 10.0]), g_lo=5.0,
@@ -588,6 +597,27 @@ class TestMarketQP:
         g, u = err.value.best_iterate
         assert g.shape == u.shape == (1, 4)
         assert 0.0 < err.value.residual <= 1e-8
+
+    def test_uncertified_kink_below_every_round_is_carried(self, monkeypatch):
+        # four units, not periodic and with no corridor: the alternation
+        # meets a map tuple again, and the kink bisection's point misses the
+        # certificate, but its objective is below every round's, so the
+        # failure carries it
+        kinks = []
+        inner = qp._kink_bisection
+        monkeypatch.setattr(qp, "_kink_bisection", lambda *a: kinks.append(inner(*a)) or kinks[-1])
+        demand = np.array([56.25, 66.36, 77.73, 108.56, 124.34, 142.43, 146.84, 146.15, 138.83,
+                           120.23, 92.21, 73.37, 60.13, 48.03])
+        with pytest.raises(SolverFailureError) as err:
+            solve_market_qp(alphas=[1 / 35.58], a_lin=[0.0],
+                            betas=1 / np.array([1.64, 1.86, 1.76, 5.12]),
+                            capacities=[50.0, 150.0, 50.0, 20.0], x0s=[0.23, 0.48, 0.61, 0.57],
+                            demand=demand, g_lo=0.0, g_hi=1000.0, u_lo=-40.0, u_hi=40.0,
+                            periodic=False)
+        (kink, _), = kinks
+        g, u = err.value.best_iterate
+        assert np.array_equal(g, kink.g) and np.array_equal(u, kink.u)
+        assert err.value.residual == kink.kkt_residual > 1e-8
 
     def test_crossed_limits_name_first_interval(self):
         u_hi = np.full((1, 4), 1.0)
