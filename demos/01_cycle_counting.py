@@ -24,7 +24,7 @@ u = np.array([-0.8, 0.5, -0.2, 0.45, -0.85, 0.9])  # MW per hour
 
 soc = soc_from_dispatch(u, E, x0=0.5)
 print("dispatch:       ", u)
-print("state of charge:", np.round(soc.values, 3))
+print("state of charge:", np.round(soc, 3))
 print("turning points: ", turning_points(soc))
 
 # %% The decomposition itself

@@ -15,8 +15,6 @@ Library layout:
 __version__ = "0.1.0"
 
 from .rainflow import (
-    DispatchProfile,
-    SoCProfile,
     RainflowDecomposition,
     soc_from_dispatch,
     turning_points,
@@ -72,8 +70,6 @@ from .simulation import (
 
 __all__ = [
     "__version__",
-    "DispatchProfile",
-    "SoCProfile",
     "RainflowDecomposition",
     "soc_from_dispatch",
     "turning_points",

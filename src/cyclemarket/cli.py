@@ -149,8 +149,8 @@ def _load_sweep_spec(path):
          "values must be a non-empty list of finite positive numbers"),
         (isinstance(fixed, dict) and all(_positive(fixed[k]) for k in {"B", "E"} & set(fixed)),
          "fixed must be an object whose B and E are finite positive numbers"),
-        (isinstance(strategies, list) and all(s in STRATEGIES for s in strategies),
-         f"strategies must be a subset of {STRATEGIES}"),
+        (isinstance(strategies, list) and strategies and all(s in STRATEGIES for s in strategies),
+         f"strategies must be a non-empty subset of {STRATEGIES}"),
         (isinstance(metrics, list) and all(m in METRICS for m in metrics),
          f"metrics must be a subset of {METRICS}"),
         (not unknown, f"unknown keys: {sorted(unknown)}"),
@@ -206,8 +206,6 @@ def _plot_sweep(sweep_csv, metrics, out_dir):
     """Charts are regenerated from the CSV rows so they are pure views."""
     with open(sweep_csv, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    if not rows:
-        return
     axis = rows[0]["axis"]
     xlabel = "storage capital cost ($/kWh)" if axis == "B" else "storage capacity (MWh)"
     for metric in metrics:

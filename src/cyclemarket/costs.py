@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .rainflow import cycle_depths, rainflow_map, _dispatch_values
+from .rainflow import _vector, cycle_depths, rainflow_map
 
 __all__ = [
     "GeneratorParams",
@@ -104,13 +104,13 @@ class SubgradientInfo:
 
 def generator_cost(g, params):
     """Dollar cost of a generator dispatch profile."""
-    vals = _dispatch_values(g)
+    vals = _vector(g)[0]
     return float(0.5 * params.c * np.dot(vals, vals) + params.a * vals.sum())
 
 
 def generator_marginal_cost(g, params):
     """Exact gradient of the quadratic generator cost: c*g + a."""
-    vals = _dispatch_values(g)
+    vals = _vector(g)[0]
     return params.c * vals + params.a
 
 
@@ -133,7 +133,7 @@ def storage_cost_subgradient(u, params):
     more than one distinct map shows up the result averages the adjacent
     pieces' gradients with uniform convex weights.
     """
-    vals = _dispatch_values(u)
+    vals = _vector(u)[0]
     E, x0, b = params.capacity_E, params.x0, params.b
     probe_step = 1e-7 * max(1.0, float(np.max(np.abs(vals))))
 

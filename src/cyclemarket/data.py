@@ -107,16 +107,8 @@ def _parse_demand(fh, name):
                     f"{name}: gap in hourly sequence at row {lineno} ({raw_ts})", row=lineno
                 )
         prev_ts = ts
-        try:
-            fc = float(raw_fc)
-        except ValueError:
-            raise DemandCSVError(f"{name}: bad forecast {raw_fc!r} at row {lineno}", row=lineno)
-        if not np.isfinite(fc):
-            raise DemandCSVError(f"{name}: non-finite forecast at row {lineno}", row=lineno)
-        if fc < 0:
-            warnings.warn(f"{name}: negative forecast at row {lineno} (net load)", stacklevel=3)
         timestamps.append(ts)
-        forecast.append(fc)
+        forecast.append(_mw_cell(raw_fc, "forecast", name, lineno))
         if raw_ac == "":
             actuals_done = True
             continue
@@ -125,19 +117,26 @@ def _parse_demand(fh, name):
                 f"{name}: realized value after a blank at row {lineno}; actuals must be a "
                 "contiguous prefix", row=lineno,
             )
-        try:
-            ac = float(raw_ac)
-        except ValueError:
-            raise DemandCSVError(f"{name}: bad actual {raw_ac!r} at row {lineno}", row=lineno)
-        if not np.isfinite(ac):
-            raise DemandCSVError(f"{name}: non-finite actual at row {lineno}", row=lineno)
-        if ac < 0:
-            warnings.warn(f"{name}: negative actual at row {lineno} (net load)", stacklevel=3)
-        actual.append(ac)
+        actual.append(_mw_cell(raw_ac, "actual", name, lineno))
     if not forecast:
         raise DemandCSVError(f"{name}: no data rows", row=2)
     return DemandScenario(forecast=np.array(forecast), actual=np.array(actual),
                           timestamps=timestamps)
+
+
+def _mw_cell(raw, column, name, lineno):
+    """One MW cell of ``column`` ("forecast" or "actual") as a finite float; a
+    negative value is accepted with a warning that points at the caller of
+    ``load_demand_csv``."""
+    try:
+        mw = float(raw)
+    except ValueError:
+        raise DemandCSVError(f"{name}: bad {column} {raw!r} at row {lineno}", row=lineno)
+    if not np.isfinite(mw):
+        raise DemandCSVError(f"{name}: non-finite {column} at row {lineno}", row=lineno)
+    if mw < 0:
+        warnings.warn(f"{name}: negative {column} at row {lineno} (net load)", stacklevel=4)
+    return mw
 
 
 def write_demand_csv(scenario, path):

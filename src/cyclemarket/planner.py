@@ -7,7 +7,7 @@ marginal price; that convention is a package choice, stated here and in the
 README, since the benchmark itself defines no payments.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,7 @@ class PlannerResult:
     u: np.ndarray                  # (S, T)
     price: np.ndarray              # (T,) balance dual, $/MWh
     objective: float               # total social cost, $
-    periodic: bool
     kkt_residual: float
-    periodicity_duals: np.ndarray = None
-    maps: list = field(default_factory=list)
-    demand: np.ndarray | None = None
 
 
 def solve_planner(params: MarketParams, d, periodic=True):
@@ -51,11 +47,8 @@ def solve_planner(params: MarketParams, d, periodic=True):
         u_hi=[st.u_max for st in params.storages],
         periodic=periodic, soc_bounds=True,
     )
-    return PlannerResult(
-        g=res.g, u=res.u, price=res.price, objective=res.objective, periodic=periodic,
-        kkt_residual=res.kkt_residual, periodicity_duals=res.periodicity_duals,
-        maps=res.maps, demand=d,
-    )
+    return PlannerResult(g=res.g, u=res.u, price=res.price, objective=res.objective,
+                         kkt_residual=res.kkt_residual)
 
 
 def participant_profit(result: PlannerResult, params: MarketParams):

@@ -17,11 +17,18 @@ def _fmt(x):
 
 
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = span / (n - 1)
     return [lo + step * i for i in range(n)]
+
+
+def _range(values):
+    """(min, max) of ``values``, a flat range widened by a step relative to
+    its level (1.0 below magnitude 1000), so that it stays wide at any scale."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        hi = lo + max(abs(lo) * 1e-3, 1.0)
+    return lo, hi
 
 
 def line_chart(series, title, xlabel, ylabel, path):
@@ -30,12 +37,8 @@ def line_chart(series, title, xlabel, ylabel, path):
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         raise ValueError("no data to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + max(abs(y_lo) * 1e-3, 1.0)
+    x_lo, x_hi = _range(xs_all)
+    y_lo, y_hi = _range(ys_all)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     plot_w = _W - _ML - _MR

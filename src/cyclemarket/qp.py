@@ -828,15 +828,13 @@ def _kink_bisection(prob, state, x, maps_a, maps_b, iterations):
     if sig_ref == sig_lo:
         return None  # both endpoints in one region: not a two-piece kink
     lo, hi = 0.0, 1.0
-    for _ in range(80):
+    for _ in range(50):  # halving [0, 1] is exact: the bracket ends 2**-50 wide
         mid = 0.5 * (lo + hi)
         sol, sig = solve_at(mid)
         if sig == sig_ref:
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-15:
-            break
     gamma = 0.5 * (lo + hi)
     pieces = [[(gamma, maps_a[s].map), (1.0 - gamma, maps_b[s].map)] for s in range(prob.S)]
     return _evaluate(prob, sol, iterations + probe_iterations, pieces), sol

@@ -18,38 +18,12 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "DispatchProfile",
-    "SoCProfile",
     "RainflowDecomposition",
     "soc_from_dispatch",
     "turning_points",
     "rainflow_map",
     "cycle_depths",
 ]
-
-
-@dataclass
-class DispatchProfile:
-    """Per-interval power schedule for one participant, discharge positive."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values, _ = _vector(self.values)
-
-    def __len__(self):
-        return self.values.size
-
-
-@dataclass
-class SoCProfile:
-    """Normalized state-of-charge samples, one more entry than intervals."""
-
-    values: np.ndarray
-    initial: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
 
 
 @dataclass
@@ -62,14 +36,12 @@ class RainflowDecomposition:
                 for every interval with nonzero dispatch.
     pairs:      (k_down, k_up) index pairs for extracted full cycles; the
                 second member is None when no matching interval fit.
-    capacity:   energy capacity E used to normalize depths.
     """
 
     depths: np.ndarray
     map: np.ndarray
     assignment: dict
     pairs: list = field(default_factory=list)
-    capacity: float = 1.0
 
     @property
     def n_half_cycles(self):
@@ -93,18 +65,9 @@ def _vector(u):
     return arr, vals
 
 
-def _dispatch_values(u):
-    if isinstance(u, DispatchProfile):
-        return u.values
-    return _vector(u)[0]
-
-
 def _checked(u, capacity_E, x0):
     """(dispatch array, its entries as floats) after every input check, made once."""
-    if isinstance(u, DispatchProfile):
-        arr, vals = u.values, u.values.tolist()
-    else:
-        arr, vals = _vector(u)
+    arr, vals = _vector(u)
     if not (capacity_E > 0) or not math.isfinite(capacity_E):
         raise InvalidInputError("capacity_E must be positive and finite")
     if not (0.0 <= x0 <= 1.0):
@@ -123,14 +86,15 @@ def _soc(vals, E, x0):
 
 
 def soc_from_dispatch(u, capacity_E, x0=0.5):
-    """Integrate dispatch into a normalized SoC trajectory.
+    """Integrate dispatch into a normalized SoC trajectory: a float array
+    of T + 1 states, ``x0`` first.
 
     Discharge (positive u) lowers the state of charge: x_t = x_{t-1} - u_t/E.
     Bounds [0, 1] are not enforced here; constraint handling belongs to the
     clearing and planner layers.
     """
     _, vals = _checked(u, capacity_E, x0)
-    return SoCProfile(values=np.array(_soc(vals, float(capacity_E), float(x0))), initial=x0)
+    return np.array(_soc(vals, float(capacity_E), float(x0)))
 
 
 def _turning_points(x):
@@ -163,8 +127,7 @@ def turning_points(x):
     are always represented, and the output values strictly alternate.
     Applying the function to an already alternating sequence is the identity.
     """
-    vals = x.values if isinstance(x, SoCProfile) else x
-    return _turning_points(np.asarray(vals, dtype=float).tolist())
+    return _turning_points(np.asarray(x, dtype=float).tolist())
 
 
 def _match_forward(seg, depth, target):
@@ -255,9 +218,7 @@ def rainflow_map(u, capacity_E, x0=0.5):
     N = np.zeros(K * T)
     N[flat] = entries
     N = N.reshape(K, T)
-    return RainflowDecomposition(
-        depths=N @ arr, map=N, assignment=assignment, pairs=pairs, capacity=capacity_E
-    )
+    return RainflowDecomposition(depths=N @ arr, map=N, assignment=assignment, pairs=pairs)
 
 
 def cycle_depths(u, capacity_E, x0=0.5):

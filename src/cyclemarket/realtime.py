@@ -52,7 +52,6 @@ MODES = ("aware", "unaware")
 class RealTimeBids:
     alpha_r: np.ndarray  # per generator
     beta_r: np.ndarray   # per storage
-    mode: str = "aware"
 
     def __post_init__(self):
         self.alpha_r = np.atleast_1d(np.asarray(self.alpha_r, dtype=float))
@@ -60,8 +59,6 @@ class RealTimeBids:
             if np.size(self.beta_r) else np.zeros(0)
         if not (np.all(np.isfinite(self.alpha_r)) and np.all(np.isfinite(self.beta_r))):
             raise InvalidInputError("real-time bid slopes must be finite")
-        if self.mode not in MODES:
-            raise InvalidInputError("mode must be 'aware' or 'unaware'")
 
 
 @dataclass
@@ -72,7 +69,6 @@ class RealTimeResult:
     price_coeff: float | None       # proportionality scalar (price = coeff * demand vector)
     iterations: int
     kkt_residual: float | None = None
-    trace: list = field(default_factory=list)
     # (u_da + u_r, E, x0, day-ahead map signature) per storage, until map_stable is read
     _map_checks: tuple = field(default=(), init=False, repr=False, compare=False)
     _map_stable: bool | None = field(default=None, init=False, repr=False, compare=False)
@@ -159,7 +155,7 @@ def _unaware_result(params, da, d_r, slopes, price, coeff):
     """Bids ``slopes`` (generators, then storage) cleared at ``price``,
     which is ``coeff * d_r``."""
     J = params.n_generators
-    bids = RealTimeBids(alpha_r=slopes[:J], beta_r=slopes[J:], mode="unaware")
+    bids = RealTimeBids(alpha_r=slopes[:J], beta_r=slopes[J:])
     g_r = np.outer(bids.alpha_r, price)
     u_r = np.outer(bids.beta_r, price)
     result = RealTimeResult(
@@ -222,7 +218,6 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
                 trace and trace[-1] <= tol * max(1.0, d_max / abs(xi))):
             bids, result = _unaware_result(params, da, d_r, k - xi * m, d_r / xi, inv)
             result.iterations = it
-            result.trace = trace
             return bids, result
         if prev_point is not None and abs(xi - prev_point[0]) > 0:
             # secant solve of F(xi) = xi; exact for the affine best response
@@ -261,7 +256,7 @@ def aware_bids(params: MarketParams, d_total) -> RealTimeBids:
                 "total demand produces no cycling content; the storage slope is unbounded"
             )
         beta_r[s] = norm2 / (st.b * denom)
-    return RealTimeBids(alpha_r=alpha_r, beta_r=beta_r, mode="aware")
+    return RealTimeBids(alpha_r=alpha_r, beta_r=beta_r)
 
 
 def equilibrium_aware(params: MarketParams, d_total, da):

@@ -60,7 +60,7 @@ class Settlement:
     storage_profits: np.ndarray
     social_cost: float
     merchandising_surplus: float
-    storage_cycle_payments: np.ndarray = None  # theta' nu over binding intervals
+    storage_cycle_payments: np.ndarray  # theta' nu over binding intervals
 
 
 @dataclass
@@ -68,13 +68,15 @@ class SimulationRecord:
     da_result: DayAheadResult
     rt_steps: list                      # one RealTimeResult per binding hour
     settlement: Settlement
-    social_cost: float
     g_rt: np.ndarray                    # (J, 24) committed adjustments
     u_rt: np.ndarray                    # (S, 24)
     rt_prices: np.ndarray               # (24,) binding-interval prices
     realized_soc: np.ndarray            # (S, 25) across the binding day
-    mode: str
-    demand_actual: np.ndarray
+
+    @property
+    def social_cost(self):
+        """The settlement's social cost, the sum of realized costs."""
+        return self.settlement.social_cost
 
     @property
     def soc_outside_corridor(self):
@@ -309,8 +311,5 @@ def run_two_stage(scenario: DemandScenario, params: MarketParams, mode: str = "a
     da = run_day_ahead(scenario, params, cfg)
     steps, g_rt, u_rt, prices, soc = run_real_time(scenario, params, da, mode=mode)
     settlement = settle(da, prices, g_rt, u_rt, scenario, params)
-    return SimulationRecord(
-        da_result=da, rt_steps=steps, settlement=settlement,
-        social_cost=settlement.social_cost, g_rt=g_rt, u_rt=u_rt, rt_prices=prices,
-        realized_soc=soc, mode=mode, demand_actual=scenario.actual[:BINDING_HOURS].copy(),
-    )
+    return SimulationRecord(da_result=da, rt_steps=steps, settlement=settlement,
+                            g_rt=g_rt, u_rt=u_rt, rt_prices=prices, realized_soc=soc)

@@ -145,7 +145,7 @@ def test_criterion_4_unaware_closed_form_equals_best_response():
             base = None
             for _ in range(5):
                 init = RealTimeBids(alpha_r=rng.uniform(0.01, 1.0, J),
-                                    beta_r=rng.uniform(0.01, 1.0, S), mode="unaware")
+                                    beta_r=rng.uniform(0.01, 1.0, S))
                 _, rr = best_response_unaware(p, d_r, da, tol=1e-12, initial_bids=init)
                 if base is None:
                     base = rr.price

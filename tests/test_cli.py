@@ -11,7 +11,8 @@ import pytest
 
 import cyclemarket
 from cyclemarket.cli import main
-from cyclemarket.data import synthetic_scenario, write_demand_csv
+from cyclemarket.data import DemandScenario, synthetic_scenario, write_demand_csv
+from cyclemarket.plotting import line_chart
 
 
 def read_rows(path):
@@ -132,6 +133,15 @@ class TestRun:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_zero_demand_exits_one_aware_and_clears_unaware(self, tmp_path, capsys):
+        demand = tmp_path / "zero.csv"
+        write_demand_csv(DemandScenario(forecast=[0.0] * 48, actual=[0.0] * 24), demand)
+        args = ["run", "--demand", str(demand), "--out", str(tmp_path / "o")]
+        assert main(args + ["--mode", "aware"]) == 1
+        assert capsys.readouterr().err == \
+            "cyclemarket: window at hour 0 has no cycling content\n"
+        assert main(args + ["--mode", "unaware"]) == 0
 
     def test_unaware_mode_flag(self, tmp_path):
         out = tmp_path / "o"
@@ -269,6 +279,30 @@ class TestSweep:
         assert status == {"mechanism": "error: need 24 realized hours, have 12",
                           "planner_periodic": "ok", "planner_nonperiodic": "ok"}
 
+    def test_one_large_axis_value_plots(self, tmp_path):
+        # a flat x range widens relative to its level, so 1e17 + step != 1e17
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"axis": "E", "values": [1e17]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+        assert [r["status"] for r in read_rows(out / "sweep.csv")] == ["ok"] * 3
+        for metric in ("social_cost", "storage_profit"):
+            assert (out / f"{metric}_vs_E.svg").read_text(encoding="utf-8").count("<polyline") == 3
+
+    def test_sweep_without_storage_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"generators": [{"c": 20.0}]}), encoding="utf-8")
+        code = main(["sweep", "--spec", str(spec), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "at least one storage unit" in capsys.readouterr().err
+
+    def test_line_chart_needs_data(self, tmp_path):
+        with pytest.raises(ValueError, match="no data to plot"):
+            line_chart([], "t", "x", "y", tmp_path / "empty.svg")
+
     def test_invalid_spec_exits_two(self, tmp_path):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"axis": "Q", "values": []}), encoding="utf-8")
@@ -285,8 +319,10 @@ class TestSweep:
         b'{"axis": "B", "values": [100, Infinity]}',
         b'{"axis": "E", "values": [NaN]}',
         b'{"axis": "B", "values": [100], "fixed": {"E": Infinity}}',
+        b'{"axis": "B", "values": [100], "strategies": []}',
     ], ids=["non-numeric-value", "values-not-list", "non-numeric-fixed", "unhashable-strategy",
-            "top-level-list", "truncated", "infinite-value", "nan-value", "infinite-fixed"])
+            "top-level-list", "truncated", "infinite-value", "nan-value", "infinite-fixed",
+            "empty-strategies"])
     def test_malformed_spec_exits_two(self, tmp_path, capsys, content):
         spec = tmp_path / "bad.json"
         spec.write_bytes(content)

@@ -200,3 +200,9 @@ class TestParams:
             StorageParams(capacity_E=-1.0)
         with pytest.raises(InvalidInputError):
             StorageParams(capacity_E=1.0, x0=2.0)
+        with pytest.raises(InvalidInputError, match="g_min <= g_max"):
+            GeneratorParams(c=1.0, g_min=2.0, g_max=1.0)
+        with pytest.raises(InvalidInputError, match="cycle cost coefficient"):
+            StorageParams(capacity_E=1.0, b=0.0)
+        with pytest.raises(InvalidInputError, match="u_min <= u_max"):
+            StorageParams(capacity_E=1.0, u_min=1.0, u_max=-1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cyclemarket.data import (
+    DemandScenario,
     MarketConfig,
     build_params,
     bundled_demand_path,
@@ -84,6 +85,32 @@ class TestLoadDemandCSV:
         with pytest.raises(DemandCSVError):
             load_demand_csv(write_csv(tmp_path, bad))
 
+    @pytest.mark.parametrize("rows, message, row", [
+        ("", "empty file", 1),
+        ("timestamp,forecast_mw,actual_mw\n,,\n", "no data rows", 2),
+        ("timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,100.0\n",
+         "expected 3 columns at row 2", 2),
+        ("timestamp,forecast_mw,actual_mw\nnoon,100.0,100.0\n",
+         "bad timestamp 'noon' at row 2", 2),
+        ("timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,lots,100.0\n",
+         "bad forecast 'lots' at row 2", 2),
+        ("timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,inf,100.0\n",
+         "non-finite forecast at row 2", 2),
+        ("timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,100.0,lots\n",
+         "bad actual 'lots' at row 2", 2),
+        ("timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,100.0,nan\n",
+         "non-finite actual at row 2", 2),
+    ], ids=["empty", "blank-rows-only", "two-columns", "bad-timestamp", "bad-forecast",
+            "infinite-forecast", "bad-actual", "nan-actual"])
+    def test_malformed_rows_name_the_row(self, tmp_path, rows, message, row):
+        with pytest.raises(DemandCSVError, match=message) as err:
+            load_demand_csv(write_csv(tmp_path, rows))
+        assert err.value.row == row
+
+    def test_more_actuals_than_forecast_rejected(self):
+        with pytest.raises(DemandCSVError, match="more realized values"):
+            DemandScenario(forecast=[1.0], actual=[1.0, 2.0])
+
     @pytest.mark.parametrize("content", [
         b"timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,\xff,\n",
         b"\xfftimestamp,forecast_mw,actual_mw\n",
@@ -100,9 +127,13 @@ class TestLoadDemandCSV:
             "2023-08-25T00:00:00,-5.0,-4.0\n"
             "2023-08-25T01:00:00,10.0,11.0\n"
         )
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             scn = load_demand_csv(write_csv(tmp_path, text))
         assert scn.forecast[0] == -5.0
+        assert [str(w.message).split(": ", 1)[1] for w in caught] == [
+            "negative forecast at row 2 (net load)", "negative actual at row 2 (net load)"]
+        # both warnings point at the caller of load_demand_csv
+        assert {w.filename for w in caught} == {__file__}
 
     def test_round_trip(self, tmp_path):
         scn = synthetic_scenario()
@@ -173,6 +204,10 @@ class TestMarketConfig:
          "storage 0: rho must be finite"),
         ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "x0": float("nan")}]},
          "storage 0: x0 must be finite"),
+        ({"generators": [{"a": 1.0}]}, "generator 0: missing 'c'"),
+        ({"generators": [{"c": 1.0, "g_min": 5.0, "g_max": 1.0}]},
+         "generator 0: g_min exceeds g_max"),
+        ({"storages": [{"capacity_E": 5.0}]}, "at least one generator is required"),
     ])
     def test_malformed_entries_rejected(self, doc, violation):
         with pytest.raises(ConfigError) as err:

@@ -43,6 +43,36 @@ class TestEquilibriumBids:
             with pytest.raises(InvalidInputError, match="must be finite"):
                 DayAheadBids(alpha=alpha, beta=beta)
 
+    @pytest.mark.parametrize("kind, field, message", [
+        ("generators", "c", "need c > 0"),
+        ("storages", "b", "need b > 0"),
+    ])
+    def test_coefficient_changed_after_construction_rejected(self, kind, field, message):
+        # the parameter classes check c and b when built, not when assigned
+        params = MarketParams(
+            generators=[GeneratorParams(c=20.0)],
+            storages=[StorageParams(capacity_E=10.0, b=2.0)],
+        )
+        setattr(getattr(params, kind)[0], field, 0.0)
+        with pytest.raises(InvalidInputError, match=message):
+            equilibrium_bids_dayahead(params)
+
+    @pytest.mark.parametrize("clear, alpha, beta, message", [
+        (clear_uniform, [1.0], [], "sizes must match"),
+        (clear_uniform, [0.0], [1.0], r"sum\(alpha\) > 0"),
+        (clear_general, [1.0, 1.0], [1.0], "sizes must match"),
+        (clear_general, [0.0], [1.0], "positive generator slopes"),
+        (clear_general, [1.0], [0.0], "positive storage slopes"),
+    ], ids=["uniform-sizes", "uniform-zero-alpha", "general-sizes", "general-zero-alpha",
+            "general-zero-beta"])
+    def test_clearing_rejects_bids_it_cannot_clear(self, clear, alpha, beta, message):
+        params = MarketParams(
+            generators=[GeneratorParams(c=20.0)],
+            storages=[StorageParams(capacity_E=10.0, b=2.0)],
+        )
+        with pytest.raises(InvalidInputError, match=message):
+            clear(DayAheadBids(alpha=alpha, beta=beta), np.full(4, 10.0), params)
+
 
 class TestClearUniform:
     def test_zero_demand(self):

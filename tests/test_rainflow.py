@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclemarket import (
-    DispatchProfile,
     cycle_depths,
     rainflow_map,
     soc_from_dispatch,
@@ -25,16 +24,16 @@ def random_profile(rng, max_T=48):
 class TestSocFromDispatch:
     def test_zero_dispatch_constant_soc(self):
         x = soc_from_dispatch([0.0, 0.0, 0.0], 1.0, 0.5)
-        assert x.values == pytest.approx([0.5, 0.5, 0.5, 0.5])
+        assert x == pytest.approx([0.5, 0.5, 0.5, 0.5])
 
     def test_charge_then_discharge_returns_to_start(self):
         x = soc_from_dispatch([-0.5, 0.5], 1.0, 0.0)
-        assert x.values == pytest.approx([0.0, 0.5, 0.0])
+        assert x == pytest.approx([0.0, 0.5, 0.0])
 
     def test_per_step_arithmetic(self):
         # x_t = x_{t-1} - u_t / E, computed by hand
         x = soc_from_dispatch([-1.0, -1.0, 2.0], 4.0, 0.25)
-        assert x.values == pytest.approx([0.25, 0.5, 0.75, 0.25])
+        assert x == pytest.approx([0.25, 0.5, 0.75, 0.25])
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -45,9 +44,13 @@ class TestSocFromDispatch:
             soc_from_dispatch([1.0], 1.0, 1.5)
 
     def test_accepts_dispatch_profile(self):
-        prof = DispatchProfile(np.array([1.0, -1.0]))
-        x = soc_from_dispatch(prof, 2.0, 0.5)
-        assert x.values == pytest.approx([0.5, 0.0, 0.5])
+        # a plain sequence of any numeric dtype in, a float array out
+        x = soc_from_dispatch(np.array([1, -1]), 2.0, 0.5)
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64
+        assert x == pytest.approx([0.5, 0.0, 0.5])
+        # a 0-d dispatch is one interval
+        assert soc_from_dispatch(np.float64(1.0), 2.0, 0.5) == pytest.approx([0.5, 0.0])
+        assert rainflow_map(1.0, 2.0, 0.5).map.shape == (1, 1)
 
 
 class TestTurningPoints:
@@ -314,7 +317,7 @@ class TestReferenceOracle:
         assert cycle_depths(u, E, x0).tobytes() == ref_depths.tobytes()
         soc = soc_from_dispatch(u, E, x0)
         ref_soc = _reference_soc(u, E, x0)
-        assert soc.values.tobytes() == ref_soc.tobytes()
+        assert soc.tobytes() == ref_soc.tobytes()
         assert turning_points(soc) == _reference_turning_points(ref_soc)
 
     @pytest.mark.parametrize("u, E, x0", [

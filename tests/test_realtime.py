@@ -16,6 +16,7 @@ from cyclemarket.errors import (
     DegenerateDemandError,
     DegeneratePriceError,
     DivergenceError,
+    InvalidInputError,
     NonConvergenceError,
 )
 from cyclemarket.realtime import (
@@ -246,7 +247,7 @@ class TestBestResponseUnaware:
         rng = np.random.default_rng(26)
         params = make_market(rng)
         d_da, da = cleared_day_ahead(rng, params)
-        init = RealTimeBids(alpha_r=[0.5], beta_r=[-0.5], mode="unaware")
+        init = RealTimeBids(alpha_r=[0.5], beta_r=[-0.5])
         with pytest.raises(DivergenceError):
             best_response_unaware(params, correlated_residual(rng, d_da), da, initial_bids=init)
 
@@ -267,7 +268,7 @@ class TestBestResponseUnaware:
         prices = []
         for _ in range(5):
             init = RealTimeBids(alpha_r=rng.uniform(0.01, 1.0, 1),
-                                beta_r=rng.uniform(0.01, 1.0, 1), mode="unaware")
+                                beta_r=rng.uniform(0.01, 1.0, 1))
             _, res = best_response_unaware(params, d_r, da, tol=1e-12, initial_bids=init)
             prices.append(res.price)
         for p in prices[1:]:
@@ -490,7 +491,7 @@ class TestClearConstrainedAware:
             generators=[GeneratorParams(c=20.0, g_min=0.0, g_max=10.0)],
             storages=[StorageParams(capacity_E=8.0, b=2.0, u_min=-1.0, u_max=1.0)],
         )
-        bids = RealTimeBids(alpha_r=[0.05], beta_r=[1.0], mode="aware")
+        bids = RealTimeBids(alpha_r=[0.05], beta_r=[1.0])
         w = np.array([3.0, 4.0])
         u_da = np.array([[1.5, 1.5]])
         res = clear_constrained_aware(bids, w, np.array([[1.5, 2.5]]), u_da, params)
@@ -505,10 +506,31 @@ class TestClearConstrainedAware:
             generators=[GeneratorParams(c=20.0, g_min=0.0, g_max=3.0)],
             storages=[StorageParams(capacity_E=4.0, b=2.0, u_min=-1.0, u_max=1.0)],
         )
-        bids = RealTimeBids(alpha_r=[0.05], beta_r=[1.0], mode="aware")
+        bids = RealTimeBids(alpha_r=[0.05], beta_r=[1.0])
         w = np.array([2.0, 10.0])  # peak beyond generator cap + storage rate
         g_da = np.array([[2.0, 3.0]])
         u_da = np.array([[0.0, 0.0]])
         with pytest.raises(InfeasibleError) as err:
             clear_constrained_aware(bids, w, g_da, u_da, params)
         assert err.value.interval == 1
+
+    @pytest.mark.parametrize("alpha_r, beta_r, W, message", [
+        ([0.05], [1.0], 0, "at least one interval"),
+        ([0.0], [1.0], 2, "positive generator slopes"),
+        ([0.05], [-1.0], 2, "positive storage slopes"),
+    ], ids=["empty-window", "zero-generator-slope", "negative-storage-slope"])
+    def test_rejects_empty_window_and_nonpositive_slopes(self, alpha_r, beta_r, W, message):
+        params = MarketParams(
+            generators=[GeneratorParams(c=20.0, g_min=0.0, g_max=10.0)],
+            storages=[StorageParams(capacity_E=8.0, b=2.0)],
+        )
+        bids = RealTimeBids(alpha_r=alpha_r, beta_r=beta_r)
+        with pytest.raises(InvalidInputError, match=message):
+            clear_constrained_aware(bids, np.full(W, 3.0), np.full((1, W), 3.0),
+                                    np.zeros((1, W)), params)
+
+    @pytest.mark.parametrize("alpha_r, beta_r", [([np.nan], [1.0]), ([1.0], [np.inf])],
+                             ids=["nan-alpha", "inf-beta"])
+    def test_non_finite_bid_slopes_rejected(self, alpha_r, beta_r):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            RealTimeBids(alpha_r=alpha_r, beta_r=beta_r)

@@ -16,7 +16,7 @@ from cyclemarket.data import (
     synthetic_scenario,
 )
 from cyclemarket.dayahead import DayAheadResult
-from cyclemarket.errors import InfeasibleError, InvalidInputError
+from cyclemarket.errors import DegeneratePriceError, InfeasibleError, InvalidInputError
 from cyclemarket.planner import solve_planner
 from cyclemarket.rainflow import rainflow_map
 from cyclemarket.realtime import aware_bids, best_response_unaware, clear_constrained_aware
@@ -132,6 +132,12 @@ class TestRunDayAhead:
         with pytest.raises(InvalidInputError, match="'general', 'uniform'"):
             run_day_ahead(scn, params, MechanismConfig(clearing="uniformm"))
 
+    def test_horizon_shorter_than_the_binding_day_is_infeasible(self, fixture_setup):
+        _, params = fixture_setup
+        short = DemandScenario(forecast=np.full(BINDING_HOURS - 1, 500.0), actual=[])
+        with pytest.raises(InfeasibleError, match="cover at least the binding day"):
+            run_day_ahead(short, params)
+
 
 class TestRunRealTime:
     @pytest.mark.parametrize("run", [run_two_stage, run_real_time])
@@ -238,6 +244,19 @@ class TestRunRealTime:
         with pytest.raises(InfeasibleError) as err:
             run_real_time(scn, params, da, mode="aware")
         assert err.value.interval == 5
+
+    def test_zero_demand_stops_aware_windows_but_not_unaware(self):
+        # an all-zero day has no cycling content: the aware storage slope is
+        # unbounded, and the error names the window; unaware real time sees no
+        # residual and adjusts nothing
+        scn = DemandScenario(forecast=np.zeros(48), actual=np.zeros(BINDING_HOURS))
+        params = build_params(default_config(), scn)
+        da = run_day_ahead(scn, params)
+        with pytest.raises(DegeneratePriceError, match="window at hour 0 has no cycling content"):
+            run_real_time(scn, params, da, mode="aware")
+        rec = run_two_stage(scn, params, mode="unaware")
+        assert not rec.u_rt.any() and not rec.rt_prices.any()
+        assert rec.social_cost == 0.0
 
 
 class TestSeededWindows:
