@@ -19,6 +19,7 @@ from cyclemarket import (
     equilibrium_aware,
     equilibrium_bids_dayahead,
     equilibrium_unaware,
+    map_stable,
 )
 
 rng = np.random.default_rng(9)
@@ -35,7 +36,7 @@ residual = 0.2 * np.abs(forecast) * rng.uniform(0.5, 1.3, T)
 bids_eq, res_eq = equilibrium_unaware(params, residual, da)
 print("price coefficient:", res_eq.price_coeff)
 print("slopes: alpha_r =", bids_eq.alpha_r, " beta_r =", bids_eq.beta_r)
-print("half-cycle map preserved by the adjustment:", res_eq.map_stable)
+print("half-cycle map preserved by the adjustment:", map_stable(params, da, res_eq))
 
 bids_br, res_br = best_response_unaware(params, residual, da, tol=1e-12)
 print("best response converged in", res_br.iterations, "rounds;",

@@ -44,6 +44,7 @@ from .realtime import (
     RealTimeResult,
     equilibrium_unaware,
     best_response_unaware,
+    map_stable,
     aware_bids,
     equilibrium_aware,
     clear_constrained_aware,
@@ -93,6 +94,7 @@ __all__ = [
     "RealTimeResult",
     "equilibrium_unaware",
     "best_response_unaware",
+    "map_stable",
     "aware_bids",
     "equilibrium_aware",
     "clear_constrained_aware",

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .data import (
     MarketConfig,
+    _number,
     build_params,
     bundled_demand_path,
     default_config,
@@ -129,10 +130,8 @@ def _sweep_point(task):
 
 def _positive(value):
     """Whether ``value`` is a finite number above zero."""
-    try:
-        return 0 < float(value) < math.inf
-    except (TypeError, ValueError):
-        return False
+    x = _number(value)
+    return x is not None and 0 < x < math.inf
 
 
 def _load_sweep_spec(path):
@@ -162,6 +161,8 @@ def _load_sweep_spec(path):
 
 
 def cmd_sweep(args):
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be at least 1, got {args.parallel}")
     spec = _load_sweep_spec(args.spec)
     config, scenario = _load_inputs(args)
     if not config.storages:
@@ -178,8 +179,10 @@ def cmd_sweep(args):
          "scenario": scenario, "mode": args.mode}
         for v in spec["values"] for strat in spec["strategies"]
     ]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # the pool starts all its workers at once, so start no more than there are tasks
+    workers = min(args.parallel, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
@@ -243,7 +246,7 @@ def main(argv=None):
     p_sweep.add_argument("--demand", help="demand CSV (default: bundled fixture)")
     p_sweep.add_argument("--mode", choices=["aware", "unaware"], default="aware")
     p_sweep.add_argument("--out", default="out", help="output directory")
-    p_sweep.add_argument("--parallel", type=int, default=1, help="worker count")
+    p_sweep.add_argument("--parallel", type=int, default=1, help="worker count, at least 1")
 
     args = parser.parse_args(argv)
     try:

@@ -1,10 +1,10 @@
 """Demand-data ingestion, market configuration, and the bundled fixture.
 
 The CSV contract: header ``timestamp,forecast_mw,actual_mw``, hourly ISO-8601
-timestamps with no gaps, RFC-4180 quoting, UTF-8.  ``actual_mw`` may be blank
-on advisory-only rows; realized values must form a contiguous prefix.
-Negative demand is accepted with a warning (net load behind large renewable
-infeed can be negative).
+timestamps with no gaps, all naive or all with an offset, RFC-4180 quoting,
+UTF-8 (BOM allowed).  ``actual_mw`` may be blank on advisory-only rows;
+realized values must form a contiguous prefix.  Negative demand is accepted
+with a warning (net load behind large renewable infeed can be negative).
 """
 
 import csv
@@ -66,7 +66,7 @@ class DemandScenario:
 def load_demand_csv(path):
     """Parse and validate a demand file into a scenario; text that is not UTF-8
     raises ``DemandCSVError`` like any other malformed content."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             return _parse_demand(fh, str(path))
         except UnicodeDecodeError as exc:
@@ -98,6 +98,9 @@ def _parse_demand(fh, name):
         except ValueError:
             raise DemandCSVError(f"{name}: bad timestamp {raw_ts!r} at row {lineno}", row=lineno)
         if prev_ts is not None:
+            if (ts.tzinfo is None) != (prev_ts.tzinfo is None):
+                raise DemandCSVError(f"{name}: naive and UTC-offset timestamps mixed at row "
+                                     f"{lineno} ({raw_ts})", row=lineno)
             if ts <= prev_ts:
                 raise DemandCSVError(
                     f"{name}: timestamps not increasing at row {lineno} ({raw_ts})", row=lineno
@@ -153,12 +156,20 @@ _NO_LIMIT = {"g_min": -np.inf, "g_max": np.inf}  # the only infinities a config 
 
 
 def load_json(path):
-    """The JSON document at ``path``; content that is not UTF-8 JSON raises ``ConfigError``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The UTF-8 JSON document at ``path``, BOM or not; anything else raises ``ConfigError``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"{path}: not a JSON document ({exc})") from None
+
+
+def _number(value):
+    """``value`` as a float; None if not a number or numeric string (JSON booleans are not)."""
+    try:
+        return None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        return None
 
 
 def _entry_violations(where, entry, keys, required):
@@ -171,12 +182,10 @@ def _entry_violations(where, entry, keys, required):
         found.append(f"{where}: missing '{required}'")
     nums = {}
     for key in sorted(keys & set(entry)):
-        try:
-            x = float(entry[key])
-        except (TypeError, ValueError):
+        x = _number(entry[key])
+        if x is None:
             found.append(f"{where}: {key} must be a number")
-            continue
-        if np.isfinite(x) or _NO_LIMIT.get(key) == x:
+        elif np.isfinite(x) or _NO_LIMIT.get(key) == x:
             nums[key] = x
         else:
             no_limit = f" or {_NO_LIMIT[key]}" if key in _NO_LIMIT else ""

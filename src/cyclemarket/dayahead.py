@@ -70,7 +70,6 @@ class DayAheadResult:
     objective: float
     kkt_residual: float
     maps: list = field(default_factory=list)
-    demand: np.ndarray | None = None
     stationarity_pieces: list = field(default_factory=list)  # per storage: [(weight, map)]
 
 
@@ -142,7 +141,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
             g=g, u=np.zeros((S, T)), nu=[np.zeros(0)] * S, energy_price=lam,
             cycle_prices=[np.zeros(0)] * S, periodicity_duals=np.zeros(S),
             shares=np.zeros(S), objective=float(np.sum(g * g / (2 * bids.alpha[:, None]))),
-            kkt_residual=0.0, demand=d,
+            kkt_residual=0.0,
             maps=[rainflow_map(np.zeros(T), st.capacity_E, st.x0) for st in params.storages],
         )
         result.kkt_residual = verify_kkt_dayahead(result, bids, d, params).max_residual
@@ -168,7 +167,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
     result = DayAheadResult(
         g=g, u=u, nu=nu, energy_price=lam, cycle_prices=[theta] * S,
         periodicity_duals=np.full(S, res.periodicity_duals[0]), shares=eps,
-        objective=objective, kkt_residual=0.0, maps=[dec] * S, demand=d,
+        objective=objective, kkt_residual=0.0, maps=[dec] * S,
         stationarity_pieces=[res.stationarity_pieces[0]] * S,
     )
     report = verify_kkt_dayahead(result, bids, d, params)
@@ -214,7 +213,7 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, enforce_soc_bo
     return DayAheadResult(
         g=res.g, u=res.u, nu=nu, energy_price=res.price, cycle_prices=cycle_prices,
         periodicity_duals=res.periodicity_duals, shares=None, objective=res.objective,
-        kkt_residual=res.kkt_residual, maps=res.maps, demand=d,
+        kkt_residual=res.kkt_residual, maps=res.maps,
         stationarity_pieces=res.stationarity_pieces,
     )
 

@@ -11,15 +11,15 @@ price = d_r/xi, where each participant's first-order slope is affine in xi,
 slope_i = k_i - xi*m_i.  One table of (k_i, m_i) per window
 (``_unaware_table``) is the only place those conditions are evaluated: both
 solvers read its sums, the loop runs on scalars, and the final bids are
-k - xi*m.  The half-cycle map check behind ``map_stable`` runs when the flag
-is first read.  In the second (``aware``) the bid itself subtracts the
-day-ahead commitment, g = alpha*price - g_da; the equilibrium slopes are
-constants and clearing is a single algebraic step.  The rolling case-study
+k - xi*m.  ``map_stable`` checks, when called, whether an adjustment keeps
+each unit's day-ahead half-cycle map.  In the second (``aware``) the bid
+itself subtracts the day-ahead commitment, g = alpha*price - g_da; the
+equilibrium slopes are constants and clearing is a single algebraic step.  The rolling case-study
 windows use ``clear_constrained_aware``, which re-optimizes total dispatch
 subject to power limits and the SoC corridor without periodicity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "RealTimeResult",
     "equilibrium_unaware",
     "best_response_unaware",
+    "map_stable",
     "aware_bids",
     "equilibrium_aware",
     "clear_constrained_aware",
@@ -69,20 +70,6 @@ class RealTimeResult:
     price_coeff: float | None       # proportionality scalar (price = coeff * demand vector)
     iterations: int
     kkt_residual: float | None = None
-    # (u_da + u_r, E, x0, day-ahead map signature) per storage, until map_stable is read
-    _map_checks: tuple = field(default=(), init=False, repr=False, compare=False)
-    _map_stable: bool | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def map_stable(self) -> bool:
-        """Whether each storage's ``qp.dispatch_map`` of u_da + u_r equals
-        its day-ahead map (unaware mode; True otherwise).  Computed on first
-        read and cached."""
-        if self._map_stable is None:
-            self._map_stable = all(dispatch_map(u, E, x0).signature() == sig
-                                   for u, E, x0, sig in self._map_checks)
-            self._map_checks = ()
-        return self._map_stable
 
 
 def _unaware_table(params, da, d_r):
@@ -142,31 +129,34 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     When the day-ahead dual of periodicity is zero or the residual sums to
     zero this reduces to the price-plus-aggregate-slope form
     omega = <lambda_da, d_r>/||d_r||^2 + 1/K.  The half-cycle map of each
-    storage is required to survive the adjustment; a violated map is flagged
-    on the result, never silently accepted.
+    storage is required to survive the adjustment; ``map_stable`` reports
+    whether it does.
     """
     d_r = np.asarray(d_r, dtype=float)
     k, m, K, _, numer = _unaware_table(params, da, d_r)
     omega = numer / K
-    return _unaware_result(params, da, d_r, k - m / omega, omega * d_r, omega)
+    return _unaware_result(params, d_r, k - m / omega, omega * d_r, omega)
 
 
-def _unaware_result(params, da, d_r, slopes, price, coeff):
+def _unaware_result(params, d_r, slopes, price, coeff):
     """Bids ``slopes`` (generators, then storage) cleared at ``price``,
     which is ``coeff * d_r``."""
     J = params.n_generators
     bids = RealTimeBids(alpha_r=slopes[:J], beta_r=slopes[J:])
     g_r = np.outer(bids.alpha_r, price)
     u_r = np.outer(bids.beta_r, price)
-    result = RealTimeResult(
+    return bids, RealTimeResult(
         g_r=g_r, u_r=u_r, price=price, price_coeff=coeff, iterations=0,
         kkt_residual=float(np.max(np.abs(g_r.sum(axis=0) + u_r.sum(axis=0) - d_r)))
         / max(1.0, float(np.max(np.abs(d_r)))),
     )
-    result._map_checks = tuple(
-        (da.u[s] + u_r[s], st.capacity_E, st.x0, da.maps[s].signature())
-        for s, st in enumerate(params.storages))
-    return bids, result
+
+
+def map_stable(params: MarketParams, da, result) -> bool:
+    """Whether each storage's ``qp.dispatch_map`` of u_da + u_r equals its
+    day-ahead map in ``da``; runs the check on each call."""
+    return all(dispatch_map(da.u[s] + result.u_r[s], st.capacity_E, st.x0).signature()
+               == da.maps[s].signature() for s, st in enumerate(params.storages))
 
 
 def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200,
@@ -185,8 +175,7 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     within a few rounds, also at a negative fixed point (price opposite to
     residual demand).  Only a zero or non-finite aggregate slope raises
     ``DivergenceError``.  The bids and result are evaluated once, at the
-    final xi, as k - xi * m; the result's ``map_stable`` check runs when it is
-    read.
+    final xi, as k - xi * m.
     """
     d_r = np.asarray(d_r, dtype=float)
     k, m, K, B, _ = _unaware_table(params, da, d_r)
@@ -216,7 +205,7 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
         # point reached by extrapolating across xi = 0 gets one more secant step
         if abs(F - xi) <= tol * max(1.0, xi) or (
                 trace and trace[-1] <= tol * max(1.0, d_max / abs(xi))):
-            bids, result = _unaware_result(params, da, d_r, k - xi * m, d_r / xi, inv)
+            bids, result = _unaware_result(params, d_r, k - xi * m, d_r / xi, inv)
             result.iterations = it
             return bids, result
         if prev_point is not None and abs(xi - prev_point[0]) > 0:
@@ -275,15 +264,13 @@ def equilibrium_aware(params: MarketParams, d_total, da):
     phi = 1.0 / float(bids.alpha_r.sum() + bids.beta_r.sum())
     price = phi * d
     g_r = np.outer(bids.alpha_r, price) - da.g
-    u_r = np.outer(bids.beta_r, price) - da.u if params.n_storages else np.zeros((0, d.size))
-    clearing_err = np.max(np.abs(g_r.sum(axis=0) + (u_r.sum(axis=0) if u_r.size else 0.0)
-                                 - (d - np.asarray(da.demand, dtype=float)
-                                    if da.demand is not None else d)))
-    result = RealTimeResult(
+    u_r = np.outer(bids.beta_r, price) - da.u
+    clearing_err = np.max(np.abs(g_r.sum(axis=0) + u_r.sum(axis=0)
+                                 - (d - da.g.sum(axis=0) - da.u.sum(axis=0))))
+    return bids, RealTimeResult(
         g_r=g_r, u_r=u_r, price=price, price_coeff=phi, iterations=0,
         kkt_residual=float(clearing_err) / max(1.0, float(np.max(np.abs(d)))),
     )
-    return bids, result
 
 
 def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_committed,

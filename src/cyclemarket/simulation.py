@@ -130,7 +130,7 @@ def _window_da_view(da, params, hour, end, u_idle):
     view = DayAheadResult(
         g=da.g[:, hour:end], u=da.u[:, hour:end], nu=[], energy_price=da.energy_price[hour:end],
         cycle_prices=[], periodicity_duals=da.periodicity_duals, shares=da.shares,
-        objective=0.0, kkt_residual=da.kkt_residual, demand=None,
+        objective=0.0, kkt_residual=da.kkt_residual,
     )
     group_maps = {}
     for s, st in enumerate(params.storages):
@@ -202,7 +202,7 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
             prev_g = (da.g[:, hour:end] + res.g_r)[:, 1:]
             prev_u = (da.u[:, hour:end] + res.u_r)[:, 1:]
         else:
-            res = _unaware_window(w, da, params, hour, end, u_idle)
+            res = _unaware_window(w, scenario.forecast[hour:end], da, params, hour, end, u_idle)
         steps.append(res)
         for j in range(J):
             g_rt[j, hour] = res.g_r[j, 0]
@@ -246,8 +246,7 @@ def _aware_window(w, da, params, hour, end, x0_run, start):
         ) from exc
 
 
-def _unaware_window(w, da, params, hour, end, u_idle):
-    forecast = np.asarray(da.demand, dtype=float)[hour:end]
+def _unaware_window(w, forecast, da, params, hour, end, u_idle):
     d_r = w - forecast
     J, S = params.n_generators, params.n_storages
     W = w.size

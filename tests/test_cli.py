@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cyclemarket
+from cyclemarket import cli
 from cyclemarket.cli import main
 from cyclemarket.data import DemandScenario, synthetic_scenario, write_demand_csv
 from cyclemarket.plotting import line_chart
@@ -267,6 +268,46 @@ class TestSweep:
         assert (out1 / "social_cost_vs_E.svg").read_bytes() == \
             (out2 / "social_cost_vs_E.svg").read_bytes()
 
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every process pool the sweep starts; the
+        stand-in pool maps in this process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    def test_workers_capped_at_task_count(self, tmp_path, pool_sizes):
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out), "--parallel", "64"]) == 0
+        assert pool_sizes == [3]  # one value, three strategies
+        assert [r["status"] for r in read_rows(out / "sweep.csv")] == ["ok"] * 3
+
+    @pytest.mark.parametrize("parallel", ["0", "-3"])
+    def test_parallel_below_one_exits_two(self, tmp_path, capsys, pool_sizes, parallel):
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["sweep", "--spec", str(spec), "--out", str(out), "--parallel", parallel])
+        assert code == 2
+        assert "--parallel must be at least 1" in capsys.readouterr().err
+        assert pool_sizes == [] and not out.exists()
+
     def test_short_realized_day_fails_only_the_mechanism(self, tmp_path):
         demand = tmp_path / "short.csv"
         write_demand_csv(synthetic_scenario(n_realized=12), demand)
@@ -320,9 +361,11 @@ class TestSweep:
         b'{"axis": "E", "values": [NaN]}',
         b'{"axis": "B", "values": [100], "fixed": {"E": Infinity}}',
         b'{"axis": "B", "values": [100], "strategies": []}',
+        b'{"axis": "B", "values": [true]}',
+        b'{"axis": "B", "values": [100], "fixed": {"E": true}}',
     ], ids=["non-numeric-value", "values-not-list", "non-numeric-fixed", "unhashable-strategy",
             "top-level-list", "truncated", "infinite-value", "nan-value", "infinite-fixed",
-            "empty-strategies"])
+            "empty-strategies", "boolean-value", "boolean-fixed"])
     def test_malformed_spec_exits_two(self, tmp_path, capsys, content):
         spec = tmp_path / "bad.json"
         spec.write_bytes(content)

@@ -50,6 +50,17 @@ class TestLoadDemandCSV:
         assert scn.forecast == pytest.approx(ref.forecast, abs=1e-6)
         assert scn.actual == pytest.approx(ref.actual, abs=1e-6)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        # spreadsheet exports often start UTF-8 text with a byte-order mark
+        plain = load_demand_csv(bundled_demand_path())
+        path = tmp_path / "bom.csv"
+        with open(bundled_demand_path(), "rb") as fh:
+            path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        scn = load_demand_csv(path)
+        assert np.array_equal(scn.forecast, plain.forecast)
+        assert np.array_equal(scn.actual, plain.actual)
+        assert scn.timestamps == plain.timestamps
+
     def test_missing_column_rejected(self, tmp_path):
         bad = "timestamp,forecast_mw\n2023-08-25T00:00:00,100.0\n"
         with pytest.raises(DemandCSVError) as err:
@@ -100,8 +111,11 @@ class TestLoadDemandCSV:
          "bad actual 'lots' at row 2", 2),
         ("timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,100.0,nan\n",
          "non-finite actual at row 2", 2),
+        ("timestamp,forecast_mw,actual_mw\n2023-08-25T00:00:00,100.0,100.0\n"
+         "2023-08-25T01:00:00+00:00,100.0,100.0\n",
+         "naive and UTC-offset timestamps mixed at row 3", 3),
     ], ids=["empty", "blank-rows-only", "two-columns", "bad-timestamp", "bad-forecast",
-            "infinite-forecast", "bad-actual", "nan-actual"])
+            "infinite-forecast", "bad-actual", "nan-actual", "mixed-offsets"])
     def test_malformed_rows_name_the_row(self, tmp_path, rows, message, row):
         with pytest.raises(DemandCSVError, match=message) as err:
             load_demand_csv(write_csv(tmp_path, rows))
@@ -173,6 +187,11 @@ class TestMarketConfig:
         assert cfg.generators == [{"c": 12.0}] and cfg.storages == [{"capacity_E": 20.0}]
         assert cfg.enforce_soc_bounds is False
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"generators": [{"c": 12.0}]}).encode())
+        assert MarketConfig.from_json(path).generators == [{"c": 12.0}]
+
     def test_tolerances_key_rejected(self):
         # the 1e-8 certificate is fixed; a config cannot set it
         doc = {"generators": [{"c": 12.0}], "tolerances": {"tol": 1e-9}}
@@ -208,6 +227,9 @@ class TestMarketConfig:
         ({"generators": [{"c": 1.0, "g_min": 5.0, "g_max": 1.0}]},
          "generator 0: g_min exceeds g_max"),
         ({"storages": [{"capacity_E": 5.0}]}, "at least one generator is required"),
+        ({"generators": [{"c": True}]}, "generator 0: c must be a number"),
+        ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "x0": False}]},
+         "storage 0: x0 must be a number"),
     ])
     def test_malformed_entries_rejected(self, doc, violation):
         with pytest.raises(ConfigError) as err:

@@ -25,6 +25,7 @@ from cyclemarket.realtime import (
     clear_constrained_aware,
     equilibrium_aware,
     equilibrium_unaware,
+    map_stable,
 )
 from cyclemarket.qp import dispatch_map, idle_dispatch
 from cyclemarket.rainflow import rainflow_map
@@ -71,12 +72,6 @@ def first_order_gaps(params, da, bids, res):
     response at the result's own price."""
     alpha, beta = price_vector_slopes(params, da, res.price)
     return np.abs(np.concatenate([bids.alpha_r - alpha, bids.beta_r - beta]))
-
-
-def eager_map_stable(params, da, res):
-    """The half-cycle map check, run directly on the result's adjustments."""
-    return all(dispatch_map(da.u[s] + res.u_r[s], st.capacity_E, st.x0).signature()
-               == da.maps[s].signature() for s, st in enumerate(params.storages))
 
 
 class TestEquilibriumUnaware:
@@ -148,8 +143,7 @@ class TestEquilibriumUnaware:
             d_r = 3.0 * rng.normal(0, 1, d_da.size)
             for solve in (equilibrium_unaware, best_response_unaware):
                 _, res = solve(params, d_r, da)
-                assert eager_map_stable(params, da, res) is expected
-                assert res.map_stable is expected
+                assert map_stable(params, da, res) is expected
 
     def test_map_check_runs_when_read(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -163,12 +157,11 @@ class TestEquilibriumUnaware:
             return dispatch_map(*args, **kwargs)
 
         monkeypatch.setattr(realtime, "dispatch_map", counted)
-        _, res = best_response_unaware(params, d_r, da)
-        assert calls == []
-        assert res.map_stable is True
-        assert len(calls) == params.n_storages
-        assert res.map_stable is True  # cached: no second check
-        assert len(calls) == params.n_storages
+        for solve in (equilibrium_unaware, best_response_unaware):
+            _, res = solve(params, d_r, da)
+        assert calls == []  # no solver checks the map
+        assert map_stable(params, da, res) is True
+        assert len(calls) == params.n_storages  # one check per unit
 
     def test_closed_form_and_loop_share_first_order_scalars(self, monkeypatch):
         # both read K and the numerator from one helper: doubling its K moves

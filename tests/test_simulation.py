@@ -19,7 +19,12 @@ from cyclemarket.dayahead import DayAheadResult
 from cyclemarket.errors import DegeneratePriceError, InfeasibleError, InvalidInputError
 from cyclemarket.planner import solve_planner
 from cyclemarket.rainflow import rainflow_map
-from cyclemarket.realtime import aware_bids, best_response_unaware, clear_constrained_aware
+from cyclemarket.realtime import (
+    aware_bids,
+    best_response_unaware,
+    clear_constrained_aware,
+    equilibrium_aware,
+)
 from cyclemarket.simulation import (
     BINDING_HOURS,
     MechanismConfig,
@@ -224,6 +229,16 @@ class TestRunRealTime:
         moved = run_real_time(scn, params, flipped, mode="unaware")[3]
         assert np.max(np.abs(moved - prices)) <= 1e-9 * np.max(np.abs(prices))
 
+    def test_aware_equilibrium_certifies_on_a_window_view(self, fixture_setup, aware_record):
+        # the clearing identity reads the day-ahead schedule, which a window
+        # view keeps, so an exact clearing certifies on the view too
+        scn, params = fixture_setup
+        da = aware_record.da_result
+        view = _window_da_view(da, params, 0, scn.horizon, qp.idle_dispatch(da.u))
+        d = np.concatenate([scn.actual, scn.forecast[scn.n_realized:]])
+        for schedule in (da, view):
+            assert equilibrium_aware(params, d, schedule)[1].kkt_residual <= 1e-8
+
     @pytest.mark.parametrize("mode, outside", [("aware", 0), ("unaware", 7)])
     def test_states_of_charge_outside_the_corridor_are_counted(self, mode, outside):
         # unaware windows clear balance only, so on the bundled fixture 7 of
@@ -387,7 +402,7 @@ class TestUniformUnawareWindows:
         da = DayAheadResult(
             g=(demand - u.sum(axis=0))[None, :], u=u, nu=[], energy_price=np.zeros(8),
             cycle_prices=[], periodicity_duals=np.zeros(3), shares=shares,
-            objective=0.0, kkt_residual=0.0, demand=demand,
+            objective=0.0, kkt_residual=0.0,
         )
         total = rainflow_map(u.sum(axis=0), 50.0, 0.5)
         own = [rainflow_map(u[s], 50.0, 0.5).signature() for s in range(3)]
