@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -179,8 +180,9 @@ def cmd_sweep(args):
          "scenario": scenario, "mode": args.mode}
         for v in spec["values"] for strat in spec["strategies"]
     ]
-    # the pool starts all its workers at once, so start no more than there are tasks
-    workers = min(args.parallel, len(tasks))
+    # the pool starts all its workers at once, so start no more than there are
+    # tasks or CPUs to run them
+    workers = min(args.parallel, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))

@@ -41,18 +41,20 @@ factored: one orthogonal Q whose leading rows are an orthonormal basis of
 their parts, with its triangular coefficients, and whose trailing rows are
 the complement, and a square inverse factor T of the reduced Hessian M on
 the complement (T M T' = I), built from a Cholesky factor of M when a solve
-starts.  Each add and each drop updates Q and T in O(nz^2), so an iteration
-takes its Newton step in the directions the working rows leave free without
-solving anything; a step after a drop that moves toward the dropped row
-carries the rounding of an updated T, and is taken again from T factored
-anew.  A working row that the equalities and the kept rows already imply
-parks outside the factorization; a drop frees it untested, and a later
-step that moves toward it stops there at length zero.  The ratio test
-needs G p for each step p; every row of the template's G reads one
-variable or one storage unit's prefix sum, with a sign, so the view
-computes G p as a signed gather from p extended by the per-unit cumulative
-sums of its storage block.  The test divides only on the rows that the
-step moves toward their limits.
+starts, with Z'HZ summed over H's diagonal blocks (one per participant).
+Each add and each drop updates Q and T in O(nz^2), a join T by one rank-2
+update, so an iteration takes its Newton step in the directions the working
+rows leave free without solving anything; multipliers take one back
+substitution on L' by blocks of 64 rows.  A step after a drop that moves
+toward the dropped row carries the rounding of an updated T, and is taken
+again from T factored anew.  A working row that the equalities and the kept
+rows already imply parks outside the factorization; a drop frees it
+untested, and a later step that moves toward it stops there at length zero.
+The ratio test needs G p for each step p; every row of the template's G
+reads one variable or one storage unit's prefix sum, with a sign, so the
+view computes G p as a signed gather from p extended by the per-unit
+cumulative sums of its storage block.  The test divides only on the rows
+that the step moves toward their limits.
 
 A market solve runs that core on one active-set state (``_ActiveSet``).  Its
 first round forms what depends only on A, b, G and h (x_r, G x_r and the
@@ -108,13 +110,14 @@ class _WorkingRows:
     ``T[k:, k:]`` is a square inverse factor of it, T M T' = I, so that
     M^-1 = T'T.  A row that joins reflects ``Q[k:]`` once, so that its
     first row becomes the new basis direction; T takes the reflection from
-    the right, and a second one from the left leaves the new factor in its
-    trailing block, in O(nz^2).  A drop refactors the rows after the
-    dropped one by one QR of their coefficients, which turns ``Q[k-1]``
-    into the one direction that only the dropped row pinned; it becomes
-    the complement's first row, and T is bordered there.  ``Q`` stays
-    orthogonal and apart from T, so T's rounding stays inside the Newton
-    step.  Every buffer is allocated once, when the rows are first made.
+    the right and a second one from the left, which leaves the new factor
+    in its trailing block, both as one rank-2 update of that block, in
+    O(nz^2).  A drop refactors the rows after the dropped one by one QR of
+    their coefficients, which turns ``Q[k-1]`` into the one direction that
+    only the dropped row pinned; it becomes the complement's first row, and
+    T is bordered there.  ``Q`` stays orthogonal and apart from T, so T's
+    rounding stays inside the Newton step.  Every buffer is allocated once,
+    when the rows are first made.
     """
 
     def __init__(self, GZ, rhs, thresholds):
@@ -167,15 +170,17 @@ class _WorkingRows:
         basis exceeds ``thresholds[i]``; otherwise it parks."""
         reflection = self._join(i)
         if reflection:
-            # T P factors P M P; the reflection I - tau uu' zeroes its first
+            # T P factors P M P; the reflection I - beta uu' zeroes its first
             # column below the corner, and the trailing block that is left
-            # factors the trailing block of P M P
+            # factors the trailing block of P M P.  With a = t T v, T P is
+            # T - av', so both reach that block as one rank-2 update
             v, t = reflection
             T = self.T[self.k - 1:, self.k - 1:]
-            T -= (t * (T @ v))[:, None] * v
-            u = T[:, 0].copy()
+            a = t * (T @ v)
+            u = T[:, 0] - a * v[0]
             u[0] += math.copysign(math.sqrt(u @ u), u[0])
-            T[1:, 1:] -= ((2.0 / (u @ u)) * u[1:])[:, None] * (u @ T[:, 1:])
+            r = u @ T[:, 1:] - (u @ a) * v[1:]
+            T[1:, 1:] -= np.array([a[1:], (2.0 / (u @ u)) * u[1:]]).T @ np.array([v[1:], r])
 
     def drop(self, j):
         """Drop the ``j``-th kept row; the parked rows leave the mask untested.
@@ -256,9 +261,32 @@ class _WorkingRows:
 
     def multipliers(self, w):
         """The kept rows' multipliers at the stationary point ``w``, from
-        ``L' mu = -Q[:k] (Hz w + grad)``."""
-        k = self.k
-        return np.linalg.solve(self.L[:k, :k].T, -(self.Q[:k] @ (self.Hz @ w + self.grad)))
+        ``L' mu = -Q[:k] (Hz w + grad)``, by back substitution over blocks
+        of at most 64 rows from the last: each block is solved densely, and
+        its entries leave the right-hand sides of the rows above it."""
+        k, L = self.k, self.L
+        mu = -(self.Q[:k] @ (self.Hz @ w + self.grad))
+        for hi in range(k, 0, -64):
+            lo = max(hi - 64, 0)
+            mu[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi].T, mu[lo:hi])
+            mu[:lo] -= mu[lo:hi] @ L[lo:hi, :lo]
+        return mu
+
+
+def _block_product(H, x):
+    """H x for the block-diagonal H given as the stack of its diagonal
+    blocks, of shape (B, m, m); ``solve_qp`` passes its H as one block."""
+    B, m, _ = H.shape
+    return (H @ x.reshape(B, m, 1)).ravel()
+
+
+def _reduced_hessian(H, Z):
+    """Z'HZ for H as in ``_block_product``: Z'H block by block, then one
+    product with Z, which skips the zero blocks of a dense Z'H."""
+    B, m, _ = H.shape
+    nz = Z.shape[1]
+    ZH = Z.reshape(B, m, nz).transpose(0, 2, 1) @ H
+    return ZH.transpose(1, 0, 2).reshape(nz, B * m) @ Z
 
 
 class _NullSpace:
@@ -340,25 +368,28 @@ class _ActiveSet:
         return other
 
     def solve(self, H, q):
-        """Minimize 0.5 x'Hx + q'x from the start (see ``solve_qp``); the
-        working rows end where the solve does."""
+        """Minimize 0.5 x'Hx + q'x from the start (see ``solve_qp``), with H
+        block diagonal and given as the stack of its diagonal blocks
+        (``_block_product``); the working rows end where the solve does."""
         view, Z, A_plus = self.view, self.view.Z, self.view.A_plus
         G, h, x_r = self.G, self.h, self.x_r
         x, Gx, rows = self.x, self.Gx, self.rows
         dropped = -1  # the row the last iteration dropped
         try:
-            rows.reduce(Z.T @ H @ Z, Z.T @ (H @ x_r + q))
+            rows.reduce(_reduced_hessian(H, Z), Z.T @ (_block_product(H, x_r) + q))
             for it in range(_MAX_ITER):
                 w = rows.point()
                 kept = rows.kept[:rows.k]
-                p = x_r + Z @ w - x
-                step_scale = max(1.0, float(np.max(np.abs(x))))
-                if np.max(np.abs(p)) <= 1e-12 * step_scale:
+                p = Z @ w
+                p += x_r
+                p -= x
+                step_scale = max(1.0, abs(x).max())
+                if abs(p).max() <= 1e-12 * step_scale:
                     mu_w = rows.multipliers(w)
                     if mu_w.size == 0 or mu_w.min() >= -1e-11 * max(1.0, np.abs(mu_w).max()):
                         mu = np.zeros(G.shape[0])
                         mu[kept] = np.maximum(mu_w, 0.0)
-                        y = -A_plus.T @ (H @ x + q + G[kept].T @ mu_w)
+                        y = -A_plus.T @ (_block_product(H, x) + q + G[kept].T @ mu_w)
                         return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
                     j = int(np.argmin(mu_w))
                     dropped = kept[j]
@@ -380,13 +411,13 @@ class _ActiveSet:
                     rows.reduce(rows.Hz, rows.grad)
                     continue
                 dropped = -1
-                blocking = np.flatnonzero(~rows.working & (Gp > 1e-13 * step_scale))
+                blocking = (~rows.working & (Gp > 1e-13 * step_scale)).nonzero()[0]
                 if blocking.size:
                     gp = Gp[blocking]
                     ratios = (h[blocking] - Gx[blocking]) / gp
                     best_ratio = float(ratios.min())
                     if best_ratio < 1.0 - 1e-9:
-                        near = np.flatnonzero(ratios <= best_ratio + 1e-14 * max(1.0, best_ratio))
+                        near = (ratios <= best_ratio + 1e-14 * max(1.0, best_ratio)).nonzero()[0]
                         alpha = max(best_ratio, 0.0)
                         rows.add(blocking[near[np.argmax(gp[near])]])
                 x = x + alpha * p
@@ -441,7 +472,7 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
     state = _ActiveSet(_NullSpace(A, G), b, h)
     state.start(x)
-    return state.solve(H, q)
+    return state.solve(np.asarray(H, float)[None], q)
 
 
 @dataclass
@@ -565,18 +596,18 @@ class _Problem:
             self.h = np.concatenate([self.h, corridor.ravel()])
 
     def hessian(self, maps, other=None, gamma=1.0):
-        """Fixed-map Hessian; with ``other`` each storage block blends the two
-        maps' curvatures with weight ``gamma`` on ``maps``."""
-        zeros = np.zeros(self.S * self.T)
-        H = np.diag(np.concatenate([np.repeat(1.0 / self.alphas, self.T), zeros]))
-        q = np.concatenate([np.repeat(self.a_lin, self.T), zeros])
+        """Fixed-map Hessian, as the stack of its J + S diagonal (T, T)
+        blocks, and linear cost; with ``other`` each storage block blends
+        the two maps' curvatures with weight ``gamma`` on ``maps``."""
+        H = np.zeros((self.J + self.S, self.T, self.T))
+        H[:self.J] = np.eye(self.T) / self.alphas[:, None, None]
+        q = np.concatenate([np.repeat(self.a_lin, self.T), np.zeros(self.S * self.T)])
         # With a single storage the balance coupling makes the reduced Hessian
         # positive definite on its own; two or more storages share flat
         # depth-preserving swap directions that need a tiny ridge to pin.
         ridge_rel = 1e-12 if self.S >= 2 else 0.0
         scale = (1.0 / self.alphas).max() if self.J else 1.0
         for s in range(self.S):
-            sl = self.u_slice(s)
             N = maps[s].map
             M = N.T @ N
             if other is not None:
@@ -584,7 +615,7 @@ class _Problem:
                 M = gamma * M + (1.0 - gamma) * (Nb.T @ Nb)
             Hu = M / self.betas[s]
             block_scale = max(scale, np.abs(Hu).max() if Hu.size else 0.0, 1e-12)
-            H[sl, sl] = Hu + ridge_rel * block_scale * np.eye(self.T)
+            H[self.J + s] = Hu + ridge_rel * block_scale * np.eye(self.T)
         return H, q
 
     def objective(self, g, u, maps):
@@ -692,7 +723,8 @@ class _Problem:
         state = _ActiveSet(phase.structure, phase.b, phase.h)
         state.start(x)
         q = np.concatenate([np.repeat(phase.a_lin, T), np.zeros(self.S * T)])
-        g, u = phase.split(state.solve(np.eye(phase.n) / (1e3 * scale), q).x)
+        H = np.broadcast_to(np.eye(T) / (1e3 * scale), (J + 2 + self.S, T, T))
+        g, u = phase.split(state.solve(H, q).x)
         penalty = g[J] + g[J + 1]
         short = np.flatnonzero(np.abs(penalty) > 1e-6 * scale)
         if short.size:

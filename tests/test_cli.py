@@ -290,12 +290,24 @@ class TestSweep:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         return sizes
 
-    def test_workers_capped_at_task_count(self, tmp_path, pool_sizes):
+    def test_workers_capped_at_task_count(self, tmp_path, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         spec = tmp_path / "one.json"
         spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["sweep", "--spec", str(spec), "--out", str(out), "--parallel", "64"]) == 0
         assert pool_sizes == [3]  # one value, three strategies
+        assert [r["status"] for r in read_rows(out / "sweep.csv")] == ["ok"] * 3
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, []), (None, [])])
+    def test_workers_capped_at_cpu_count(self, tmp_path, pool_sizes, monkeypatch, cpus, sizes):
+        # one CPU, or a count the system cannot tell, runs the tasks serially
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out), "--parallel", "64"]) == 0
+        assert pool_sizes == sizes
         assert [r["status"] for r in read_rows(out / "sweep.csv")] == ["ok"] * 3
 
     @pytest.mark.parametrize("parallel", ["0", "-3"])

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclemarket import qp
+from cyclemarket import DemandScenario, build_params, qp
+from cyclemarket.data import default_config
+from cyclemarket.dayahead import clear_general, equilibrium_bids_dayahead
 from cyclemarket.errors import InfeasibleError, InvalidInputError, SolverFailureError
 from cyclemarket.qp import solve_qp, solve_market_qp
 
@@ -1192,3 +1194,111 @@ class TestCarriedState:
         for sol in (first, second):
             for name in ("x", "eq_duals", "ineq_duals", "iterations"):
                 assert np.array_equal(getattr(sol, name), getattr(alone, name))
+
+
+class TestBlockedMultipliers:
+    """``multipliers`` solves L' mu = -Q[:k] (Hz w + grad) by back
+    substitution over blocks of 64 rows; one block where k <= 64."""
+
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 3 * 64 + 5])
+    def test_blocks_match_one_solve(self, k):
+        rng = np.random.default_rng(k)
+        nz = 3 * 64 + 8
+        GZ = np.eye(nz) + rng.normal(0.0, 0.3 / np.sqrt(nz), (nz, nz))
+        rows = qp._WorkingRows(GZ, rng.normal(size=nz), np.full(nz, 1e-9))
+        rows.carry(np.arange(nz) < k)
+        assert rows.k == k
+        F = rng.normal(size=(nz, nz))
+        rows.reduce(np.eye(nz) + F @ F.T / nz, rng.normal(size=nz))
+        w = rng.normal(size=nz)
+        want = np.linalg.solve(rows.L[:k, :k].T, -(rows.Q[:k] @ (rows.Hz @ w + rows.grad)))
+        got = rows.multipliers(w)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_week_long_clearing_certifies(self, monkeypatch):
+        # one unit over 168 hours: stationary points with up to 167 kept rows
+        sizes = []
+        multipliers = qp._WorkingRows.multipliers
+
+        def counted(rows, w):
+            sizes.append(rows.k)
+            return multipliers(rows, w)
+
+        monkeypatch.setattr(qp._WorkingRows, "multipliers", counted)
+        h = np.arange(168.0)
+        forecast = (600 + 200 * np.sin(2 * np.pi * (h - 8) / 24)
+                    + 50 * np.sin(4 * np.pi * (h - 2) / 24))
+        scenario = DemandScenario(forecast=forecast, actual=forecast[:24])
+        params = build_params(default_config(), scenario)
+        da = clear_general(equilibrium_bids_dayahead(params), forecast, params,
+                           enforce_soc_bounds=True)
+        assert max(sizes) > 2 * 64
+        assert da.kkt_residual <= 1e-8
+
+
+class _Reduced(Exception):
+    """Stops a solve once its first reduced Hessian is formed."""
+
+
+def _first_reduction(mp):
+    """Installs on ``mp`` a stop at the first reduction of a solve, and
+    returns the dict that receives its Z, H blocks and Z'HZ."""
+    seen = {}
+    solve = qp._ActiveSet.solve
+
+    def recorded_solve(state, H, q):
+        seen.update(Z=state.view.Z, H=H)
+        return solve(state, H, q)
+
+    def recorded_reduce(rows, Hz, grad):
+        seen["Hz"] = Hz
+        raise _Reduced
+
+    mp.setattr(qp._ActiveSet, "solve", recorded_solve)
+    mp.setattr(qp._WorkingRows, "reduce", recorded_reduce)
+    return seen
+
+
+def _dense_error(seen):
+    """How far the Z'HZ of ``_first_reduction`` is from Z' H Z with H
+    assembled from its blocks, relative to max(1, max |H|)."""
+    H, Z = seen["H"], seen["Z"]
+    B, m, _ = H.shape
+    dense = np.zeros((B * m, B * m))
+    for b in range(B):
+        dense[b * m:(b + 1) * m, b * m:(b + 1) * m] = H[b]
+    return (np.max(np.abs(seen["Hz"] - Z.T @ dense @ Z), initial=0.0)
+            / max(1.0, np.max(np.abs(H))))
+
+
+class TestBlockReducedHessian:
+    """Z'HZ is summed over H's diagonal blocks: T x T for the template,
+    one block for ``solve_qp``; it equals the dense product."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 3]), st.integers(1, 24),
+           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_template_blocks_match_dense_product(self, J, S, T, periodic, soc_bounds, seed):
+        rng = np.random.default_rng(seed)
+        template = dict(alphas=rng.uniform(0.01, 1.0, J), a_lin=rng.uniform(0.0, 10.0, J),
+                        betas=rng.uniform(0.1, 5.0, S), capacities=rng.uniform(1.0, 50.0, S),
+                        x0s=rng.uniform(0.2, 0.8, S), demand=rng.uniform(1.0, 10.0, T),
+                        g_lo=0.0, g_hi=np.inf, u_lo=-1.0, u_hi=1.0, periodic=periodic,
+                        soc_bounds=soc_bounds)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _first_reduction(mp)
+            # without generators the first solve is phase 1's, which adds two
+            with pytest.raises(_Reduced):
+                solve_market_qp(**template)
+        assert seen["H"].shape == (J + S + 2 * (J == 0), T, T)
+        assert _dense_error(seen) <= 1e-13
+
+    def test_solve_qp_passes_one_block(self, monkeypatch):
+        seen = _first_reduction(monkeypatch)
+        rng = np.random.default_rng(5)
+        F = rng.normal(size=(12, 12))
+        with pytest.raises(_Reduced):
+            solve_qp(100.0 * (np.eye(12) + F @ F.T), rng.normal(size=12), rng.normal(size=(3, 12)),
+                     np.zeros(3), qp._with_negations(np.eye(12)), np.ones(24))
+        assert seen["H"].shape == (1, 12, 12)
+        assert _dense_error(seen) <= 1e-13
