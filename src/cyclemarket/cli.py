@@ -17,7 +17,6 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .data import (
@@ -32,6 +31,7 @@ from .data import (
 from .errors import ConfigError, CycleMarketError, DemandCSVError
 from .planner import participant_profit, solve_planner
 from .plotting import line_chart
+from .qp import idle_dispatch
 from .simulation import BINDING_HOURS, MechanismConfig, run_two_stage
 
 __all__ = ["main", "cmd_run", "cmd_sweep"]
@@ -80,6 +80,8 @@ def cmd_run(args):
             writer.writerow(["storage_profit", f"s{s}", _fmt(st.storage_profits[s])])
 
     da = record.da_result
+    # storage dispatch as the certificates read it: rounding-level entries idle
+    u_da, u_rt = idle_dispatch(da.u), idle_dispatch(record.u_rt)
     with open(out / "trace.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = ["hour", "forecast_mw", "actual_mw", "da_price", "rt_price"]
@@ -94,8 +96,8 @@ def cmd_run(args):
                    _fmt(da.energy_price[h]), _fmt(record.rt_prices[h])]
             row += [_fmt(da.g[j, h]) for j in range(params.n_generators)]
             row += [_fmt(record.g_rt[j, h]) for j in range(params.n_generators)]
-            row += [_fmt(da.u[s, h]) for s in range(params.n_storages)]
-            row += [_fmt(record.u_rt[s, h]) for s in range(params.n_storages)]
+            row += [_fmt(u_da[s, h]) for s in range(params.n_storages)]
+            row += [_fmt(u_rt[s, h]) for s in range(params.n_storages)]
             row += [_fmt(record.realized_soc[s, h + 1]) for s in range(params.n_storages)]
             writer.writerow(row)
     return 0
@@ -184,6 +186,9 @@ def cmd_sweep(args):
     # tasks or CPUs to run them
     workers = min(args.parallel, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, since only a sweep with two or more workers needs
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:

@@ -32,16 +32,17 @@ dispatch exists; it starts by the same rule, and raises
 
 The active-set core (``_ActiveSet``) works in an orthonormal basis of the
 equalities' null space.  It eliminates the equalities once per constraint
-structure: the template's A and G depend only on the participant counts, the
-horizon, periodicity, the SoC corridor and which limits are finite, so
-``_structure`` builds them read-only, with their null-space view, once per
-such key and keeps the last few in an LRU cache; every window, round and
-sweep point of one structure shares them.  It keeps the working rows
-factored: one orthogonal Q whose leading rows are an orthonormal basis of
-their parts, with its triangular coefficients, and whose trailing rows are
-the complement, and a square inverse factor T of the reduced Hessian M on
-the complement (T M T' = I), built from a Cholesky factor of M when a solve
-starts, with Z'HZ summed over H's diagonal blocks (one per participant).
+structure: the template's A and inequality rows G depend only on the
+participant counts, the horizon, periodicity, the SoC corridor and which
+limits are finite, so ``_structure`` builds them read-only, with their
+null-space view, once per such key and keeps the last few in an LRU cache;
+every window, round and sweep point of one structure shares them.  It
+keeps the working rows factored: one orthogonal Q whose leading rows are an
+orthonormal basis of their parts, with its triangular coefficients, and
+whose trailing rows are the complement, and a square inverse factor T of
+the reduced Hessian M on the complement (T M T' = I), built from a Cholesky
+factor of M when a solve starts, with Z'HZ summed over H's diagonal blocks
+(one per participant).
 Each add and each drop updates Q and T in O(nz^2), a join T by one rank-2
 update, so an iteration takes its Newton step in the directions the working
 rows leave free without solving anything; multipliers take one back
@@ -50,11 +51,16 @@ toward the dropped row carries the rounding of an updated T, and is taken
 again from T factored anew.  A working row that the equalities and the kept
 rows already imply parks outside the factorization; a drop frees it
 untested, and a later step that moves toward it stops there at length zero.
-The ratio test needs G p for each step p; every row of the template's G
-reads one variable or one storage unit's prefix sum, with a sign, so the
-view computes G p as a signed gather from p extended by the per-unit
-cumulative sums of its storage block.  The test divides only on the rows
-that the step moves toward their limits.
+Every row of the template's G reads one variable or one storage unit's
+prefix sum, with a sign, and the view holds the rows in that form alone
+(signed picks), never as a matrix: G p is a signed gather from p extended
+by the per-unit cumulative sums of its storage block, the rows' null-space
+parts GZ are gathered the same way from Z, and G'mu sums the weights per
+picked entry, then each unit's prefix-sum entries from the last.  The
+ratio test needs G p for each step p, and divides only on the rows that
+the step moves toward their limits.  G x is formed once per point: a
+problem's start keeps the G x its admission check formed, and a round that
+starts where the last solve ended reads the G x that solve tracked.
 
 A market solve runs that core on one active-set state (``_ActiveSet``).  Its
 first round forms what depends only on A, b, G and h (x_r, G x_r and the
@@ -64,7 +70,7 @@ none of the rows parked since its last drop again unless a kept row left,
 and rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient
 and T).  The kink bisection starts once, and each probe solves from a copy
 of that start.  ``solve_qp`` runs the same core from a fresh state, on a
-view it reduces from its own A and G.
+view it reduces from its own A and dense G.
 """
 
 import copy
@@ -298,31 +304,69 @@ class _NullSpace:
     and ``thresholds`` 1e-9 ||G_i||, at or below which a working row's part
     orthogonal to the kept rows parks.  ``independent`` is False where A has
     more rows than columns or dependent rows; the rest is then not formed.
+    ``Z`` is copied out of the complete QR, whose n x n factor is freed.
 
-    A view that ``_structure`` built also knows how its rows read x: row i
-    of G is ``sign[i]`` times entry ``pick[i]`` of x followed by the
-    cumulative sums of the ``prefix`` = (S, T) storage blocks that end x.
-    ``product`` gathers G p from them; any other view multiplies by G.
+    The rows G come in one of two forms.  ``solve_qp`` passes a dense
+    ``G``, which ``product`` and ``transpose_product`` multiply by.
+    ``_structure`` passes signed picks instead, and no matrix of the rows
+    exists: row i is ``sign[i]`` times entry ``pick[i]`` of x followed by
+    the cumulative sums of the ``prefix`` = (S, T) storage blocks that end
+    x, so it is a bound row of length 1 or a prefix row of length t + 1.
+    ``GZ`` is then gathered from Z followed by the cumulative sums of its
+    storage rows, and ``thresholds`` are 1e-9 times the rows' square-root
+    lengths.
     """
 
-    def __init__(self, A, G, pick=None, sign=None, prefix=None):
+    def __init__(self, A, G=None, pick=None, sign=None, prefix=None):
         m, n = A.shape
         self.A, self.G = A, G
         self.pick, self.sign, self.prefix = pick, sign, prefix
         Q, R = np.linalg.qr(A.T, mode="complete")
         self.independent = not (m > n or (m and np.abs(np.diagonal(R)).min() <= 1e-12))
         if self.independent:
-            self.Z, self.A_plus = Q[:, m:], np.linalg.solve(R[:m], Q[:, :m].T).T
-            self.GZ, self.thresholds = G @ self.Z, 1e-9 * np.linalg.norm(G, axis=1)
+            self.Z, self.A_plus = Q[:, m:].copy(), np.linalg.solve(R[:m], Q[:, :m].T).T
+            del Q  # the n x n factor goes before the rows' parts are formed
+            if pick is None:
+                self.GZ, self.thresholds = G @ self.Z, 1e-9 * np.linalg.norm(G, axis=1)
+            else:
+                self.GZ = self._extended(self.Z)[pick]
+                self.GZ *= sign[:, None]
+                lengths = 1 + np.maximum(pick - n, 0) % max(prefix[1], 1)
+                self.thresholds = 1e-9 * np.sqrt(lengths)
+
+    def _extended(self, p):
+        # p, one entry or one row per variable in x order, followed by the
+        # cumulative sums of its storage blocks
+        S, T = self.prefix
+        tail = p[p.shape[0] - S * T:]
+        sums = np.add.accumulate(tail.reshape(S, T, *p.shape[1:]), axis=1)
+        return np.concatenate([p, sums.reshape(tail.shape)])
 
     def product(self, p):
         """G p, gathered through ``pick`` and ``sign`` where the view has
         them."""
         if self.pick is None:
             return self.G @ p
+        Gp = self._extended(p)[self.pick]
+        Gp *= self.sign
+        return Gp
+
+    def transpose_product(self, mu, rows=None):
+        """G' mu over the rows ``rows`` (all where None), with one entry of
+        ``mu`` per row.  For signed picks: the weights summed per picked
+        entry, then each storage block's prefix-sum entries summed from the
+        last, since prefix row t reads the unit's entries up to t."""
+        if self.pick is None:
+            return (self.G if rows is None else self.G[rows]).T @ mu
+        pick, sign = (self.pick, self.sign) if rows is None else (self.pick[rows], self.sign[rows])
         S, T = self.prefix
-        sums = np.cumsum(p[p.size - S * T:].reshape(S, T), axis=1)
-        return self.sign * np.concatenate([p, sums.ravel()])[self.pick]
+        n = self.A.shape[1]
+        v = np.bincount(pick, weights=sign * mu, minlength=n + S * T)
+        backward = v[n:].reshape(S, T)[:, ::-1]
+        np.add.accumulate(backward, axis=1, out=backward)
+        out = v[:n]
+        out[n - S * T:] += v[n:]
+        return out
 
 
 class _ActiveSet:
@@ -337,29 +381,36 @@ class _ActiveSet:
     on its Hessian: Z'HZ, the reduced gradient and T.  ``fork`` copies a
     started state, so that solves with different Hessians can run from one
     start.
+
+    The state is at one point ``x``, with its ``Gx`` = G x: the point it
+    started at, later the one its last solve ended at, with the G x that
+    solve tracked.  ``start`` there, or at a point placed with its G x
+    (``_Problem.active_set``), forms no product and checks nothing again.
     """
 
     def __init__(self, view, b, h):
-        self.view, self.A, self.b, self.G, self.h = view, view.A, b, view.G, h
+        self.view, self.A, self.b, self.h = view, view.A, b, h
+        self.x = self.Gx = None
         if view.independent:
             self.x_r = view.A_plus @ b
-            self.Gx_r = self.G @ self.x_r
-            self.rows = _WorkingRows(self.view.GZ, h - self.Gx_r, self.view.thresholds)
+            self.Gx_r = view.product(self.x_r)
+            self.rows = _WorkingRows(view.GZ, h - self.Gx_r, view.thresholds)
 
     def start(self, x):
         """Start at ``x``: the rows active there become the working set."""
-        A, b, G, h = self.A, self.b, self.G, self.h
-        if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
-            raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
-        Gx = G @ x
-        slack = h - Gx
-        if slack.size and slack.min() < -_START_TOL:
-            raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
+        A, b, h = self.A, self.b, self.h
+        if x is not self.x:
+            if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
+                raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
+            Gx = self.view.product(x)
+            if h.size and (h - Gx).min() < -_START_TOL:
+                raise InvalidInputError(
+                    "solve_qp requires a feasible starting point (inequalities)")
+            self.x, self.Gx = x, Gx
         if not self.view.independent:
             raise SolverFailureError("solve_qp requires linearly independent equality rows",
                                      best_iterate=x)
-        self.x, self.Gx = x, Gx
-        self.rows.carry(slack <= 1e-10 * np.maximum(1.0, np.abs(h)))
+        self.rows.carry(h - self.Gx <= 1e-10 * np.maximum(1.0, np.abs(h)))
 
     def fork(self):
         """A copy of the started state whose solve leaves this one as it is."""
@@ -372,7 +423,7 @@ class _ActiveSet:
         block diagonal and given as the stack of its diagonal blocks
         (``_block_product``); the working rows end where the solve does."""
         view, Z, A_plus = self.view, self.view.Z, self.view.A_plus
-        G, h, x_r = self.G, self.h, self.x_r
+        h, x_r = self.h, self.x_r
         x, Gx, rows = self.x, self.Gx, self.rows
         dropped = -1  # the row the last iteration dropped
         try:
@@ -387,9 +438,11 @@ class _ActiveSet:
                 if abs(p).max() <= 1e-12 * step_scale:
                     mu_w = rows.multipliers(w)
                     if mu_w.size == 0 or mu_w.min() >= -1e-11 * max(1.0, np.abs(mu_w).max()):
-                        mu = np.zeros(G.shape[0])
+                        mu = np.zeros(h.size)
                         mu[kept] = np.maximum(mu_w, 0.0)
-                        y = -A_plus.T @ (_block_product(H, x) + q + G[kept].T @ mu_w)
+                        y = -A_plus.T @ (_block_product(H, x) + q
+                                         + view.transpose_product(mu_w, kept))
+                        self.x, self.Gx = x, Gx
                         return QPSolution(x=x, eq_duals=y, ineq_duals=mu, iterations=it)
                     j = int(np.argmin(mu_w))
                     dropped = kept[j]
@@ -489,38 +542,28 @@ class MarketQPResult:
     stationarity_pieces: list = field(default_factory=list)  # per storage: [(weight, map)]
 
 
-def _with_negations(M):
-    """Rows of ``M`` each followed by its negation (upper row, then lower row)."""
-    return np.stack([M, -M], axis=1).reshape(2 * M.shape[0], M.shape[1])
-
-
 @functools.lru_cache(maxsize=_STRUCTURES)
 def _structure(J, S, T, periodic, soc_bounds, finite):
-    """The template's constraint matrices for one structure, read-only, as
-    the ``_NullSpace`` that every market solve of that structure runs on.
+    """The template's constraints for one structure, read-only, as the
+    ``_NullSpace`` that every market solve of that structure runs on.
 
     ``finite`` is the bytes of the boolean mask, per variable in x order,
     of its upper then its lower limit being finite.  A holds the balance
-    rows, then the periodicity rows; G the finite limits' rows in that
-    order, then the SoC corridor's.  A view lives while the cache or a
-    ``_Problem`` holds it.
+    rows, then the periodicity rows.  The inequality rows are signed picks
+    (``_NullSpace``), never a matrix: the finite limits' rows in that
+    order, +x then -x, then per storage unit and interval the SoC
+    corridor's, +cumsum(u) then -cumsum(u).  A view lives while the cache
+    or a ``_Problem`` holds it.
     """
     n = (J + S) * T
     A = np.tile(np.eye(T), J + S)
     if periodic:
         A = np.vstack([A, np.hstack([np.zeros((S, J * T)), np.kron(np.eye(S), np.ones(T))])])
-    keep = np.frombuffer(finite, dtype=bool)
-    G = _with_negations(np.eye(n))[keep]
-    if soc_bounds:
-        prefix = np.hstack([np.zeros((S * T, J * T)),
-                            np.kron(np.eye(S), np.tril(np.ones((T, T))))])
-        G = np.vstack([G, _with_negations(prefix)])
-    # the same rows as signed picks from x followed by its storage prefix sums
     units = S if soc_bounds else 0
-    rows = np.concatenate([keep, np.ones(2 * units * T, bool)])
+    rows = np.concatenate([np.frombuffer(finite, dtype=bool), np.ones(2 * units * T, bool)])
     pick = np.repeat(np.arange(n + units * T), 2)[rows]
     sign = np.tile([1.0, -1.0], n + units * T)[rows]
-    view = _NullSpace(A, G, pick, sign, (units, T))
+    view = _NullSpace(A, pick=pick, sign=sign, prefix=(units, T))
     for arr in vars(view).values():
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -530,12 +573,14 @@ def _structure(J, S, T, periodic, soc_bounds, finite):
 class _Problem:
     """Constraint assembly for the dispatch template (variables g then u).
 
-    ``A`` and ``G`` come from ``_structure`` and are shared, read-only, by
-    every problem of one structure; ``b`` and ``h`` are the problem's own.
+    ``A`` and the inequality rows come from ``_structure`` and are shared,
+    read-only, by every problem of one structure; ``b`` and ``h`` are the
+    problem's own.
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
-    Every starting point goes through ``start_from``; ``maps`` gives the
-    half-cycle maps of a storage dispatch.
+    Every starting point goes through ``start_from``, and every solve runs
+    on an ``active_set`` placed at the last point it admitted; ``maps``
+    gives the half-cycle maps of a storage dispatch.
     """
 
     def __init__(self, alphas, a_lin, betas, capacities, x0s, demand,
@@ -557,6 +602,7 @@ class _Problem:
         self.periodic = periodic
         self.soc_bounds = soc_bounds
         self.n = (self.J + self.S) * self.T
+        self.admitted = (None, None)  # the last point ``admits`` accepted, with its G x
         self._assemble()
 
     def _tile(self, bound, count):
@@ -584,7 +630,7 @@ class _Problem:
         keep = np.isfinite(rhs)
         self.structure = _structure(self.J, self.S, self.T, bool(self.periodic),
                                     bool(self.soc_bounds), keep.tobytes())
-        self.A, self.G = self.structure.A, self.structure.G
+        self.A = self.structure.A
         self.b = self.demand.copy()
         if self.periodic:
             self.b = np.concatenate([self.demand, np.zeros(self.S)])
@@ -695,9 +741,22 @@ class _Problem:
 
     def admits(self, x):
         """Whether ``x`` meets every constraint within ``solve_qp``'s start
-        tolerance, so that ``solve_qp`` accepts it as a starting point."""
-        return bool(np.all(np.abs(self.A @ x - self.b) <= _START_TOL)
-                    and np.all(self.G @ x - self.h <= _START_TOL))
+        tolerance, so that ``solve_qp`` accepts it as a starting point; an
+        admitted ``x`` is kept with its G x (``admitted``)."""
+        if not np.all(np.abs(self.A @ x - self.b) <= _START_TOL):
+            return False
+        Gx = self.structure.product(x)
+        if not np.all(Gx - self.h <= _START_TOL):
+            return False
+        self.admitted = x, Gx
+        return True
+
+    def active_set(self):
+        """A fresh ``_ActiveSet`` on this problem, at the point ``admits``
+        last accepted, so that a start there reads the G x formed once."""
+        state = _ActiveSet(self.structure, self.b, self.h)
+        state.x, state.Gx = self.admitted
+        return state
 
     def elastic_start(self):
         """Phase 1, where the generators cannot take up the cold start's
@@ -720,7 +779,7 @@ class _Problem:
         x = phase.cold_start()
         if x is None:
             raise SolverFailureError("rounding at this limit scale breaks phase 1's start")
-        state = _ActiveSet(phase.structure, phase.b, phase.h)
+        state = phase.active_set()
         state.start(x)
         q = np.concatenate([np.repeat(phase.a_lin, T), np.zeros(self.S * T)])
         H = np.broadcast_to(np.eye(T) / (1e3 * scale), (J + 2 + self.S, T, T))
@@ -790,7 +849,7 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
     balance = (g.sum(axis=0) if prob.J else 0.0) + (u.sum(axis=0) if prob.S else 0.0) - prob.demand
     res.append(np.max(np.abs(balance)) / d_scale if prob.T else 0.0)
     lam_scale = max(1.0, float(np.max(np.abs(price))))
-    grad_extra = prob.G.T @ mu  # box/soc dual contributions per variable
+    grad_extra = prob.structure.transpose_product(mu)  # box/soc dual contributions per variable
     for j in range(prob.J):
         stat = g[j] / prob.alphas[j] + prob.a_lin[j] - price + grad_extra[prob.g_slice(j)]
         res.append(np.max(np.abs(stat)) / lam_scale)
@@ -803,8 +862,8 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
         res.append(np.max(np.abs(gap)) / lam_scale)
         if prob.periodic:
             res.append(abs(u[s].sum()) / max(1.0, float(np.max(np.abs(u[s])))))
-    if prob.G.shape[0]:
-        viol = prob.G @ np.concatenate([g.ravel(), u.ravel()]) if prob.n else np.zeros(0)
+    if prob.h.size:
+        viol = prob.structure.product(np.concatenate([g.ravel(), u.ravel()]))
         res.append(max(0.0, float(np.max(viol - prob.h))) / d_scale)
     return float(max(res)) if res else 0.0
 
@@ -913,7 +972,7 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
 def _alternate(prob, x):
     """Alternate fixed-map QP solves from the feasible point ``x``, every
     round starting from the active-set state the last one ended in."""
-    state = _ActiveSet(prob.structure, prob.b, prob.h)
+    state = prob.active_set()
     maps = prob.maps(prob.split(x)[1])
     sig = tuple(m.signature() for m in maps)
     seen = set()

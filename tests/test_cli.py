@@ -1,5 +1,6 @@
 """Tests for the command-line driver and its output artifacts."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -10,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import cyclemarket
-from cyclemarket import cli
 from cyclemarket.cli import main
 from cyclemarket.data import DemandScenario, synthetic_scenario, write_demand_csv
 from cyclemarket.plotting import line_chart
@@ -97,6 +97,20 @@ class TestRun:
         trace = read_rows(out / "trace.csv")
         assert len(trace) == 24
         assert {"hour", "da_price", "rt_price", "soc_0"} <= set(trace[0])
+
+    @pytest.mark.parametrize("mode", ["aware", "unaware"])
+    def test_trace_writes_idle_dispatch_as_idle(self, tmp_path, mode):
+        # a solve leaves rounding-level storage entries, |u| <= 1e-9 max(1, max|u_s|),
+        # which the certificates read as idle (qp.idle_dispatch); the trace does too
+        out = tmp_path / "o"
+        assert main(["run", "--mode", mode, "--out", str(out)]) == 0
+        trace = read_rows(out / "trace.csv")
+        columns = [name for name in trace[0] if name.startswith(("u_da_", "u_rt_"))]
+        assert columns
+        for name in columns:
+            u = [abs(float(row[name])) for row in trace]
+            scale = max(1.0, max(u))
+            assert not [x for x in u if 0.0 < x <= 1e-9 * scale], name
 
     def test_aware_real_time_windows_start_near_their_optimum(self, tmp_path):
         # each window is seeded from the one before; started cold they took 1,316
@@ -230,6 +244,13 @@ class TestRun:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # only a sweep with two or more workers starts a process pool, so a run
+    # does not import multiprocessing
+    probe = "import sys, cyclemarket.cli; print('concurrent.futures.process' in sys.modules)"
+    assert run_at_threads(["-c", probe], "1").strip() == "False"
+
+
 class TestSweep:
     @pytest.fixture()
     def spec_path(self, tmp_path):
@@ -287,7 +308,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         return sizes
 
     def test_workers_capped_at_task_count(self, tmp_path, pool_sizes, monkeypatch):

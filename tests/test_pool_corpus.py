@@ -8,11 +8,17 @@ corridor.  Every generator and unit has the same limit, at +-inf, +-1e6 and
 participant at the point of its box nearest 0, which the three scales
 share; so a draw certifies at all three scales or at none, with
 bit-identical answers.
+
+A second set of draws caps the generators below peak demand, so that the
+cold start leaves a shortfall and phase 1 (``_Problem.elastic_start``)
+runs: every other draw has a dispatch through storage, and the others do
+not.
 """
 
 import numpy as np
 import pytest
 
+from cyclemarket import qp
 from cyclemarket.errors import InfeasibleError, SolverFailureError
 from cyclemarket.qp import solve_market_qp
 
@@ -98,3 +104,49 @@ def test_must_run_generators_far_from_zero_raise_a_typed_error():
     with pytest.raises(SolverFailureError, match="phase 1"):
         _clear(np.array([20.0, 30.0]), np.array([300.0, 150.0]), np.array([3.0, 2.0]),
                _demand(13, 0.3), 1e9, 2e9, -np.inf, np.inf)
+
+
+def _capped_pools(n=24, seed=2031):
+    """Pools of 1-2 generators and 1-3 storage units, T <= 16, whose
+    generators' summed cap lies 1-15% below peak demand.  The units' summed
+    power limit U is 1.3-3 times the peak shortfall on even draws and
+    0.3-0.8 times it on odd ones, split among them at random.  Every other
+    pair of draws adds the SoC corridor, which at E >= 300 MWh and x0 = 0.5
+    leaves room for the at most 21 MW x 6 h of shortfall; so an even draw
+    has a dispatch, which stores off-peak energy for the peak, and an odd
+    one has none."""
+    rng = np.random.default_rng(seed)
+    pools = []
+    for i in range(n):
+        J, S = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        c, b = rng.uniform(5, 40, J), rng.uniform(0.5, 4, S)
+        E = rng.choice([300.0, 450.0], S)
+        demand = _demand(int(rng.integers(4, 17)), rng.uniform(0, 2 * np.pi))
+        cap = rng.uniform(0.85, 0.99) * demand.max()
+        shortfall = demand.max() - cap
+        U = shortfall * (rng.uniform(1.3, 3.0) if i % 2 == 0 else rng.uniform(0.3, 0.8))
+        pools.append((c, E, b, demand, cap / J, U * rng.dirichlet(np.ones(S)), i % 4 < 2))
+    return pools
+
+
+CAPPED = _capped_pools()
+
+
+@pytest.mark.parametrize("draw", range(len(CAPPED)), ids=lambda i: f"capped{i}")
+def test_capped_pool_certifies_through_phase_1_or_names_its_shortfall(draw, monkeypatch):
+    reached = []
+    inner = qp._Problem.elastic_start
+    monkeypatch.setattr(qp._Problem, "elastic_start",
+                        lambda self: reached.append(self.T) or inner(self))
+    c, E, b, demand, g_hi, u_max, soc_bounds = CAPPED[draw]
+
+    def clear():
+        return solve_market_qp(1.0 / c, np.zeros(c.size), 1.0 / b, E, np.full(E.size, 0.5),
+                               demand, 0.0, g_hi, -u_max, u_max, soc_bounds=soc_bounds)
+
+    if draw % 2 == 0:
+        assert clear().kkt_residual <= 1e-8
+    else:
+        with pytest.raises(InfeasibleError, match="cannot be met"):
+            clear()
+    assert reached == [demand.size]  # the cold start missed its balance once

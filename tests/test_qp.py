@@ -175,7 +175,7 @@ class TestActiveSetCore:
         A = np.array([[1.0, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]])
         b = np.array([2.0, 10.0])
         E = np.eye(6)
-        G = qp._with_negations(np.vstack([E[:4], E[2], E[2] + E[3]]))
+        G = _with_negations(np.vstack([E[:4], E[2], E[2] + E[3]]))
         h = np.array([3.0, 0, 3, 0, 1, 1, 1, 1, 2, 2, 2, 2])
         sol = solve_qp(H, np.zeros(6), A, b, G, h, x0=np.array([0.0, 0, 0, 0, 2, 10]))
         assert sol.iterations <= 20
@@ -188,6 +188,32 @@ class TestActiveSetCore:
         grad = H @ sol.x + A.T @ sol.eq_duals + G.T @ mu
         assert np.max(np.abs(grad)) <= 1e-8 * scale
         assert np.max(np.abs(mu * (h - G @ sol.x))) <= 1e-8 * scale
+
+
+def _with_negations(M):
+    """Rows of ``M`` each followed by its negation (upper row, then lower row)."""
+    return np.stack([M, -M], axis=1).reshape(2 * M.shape[0], M.shape[1])
+
+
+def _dense_rows(J, S, T, soc_bounds, finite):
+    """The template's inequality rows as one dense matrix, the reference for
+    ``_structure``'s signed picks: per variable in x order its upper then
+    its lower row where ``finite`` says so, then per storage unit and
+    interval the SoC corridor's +cumsum(u) and -cumsum(u) rows."""
+    n = (J + S) * T
+    G = _with_negations(np.eye(n))[finite]
+    if soc_bounds:
+        prefix = np.hstack([np.zeros((S * T, J * T)),
+                            np.kron(np.eye(S), np.tril(np.ones((T, T))))])
+        G = np.vstack([G, _with_negations(prefix)])
+    return G
+
+
+def _problem_rows(prob):
+    """``_dense_rows`` of a ``_Problem``, from its limits."""
+    finite = np.isfinite(np.stack([np.vstack([prob.g_hi, prob.u_hi]).ravel(),
+                                   np.vstack([prob.g_lo, prob.u_lo]).ravel()], axis=1).ravel())
+    return _dense_rows(prob.J, prob.S, prob.T, prob.soc_bounds, finite)
 
 
 def _template_qp(rng, T, P, corridor, duplicates, flat):
@@ -224,12 +250,12 @@ def _l2_phase_one(prob):
     free slack on each equality row, curvature 1e-6 on the dispatch and 1e8
     on the slacks.  Its 1e14 curvature ratio makes the reduced Hessian
     ill-conditioned.  Returns ``solve_qp``'s arguments."""
-    n, m = prob.n, prob.A.shape[0]
+    n, m, G = prob.n, prob.A.shape[0], _problem_rows(prob)
     x = np.concatenate([np.clip(0.0, prob.g_lo, prob.g_hi).ravel(), np.zeros(prob.S * prob.T)])
-    assert np.all(prob.G @ x <= prob.h)
+    assert np.all(G @ x <= prob.h)
     H = np.diag(np.concatenate([np.full(n, 1e-6), np.full(m, 1e8)]))
     A = np.hstack([prob.A, np.eye(m)])
-    G = np.hstack([prob.G, np.zeros((prob.G.shape[0], m))])
+    G = np.hstack([G, np.zeros((G.shape[0], m))])
     return H, np.zeros(n + m), A, prob.b, G, prob.h, np.concatenate([x, prob.b - prob.A @ x])
 
 
@@ -430,16 +456,18 @@ class TestWorkingRowDependence:
 
     def test_box_row_implied_by_balance_and_interval_boxes(self):
         prob = _one_generator_one_storage(soc_bounds=False)
+        G = _problem_rows(prob)
         # g0 at its cap and u0 at its floor: the balance row fixes u0 from g0
-        assert _kept_rows(prob.A, prob.G, [0, 5]) == [0]
-        assert _kept_rows(prob.A, prob.G, [0, 2, 5, 7]) == [0, 2]
-        assert _kept_rows(prob.A, prob.G, [0, 7]) == [0, 7]
+        assert _kept_rows(prob.A, G, [0, 5]) == [0]
+        assert _kept_rows(prob.A, G, [0, 2, 5, 7]) == [0, 2]
+        assert _kept_rows(prob.A, G, [0, 7]) == [0, 7]
 
     def test_first_soc_corridor_row_duplicates_storage_box_row(self):
         prob = _one_generator_one_storage(soc_bounds=True)
-        assert prob.G[8] == pytest.approx(prob.G[4])
-        assert _kept_rows(prob.A, prob.G, [4, 8]) == [4]
-        assert _kept_rows(prob.A, prob.G, [8, 10]) == [8, 10]
+        G = _problem_rows(prob)
+        assert G[8] == pytest.approx(G[4])
+        assert _kept_rows(prob.A, G, [4, 8]) == [4]
+        assert _kept_rows(prob.A, G, [8, 10]) == [8, 10]
 
     def test_carried_rows_stop_at_the_first_that_left(self):
         # rows e0, e1, e2 and e0 + e1, which parks while e0 and e1 are kept
@@ -957,9 +985,10 @@ class TestStructureCache:
         warm = solve_market_qp(**template)
         # a market solve's state runs on its problem's structure
         assert views and all(view is qp._Problem(**template).structure for view in views)
-        # a view reduced per call from writeable copies of A and G
+        # a view reduced per call from writeable copies of A and the signed picks
         monkeypatch.setattr(qp._ActiveSet, "__init__", lambda state, view, b, h: inner(
-            state, qp._NullSpace(np.array(view.A), np.array(view.G)), b, h))
+            state, qp._NullSpace(np.array(view.A), pick=np.array(view.pick),
+                                 sign=np.array(view.sign), prefix=view.prefix), b, h))
         per_call = solve_market_qp(**template)
         for res in (warm, per_call):
             for name in ("g", "u", "price", "iterations", "kkt_residual"):
@@ -970,8 +999,8 @@ class TestStructureCache:
         window = dict(TestSeededStart.WINDOW, demand=np.array([2.0, 1.0, 2.0, 1.0]), g_hi=8.0)
         second = qp._Problem(**window)
         assert second.structure is first.structure
-        assert second.A is first.A and second.G is first.G
-        for matrix in (first.A, second.G):
+        assert second.A is first.A and second.structure.pick is first.structure.pick
+        for matrix in (first.A, second.structure.GZ):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 2.0
 
@@ -993,13 +1022,39 @@ class TestStructureCache:
         n = (J + S) * T
         finite = rng.random(2 * n) >= infinite
         view = qp._structure(J, S, T, periodic, soc_bounds, finite.tobytes())
-        assert view.G.shape[0] == finite.sum() + (2 * S * T if soc_bounds else 0)
+        G = _dense_rows(J, S, T, soc_bounds, finite)
+        assert view.pick.shape == view.sign.shape == (G.shape[0],)
         p = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
         got = view.product(p)
-        assert got.shape == (view.G.shape[0],)
-        assert np.max(np.abs(got - view.G @ p), initial=0.0) <= 1e-13 * max(1.0, np.abs(p).sum())
+        assert got.shape == (G.shape[0],)
+        assert np.max(np.abs(got - G @ p), initial=0.0) <= 1e-13 * max(1.0, np.abs(p).sum())
+        mu = rng.exponential(10.0 ** rng.uniform(-3, 3), G.shape[0])
+        rows = np.flatnonzero(rng.random(G.shape[0]) < rng.random())
+        for picked, want in ((view.transpose_product(mu), G.T @ mu),
+                             (view.transpose_product(mu[rows], rows), G[rows].T @ mu[rows])):
+            assert picked.shape == (n,)
+            assert np.max(np.abs(picked - want), initial=0.0) <= 1e-13 * max(1.0, mu.sum())
+        if view.independent:
+            # each row's null-space part, from a gather or a cumulative sum of
+            # at most T entries of Z, and its parking threshold 1e-9 ||G_i||
+            assert view.GZ.shape == (G.shape[0], view.Z.shape[1])
+            assert np.max(np.abs(view.GZ - G @ view.Z), initial=0.0) <= 1e-13 * T
+            assert np.array_equal(view.thresholds, 1e-9 * np.linalg.norm(G, axis=1))
         for arr in (view.pick, view.sign):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("template", TEMPLATES + [dict(
+        TEMPLATES[1], demand=100.0 + 40.0 * np.sin(np.arange(168) / 4.0))])
+    def test_views_hold_no_matrix_of_the_rows(self, template):
+        # neither the rows x n matrix of G nor an n x n factor: the rows are
+        # signed picks, and Z is copied out of the complete QR
+        prob = qp._Problem(**template)
+        view, n, rows = prob.structure, prob.n, prob.h.size
+        assert view.G is None
+        for name, arr in vars(view).items():
+            if isinstance(arr, np.ndarray):
+                held = arr if arr.base is None else arr.base  # what a view keeps alive
+                assert held.size not in (rows * n, n * n), name
 
     def test_caller_mutating_its_own_constraints_is_honoured(self):
         # min 0.5 ||x - (2, 2)||^2 under one row of G, then under another
@@ -1299,6 +1354,6 @@ class TestBlockReducedHessian:
         F = rng.normal(size=(12, 12))
         with pytest.raises(_Reduced):
             solve_qp(100.0 * (np.eye(12) + F @ F.T), rng.normal(size=12), rng.normal(size=(3, 12)),
-                     np.zeros(3), qp._with_negations(np.eye(12)), np.ones(24))
+                     np.zeros(3), _with_negations(np.eye(12)), np.ones(24))
         assert seen["H"].shape == (1, 12, 12)
         assert _dense_error(seen) <= 1e-13
