@@ -35,7 +35,7 @@ class GeneratorParams:
     def __post_init__(self):
         if not (self.c > 0):
             raise InvalidInputError("generator cost coefficient c must be positive")
-        if self.g_min > self.g_max:
+        if not (self.g_min <= self.g_max):
             raise InvalidInputError("generator limits must satisfy g_min <= g_max")
 
 
@@ -67,7 +67,7 @@ class StorageParams:
             self.u_max = self.capacity_E / self.duration_hours
         if self.u_min is None:
             self.u_min = -self.u_max
-        if self.u_min > self.u_max:
+        if not (self.u_min <= self.u_max):
             raise InvalidInputError("storage limits must satisfy u_min <= u_max")
         if not (0.0 <= self.x0 <= 1.0):
             raise InvalidInputError("initial SoC must lie in [0, 1]")

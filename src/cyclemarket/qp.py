@@ -69,8 +69,9 @@ starts at the last round's optimum from the rows that round kept, tests
 none of the rows parked since its last drop again unless a kept row left,
 and rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient
 and T).  The kink bisection starts once, and each probe solves from a copy
-of that start.  ``solve_qp`` runs the same core from a fresh state, on a
-view it reduces from its own A and dense G.
+of that start.  A state starts where it stands, so a start checks nothing;
+``solve_qp`` checks its caller's ``x0`` and places a fresh state there, on
+a view it reduces from its own A and dense G.
 """
 
 import copy
@@ -375,42 +376,32 @@ class _ActiveSet:
 
     What depends on them alone is formed once: the minimum-norm solution
     x_r of the equalities, G x_r and the rows' right-hand sides h - G x_r.
-    ``start`` takes a feasible point and carries the working rows there
+    The state stands at one feasible point ``x``, with its ``Gx`` = G x:
+    first the point its owner places it at (``_Problem.active_set`` places
+    it at the point ``admits`` accepted, ``solve_qp`` at the caller's
+    checked ``x0``), later the one its last solve ended at, with the G x
+    that solve tracked.  ``start`` carries the working rows to that point
     from wherever the last solve left them (``_WorkingRows.carry``), so a
     solve that starts where the last one ended rebuilds only what depends
     on its Hessian: Z'HZ, the reduced gradient and T.  ``fork`` copies a
     started state, so that solves with different Hessians can run from one
     start.
-
-    The state is at one point ``x``, with its ``Gx`` = G x: the point it
-    started at, later the one its last solve ended at, with the G x that
-    solve tracked.  ``start`` there, or at a point placed with its G x
-    (``_Problem.active_set``), forms no product and checks nothing again.
     """
 
     def __init__(self, view, b, h):
-        self.view, self.A, self.b, self.h = view, view.A, b, h
+        self.view, self.h = view, h
         self.x = self.Gx = None
         if view.independent:
             self.x_r = view.A_plus @ b
             self.Gx_r = view.product(self.x_r)
             self.rows = _WorkingRows(view.GZ, h - self.Gx_r, view.thresholds)
 
-    def start(self, x):
-        """Start at ``x``: the rows active there become the working set."""
-        A, b, h = self.A, self.b, self.h
-        if x is not self.x:
-            if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
-                raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
-            Gx = self.view.product(x)
-            if h.size and (h - Gx).min() < -_START_TOL:
-                raise InvalidInputError(
-                    "solve_qp requires a feasible starting point (inequalities)")
-            self.x, self.Gx = x, Gx
+    def start(self):
+        """Start at the state's point: the rows active there become the working set."""
         if not self.view.independent:
             raise SolverFailureError("solve_qp requires linearly independent equality rows",
-                                     best_iterate=x)
-        self.rows.carry(h - self.Gx <= 1e-10 * np.maximum(1.0, np.abs(h)))
+                                     best_iterate=self.x)
+        self.rows.carry(self.h - self.Gx <= 1e-10 * np.maximum(1.0, np.abs(self.h)))
 
     def fork(self):
         """A copy of the started state whose solve leaves this one as it is."""
@@ -523,8 +514,14 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     G = np.zeros((0, n)) if G is None else np.asarray(G, float)
     h = np.zeros(0) if h is None else np.asarray(h, float)
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
+    if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
+        raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
+    Gx = G @ x
+    if h.size and (h - Gx).min() < -_START_TOL:
+        raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
     state = _ActiveSet(_NullSpace(A, G), b, h)
-    state.start(x)
+    state.x, state.Gx = x, Gx
+    state.start()
     return state.solve(np.asarray(H, float)[None], q)
 
 
@@ -576,6 +573,8 @@ class _Problem:
     ``A`` and the inequality rows come from ``_structure`` and are shared,
     read-only, by every problem of one structure; ``b`` and ``h`` are the
     problem's own.
+    Demand that is not a finite vector of at least one interval, and a NaN
+    limit, raise ``InvalidInputError``; an infinite limit is no limit.
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
     Every starting point goes through ``start_from``, and every solve runs
@@ -591,11 +590,15 @@ class _Problem:
         self.capacities = np.asarray(capacities, float)
         self.x0s = np.asarray(x0s, float)
         self.demand = np.asarray(demand, float)
+        if self.demand.ndim != 1 or not self.demand.size or not np.isfinite(self.demand).all():
+            raise InvalidInputError("demand must be a finite vector of at least one interval")
         self.J, self.S, self.T = self.alphas.size, self.betas.size, self.demand.size
         self.g_lo, self.g_hi = self._tile(g_lo, self.J), self._tile(g_hi, self.J)
         self.u_lo, self.u_hi = self._tile(u_lo, self.S), self._tile(u_hi, self.S)
-        crossed = np.flatnonzero(np.any(np.vstack([self.g_lo, self.u_lo])
-                                        > np.vstack([self.g_hi, self.u_hi]), axis=0))
+        lo, hi = np.vstack([self.g_lo, self.u_lo]), np.vstack([self.g_hi, self.u_hi])
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise InvalidInputError("a participant limit is NaN; an absent limit is +/-inf")
+        crossed = np.flatnonzero(np.any(lo > hi, axis=0))
         if crossed.size:
             t = int(crossed[0])
             raise InfeasibleError(f"participant limits cross at interval {t}", interval=t)
@@ -780,7 +783,7 @@ class _Problem:
         if x is None:
             raise SolverFailureError("rounding at this limit scale breaks phase 1's start")
         state = phase.active_set()
-        state.start(x)
+        state.start()
         q = np.concatenate([np.repeat(phase.a_lin, T), np.zeros(self.S * T)])
         H = np.broadcast_to(np.eye(T) / (1e3 * scale), (J + 2 + self.S, T, T))
         g, u = phase.split(state.solve(H, q).x)
@@ -892,19 +895,19 @@ def _certify(prob, res, mu):
     return certified(res.kkt_residual)
 
 
-def _kink_bisection(prob, state, x, maps_a, maps_b, iterations):
+def _kink_bisection(prob, state, maps_a, maps_b, iterations):
     """Resolve a two-map assignment cycle by bisecting the subgradient weight.
 
     At a kink-seated optimum the stationarity holds with a convex combination
     of the two adjacent pieces' curvatures.  Solving the blended QP and
     bisecting the weight to the region boundary lands on that point exactly.
-    ``x`` is the optimum under ``maps_a`` alone (weight 1), whose own maps are
-    ``maps_b``.  ``state`` starts at ``x`` once, and each probe solves from
+    ``state`` stands at the optimum under ``maps_a`` alone (weight 1), whose
+    own maps are ``maps_b``; it starts there once, and each probe solves from
     a fork of it, since only the Hessian depends on the weight.  Returns
     the (result, QP solution) pair, or None where both endpoints lie in
     one region; the result counts ``iterations`` plus every probe's.
     """
-    state.start(x)
+    state.start()
     probe_iterations = 0
 
     def solve_at(gamma):
@@ -979,10 +982,9 @@ def _alternate(prob, x):
     best = None  # the (result, QP solution) of least objective, for the failure
     total_iters = 0
     for _ in range(_MAX_ROUNDS):
-        state.start(x)
+        state.start()
         sol = state.solve(*prob.hessian(maps))
         total_iters += sol.iterations
-        x = sol.x
         res = _evaluate(prob, sol, total_iters)
         if best is None or res.objective < best[0].objective:
             best = res, sol
@@ -993,7 +995,7 @@ def _alternate(prob, x):
             break  # assignment is stable but the residual is stuck
         if res_sig in seen:
             # assignment cycling: the optimum sits on a two-piece kink
-            kink = _kink_bisection(prob, state, x, maps, res.maps, total_iters)
+            kink = _kink_bisection(prob, state, maps, res.maps, total_iters)
             if kink is not None:
                 if _certify(prob, kink[0], kink[1].ineq_duals):
                     return kink[0]

@@ -3,16 +3,18 @@
 Two bidding styles are provided.  In the first (``unaware``) participants bid
 plain affine supply functions g = alpha*price, u = beta*price while folding
 their day-ahead position into the slope choice; the competitive equilibrium
-exists uniquely and is found either in closed form or by the best-response
-iteration the mechanism implies.  Its price coefficient may be negative (the
-price then runs opposite to residual demand), and the iteration reaches it
-there too.  Every price of the iteration lies on the residual-demand ray,
-price = d_r/xi, where each participant's first-order slope is affine in xi,
-slope_i = k_i - xi*m_i.  One table of (k_i, m_i) per window
-(``_unaware_table``) is the only place those conditions are evaluated: both
-solvers read its sums, the loop runs on scalars, and the final bids are
-k - xi*m.  ``map_stable`` checks, when called, whether an adjustment keeps
-each unit's day-ahead half-cycle map.  In the second (``aware``) the bid
+exists uniquely and has a closed form (``equilibrium_unaware``), at which
+the rolling windows clear.  The best-response iteration the mechanism
+implies (``best_response_unaware``) reaches the same point; it stays as the
+paper's dynamics and as the closed form's test oracle.  The price
+coefficient may be negative (the price then runs opposite to residual
+demand), and the iteration reaches it there too.  Every price of the
+iteration lies on the residual-demand ray, price = d_r/xi, where each
+participant's first-order slope is affine in xi, slope_i = k_i - xi*m_i.
+One table of (k_i, m_i) per window (``_unaware_table``) is the only place
+those conditions are evaluated: both solvers read its sums, the loop runs
+on scalars, and the final bids are k - xi*m.  ``map_stable`` checks, when
+called, whether an adjustment keeps each unit's day-ahead half-cycle map.  In the second (``aware``) the bid
 itself subtracts the day-ahead commitment, g = alpha*price - g_da; the
 equilibrium slopes are constants and clearing is a single algebraic step.  The rolling case-study
 windows use ``clear_constrained_aware``, which re-optimizes total dispatch
@@ -81,7 +83,12 @@ def _unaware_table(params, da, d_r):
     D_s = ||N_s d_r||^2 for a storage unit.  Returns (k, m, K, B, numer):
     the slopes sum to F(xi) = K - xi * B, and F(xi) = xi gives
     omega = 1/xi = numer / K with numer = 1 + B, both summed term by term.
+    A ``d_r`` that is not a finite vector over the view's horizon raises
+    ``InvalidInputError``.
     """
+    if d_r.shape != da.g.shape[1:] or not np.isfinite(d_r).all():
+        raise InvalidInputError(
+            f"residual demand must be a finite vector of {da.g.shape[1]} intervals")
     norm2 = float(d_r @ d_r)
     if norm2 <= 0.0:
         raise DegenerateDemandError("zero residual demand: proportional price undefined")
@@ -184,6 +191,9 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     if initial_bids is None:
         xi = float(np.array([1.0 / gen.c for gen in params.generators]).sum()
                    + np.array([1.0 / st.b for st in params.storages]).sum())
+    elif (initial_bids.alpha_r.size, initial_bids.beta_r.size) != (
+            params.n_generators, params.n_storages):
+        raise InvalidInputError("initial bid sizes must match the participant lists")
     else:
         xi = float(initial_bids.alpha_r.sum() + initial_bids.beta_r.sum())
     trace = []
@@ -292,8 +302,8 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     """
     w = np.asarray(window_demand, dtype=float)
     W = w.size
-    if W < 1:
-        raise InvalidInputError("window must contain at least one interval")
+    if w.ndim != 1 or W < 1:
+        raise InvalidInputError("window must be a vector of at least one interval")
     J, S = params.n_generators, params.n_storages
     g_da = np.asarray(g_committed, dtype=float).reshape(J, W) if J else np.zeros((0, W))
     u_da = np.asarray(u_committed, dtype=float).reshape(S, W) if S else np.zeros((0, W))

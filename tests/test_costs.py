@@ -206,3 +206,8 @@ class TestParams:
             StorageParams(capacity_E=1.0, b=0.0)
         with pytest.raises(InvalidInputError, match="u_min <= u_max"):
             StorageParams(capacity_E=1.0, u_min=1.0, u_max=-1.0)
+        # a NaN limit fails the order check, which no NaN comparison passes
+        with pytest.raises(InvalidInputError, match="g_min <= g_max"):
+            GeneratorParams(c=1.0, g_min=np.nan)
+        with pytest.raises(InvalidInputError, match="u_min <= u_max"):
+            StorageParams(capacity_E=50.0, u_min=np.nan, u_max=np.nan)

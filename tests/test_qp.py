@@ -9,11 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cyclemarket import DemandScenario, build_params, qp
+from cyclemarket import (
+    DemandScenario,
+    GeneratorParams,
+    MarketParams,
+    StorageParams,
+    build_params,
+    qp,
+)
 from cyclemarket.data import default_config
-from cyclemarket.dayahead import clear_general, equilibrium_bids_dayahead
+from cyclemarket.dayahead import clear_general, clear_uniform, equilibrium_bids_dayahead
 from cyclemarket.errors import InfeasibleError, InvalidInputError, SolverFailureError
+from cyclemarket.planner import solve_planner
 from cyclemarket.qp import solve_qp, solve_market_qp
+from cyclemarket.realtime import RealTimeBids, clear_constrained_aware
 
 
 class TestActiveSetCore:
@@ -660,6 +669,48 @@ class TestMarketQP:
                             periodic=False)
         assert err.value.interval == 2
 
+    @staticmethod
+    def _clear(entry, params, demand):
+        """One clearing entry point on ``params`` and ``demand``."""
+        if entry == "clear_constrained_aware":
+            T = np.size(demand)
+            return clear_constrained_aware(RealTimeBids(alpha_r=[0.05], beta_r=[0.5]), demand,
+                                           np.zeros((1, T)), np.zeros((1, T)), params)
+        if entry == "solve_planner":
+            return solve_planner(params, demand)
+        clear = clear_general if entry == "clear_general" else clear_uniform
+        return clear(equilibrium_bids_dayahead(params), demand, params)
+
+    ENTRY_POINTS = ["clear_general", "clear_uniform", "solve_planner", "clear_constrained_aware"]
+    DEMAND = 100.0 + 10.0 * np.sin(2 * np.pi * np.arange(24) / 24)
+
+    @staticmethod
+    def _market():
+        return MarketParams(generators=[GeneratorParams(c=20.0)],
+                            storages=[StorageParams(capacity_E=50.0)])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("demand", [
+        np.r_[DEMAND[:-1], np.nan], np.r_[np.inf, DEMAND[1:]], DEMAND.reshape(2, 12), np.zeros(0),
+    ], ids=["nan", "inf", "2-d", "empty"])
+    def test_demand_not_a_finite_vector_raises_invalid_input(self, entry, demand):
+        with pytest.raises(InvalidInputError, match="vector of at least one interval"):
+            self._clear(entry, self._market(), demand)
+
+    @pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS if e != "clear_uniform"])
+    @pytest.mark.parametrize("limit", ["u_limits", "g_min"])
+    def test_nan_limit_raises_invalid_input(self, entry, limit):
+        # the template read a NaN limit as no limit at all: a NaN storage
+        # limit let a 50 MWh unit rated 12.5 MW dispatch 199.9 MW.  The
+        # limits are set past the parameter checks, which reject NaN too
+        params = self._market()
+        if limit == "u_limits":
+            params.storages[0].u_min = params.storages[0].u_max = np.nan
+        else:
+            params.generators[0].g_min = np.nan
+        with pytest.raises(InvalidInputError, match="NaN"):
+            self._clear(entry, params, self.DEMAND)
+
     def test_storage_box_excluding_zero_starts_inside_it(self):
         d = np.array([1.0, 3.0, 1.0, 3.0])
         res = solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],
@@ -1194,9 +1245,9 @@ class TestCarriedState:
         carried = solve_market_qp(**template)
         start = qp._ActiveSet.start
 
-        def fresh_start(state, x):
+        def fresh_start(state):
             state.rows = qp._WorkingRows(state.view.GZ, state.h - state.Gx_r, state.view.thresholds)
-            start(state, x)
+            start(state)
 
         monkeypatch.setattr(qp._ActiveSet, "start", fresh_start)
         fresh = solve_market_qp(**template)
@@ -1224,8 +1275,8 @@ class TestCarriedState:
         seen = {}
         bisect = qp._kink_bisection
 
-        def watched(prob, state, x, maps_a, maps_b, iterations):
-            state.start(x)
+        def watched(prob, state, maps_a, maps_b, iterations):
+            state.start()
             rows = state.rows
             seen["start"] = [arr.copy() for arr in (rows.working, rows.kept, rows.Q, rows.L,
                                                     rows.y)]
@@ -1234,7 +1285,7 @@ class TestCarriedState:
                 return state.fork().solve(*prob.hessian(maps_a, maps_b, gamma))
 
             seen["alone"] = probe(0.3)
-            kink = bisect(prob, state, x, maps_a, maps_b, iterations)
+            kink = bisect(prob, state, maps_a, maps_b, iterations)
             seen["after"] = [probe(0.7), probe(0.3), probe(0.3)]
             seen["end"] = [rows.working, rows.kept, rows.Q, rows.L, rows.y]
             return kink

@@ -105,6 +105,18 @@ class TestEquilibriumUnaware:
         with pytest.raises(DegenerateDemandError):
             equilibrium_unaware(params, np.zeros(8), da)
 
+    @pytest.mark.parametrize("d_r", [np.ones(7), np.ones(9), np.ones((2, 4)),
+                                     np.full(8, np.nan), np.r_[np.inf, np.ones(7)]],
+                             ids=["short", "long", "2-d", "nan", "inf"])
+    @pytest.mark.parametrize("solve", [equilibrium_unaware, best_response_unaware])
+    def test_residual_not_a_finite_vector_over_the_horizon_rejected(self, solve, d_r):
+        # one check in the shared slope table covers both solvers
+        rng = np.random.default_rng(2)
+        params = make_market(rng)
+        _, da = cleared_day_ahead(rng, params)
+        with pytest.raises(InvalidInputError, match="finite vector of 8 intervals"):
+            solve(params, d_r, da)
+
     def test_paper_price_plus_slope_form_when_residual_sums_to_zero(self):
         # with equilibrium day-ahead bids and 1'd_r = 0 the exact fixed point
         # collapses to omega = <lambda_da, d_r>/||d_r||^2 + 1/K
@@ -243,6 +255,16 @@ class TestBestResponseUnaware:
         init = RealTimeBids(alpha_r=[0.5], beta_r=[-0.5])
         with pytest.raises(DivergenceError):
             best_response_unaware(params, correlated_residual(rng, d_da), da, initial_bids=init)
+
+    def test_initial_bids_of_other_sizes_rejected(self):
+        rng = np.random.default_rng(26)
+        params = make_market(rng)  # one generator, one storage unit
+        d_da, da = cleared_day_ahead(rng, params)
+        for init in (RealTimeBids(alpha_r=[1, 2, 3], beta_r=[4, 5]),
+                     RealTimeBids(alpha_r=[1.0], beta_r=[])):
+            with pytest.raises(InvalidInputError, match="participant lists"):
+                best_response_unaware(params, correlated_residual(rng, d_da), da,
+                                      initial_bids=init)
 
     def test_foc_residual_at_convergence(self):
         # re-evaluating the best responses at the final price reproduces the bids

@@ -24,6 +24,7 @@ from cyclemarket.realtime import (
     best_response_unaware,
     clear_constrained_aware,
     equilibrium_aware,
+    equilibrium_unaware,
 )
 from cyclemarket.simulation import (
     BINDING_HOURS,
@@ -194,6 +195,39 @@ class TestRunRealTime:
         total = (rec.da_result.g[:, :BINDING_HOURS] + rec.g_rt).sum(axis=0) \
             + (rec.da_result.u[:, :BINDING_HOURS] + rec.u_rt).sum(axis=0)
         assert total == pytest.approx(scn.actual, abs=1e-6)
+
+    @pytest.mark.parametrize("config", [
+        default_config(),
+        MarketConfig(generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}],
+                     storages=[{"capacity_E": 50.0, "capital_cost_B": b}
+                               for b in (100.0, 150.0, 250.0, 400.0)]),
+    ], ids=["fixture", "four-units"])
+    def test_unaware_windows_clear_in_closed_form(self, config):
+        # each window is, bit for bit, the closed form on its view, or its
+        # generator-only form where the view does not cycle; none iterates
+        scn = load_demand_csv(bundled_demand_path())
+        params = build_params(config, scn)
+        rec = run_two_stage(scn, params, mode="unaware")
+        u_idle = qp.idle_dispatch(rec.da_result.u)
+        with_storage = 0
+        for hour, step in enumerate(rec.rt_steps):
+            end = min(hour + 24, scn.horizon)
+            d_r = np.r_[scn.actual[hour], scn.forecast[hour + 1:end]] - scn.forecast[hour:end]
+            assert step.iterations == 0
+            if not d_r.any():  # no news: the window adjusts nothing
+                assert not (step.g_r.any() or step.u_r.any() or step.price.any())
+                continue
+            view = _window_da_view(rec.da_result, params, hour, end, u_idle)
+            try:
+                want = equilibrium_unaware(params, d_r, view)[1]
+                with_storage += 1
+            except DegeneratePriceError:
+                want = equilibrium_unaware(MarketParams(generators=params.generators),
+                                           d_r, view)[1]
+                want.u_r = np.zeros_like(step.u_r)
+            for name in ("g_r", "u_r", "price", "price_coeff", "kkt_residual"):
+                assert np.array_equal(getattr(step, name), getattr(want, name)), (hour, name)
+        assert with_storage == 7  # on both rosters; the others adjust nothing or no storage
 
     def test_demand_spike_only_nearby_windows_adjust(self, fixture_setup):
         scn0, params = fixture_setup
