@@ -16,7 +16,13 @@ import numpy as np
 
 from .costs import MarketParams
 from .errors import InvalidInputError, SolverFailureError
-from .qp import blended_stationarity_gap, certified, dispatch_map, solve_market_qp
+from .qp import (
+    blended_stationarity_gap,
+    certified,
+    demand_vector,
+    dispatch_map,
+    solve_market_qp,
+)
 from .rainflow import rainflow_map
 
 __all__ = [
@@ -121,9 +127,11 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
     storage (``qp.solve_market_qp``, no power limits), then splits w across
     storage units by epsilon_s = beta_s / sum beta.  All storage units see
     the same per-cycle price vector theta = N(w) w / sum beta.  A split that
-    ``verify_kkt_dayahead`` does not certify raises ``SolverFailureError``.
+    ``verify_kkt_dayahead`` does not certify raises ``SolverFailureError``;
+    demand that is not a finite vector of at least one interval raises
+    ``InvalidInputError``, with or without storage.
     """
-    d = np.asarray(d_da, dtype=float)
+    d = demand_vector(d_da)
     T = d.size
     J, S = params.n_generators, params.n_storages
     if bids.alpha.size != J or bids.beta.size != S:

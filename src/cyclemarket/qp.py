@@ -589,9 +589,7 @@ class _Problem:
         self.betas = np.asarray(betas, float)
         self.capacities = np.asarray(capacities, float)
         self.x0s = np.asarray(x0s, float)
-        self.demand = np.asarray(demand, float)
-        if self.demand.ndim != 1 or not self.demand.size or not np.isfinite(self.demand).all():
-            raise InvalidInputError("demand must be a finite vector of at least one interval")
+        self.demand = demand_vector(demand)
         self.J, self.S, self.T = self.alphas.size, self.betas.size, self.demand.size
         self.g_lo, self.g_hi = self._tile(g_lo, self.J), self._tile(g_hi, self.J)
         self.u_lo, self.u_hi = self._tile(u_lo, self.S), self._tile(u_hi, self.S)
@@ -806,6 +804,15 @@ class _Problem:
 def certified(residual):
     """Whether a KKT residual meets the fixed certificate ``_KKT_TOL``."""
     return residual <= _KKT_TOL
+
+
+def demand_vector(demand):
+    """``demand`` as a float array; demand that is not a finite vector of at
+    least one interval raises ``InvalidInputError``."""
+    d = np.asarray(demand, float)
+    if d.ndim != 1 or not d.size or not np.isfinite(d).all():
+        raise InvalidInputError("demand must be a finite vector of at least one interval")
+    return d
 
 
 def idle_dispatch(u):

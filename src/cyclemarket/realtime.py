@@ -3,22 +3,25 @@
 Two bidding styles are provided.  In the first (``unaware``) participants bid
 plain affine supply functions g = alpha*price, u = beta*price while folding
 their day-ahead position into the slope choice; the competitive equilibrium
-exists uniquely and has a closed form (``equilibrium_unaware``), at which
-the rolling windows clear.  The best-response iteration the mechanism
-implies (``best_response_unaware``) reaches the same point; it stays as the
-paper's dynamics and as the closed form's test oracle.  The price
-coefficient may be negative (the price then runs opposite to residual
-demand), and the iteration reaches it there too.  Every price of the
-iteration lies on the residual-demand ray, price = d_r/xi, where each
-participant's first-order slope is affine in xi, slope_i = k_i - xi*m_i.
-One table of (k_i, m_i) per window (``_unaware_table``) is the only place
-those conditions are evaluated: both solvers read its sums, the loop runs
-on scalars, and the final bids are k - xi*m.  ``map_stable`` checks, when
-called, whether an adjustment keeps each unit's day-ahead half-cycle map.  In the second (``aware``) the bid
-itself subtracts the day-ahead commitment, g = alpha*price - g_da; the
-equilibrium slopes are constants and clearing is a single algebraic step.  The rolling case-study
-windows use ``clear_constrained_aware``, which re-optimizes total dispatch
-subject to power limits and the SoC corridor without periodicity.
+exists uniquely and has a closed form (``equilibrium_unaware``).  The
+best-response iteration the mechanism implies (``best_response_unaware``)
+reaches the same point; it stays as the paper's dynamics and as the closed
+form's test oracle.  The price coefficient may be negative (the price then
+runs opposite to residual demand), and the iteration reaches it there too.
+Every price of the iteration lies on the residual-demand ray,
+price = d_r/xi, where each participant's first-order slope is affine in xi,
+slope_i = k_i - xi*m_i.  The table of (k_i, m_i) (``_slope_table``) and the
+clearing arithmetic (``_clear_unaware``, ``_unaware_results``) take one row
+per window: the rolling simulation's unaware windows are independent, so
+its day clears all of them in one pass, and both solvers run the same code
+on one window (``_unaware_table``); the loop runs on the table's scalars,
+and the final bids are k - xi*m.  ``map_stable`` checks, when called,
+whether an adjustment keeps each unit's day-ahead half-cycle map.  In the
+second (``aware``) the bid itself subtracts the day-ahead commitment,
+g = alpha*price - g_da; the equilibrium slopes are constants and clearing
+is a single algebraic step.  The rolling case-study windows use
+``clear_constrained_aware``, which re-optimizes total dispatch subject to
+power limits and the SoC corridor without periodicity.
 """
 
 from dataclasses import dataclass
@@ -74,52 +77,131 @@ class RealTimeResult:
     kkt_residual: float | None = None
 
 
-def _unaware_table(params, da, d_r):
-    """Each unaware participant's first-order slope on the residual-demand ray.
+def _dots(rows, v):
+    """Each row's dot product with ``v``, as one 1-d product per row: one
+    stacked call gives the bits a loop of ``row @ v`` does."""
+    return (rows[:, None, :] @ v[:, None])[:, 0, 0]
+
+
+def _check_residual(d_r, T):
+    if d_r.shape != (T,) or not np.isfinite(d_r).all():
+        raise InvalidInputError(f"residual demand must be a finite vector of {T} intervals")
+
+
+def _storage_terms(groups, d_r, S):
+    """D_s = ||N_s d_r||^2 and <theta_s, N_s d_r> per storage unit, with
+    N d_r formed once per map.
+
+    ``groups`` lists (map, units, thetas) in the order of each group's first
+    unit: one half-cycle decomposition, the units that read it, and their
+    per-cycle prices, one row per unit.  A map without half-cycles, or one
+    that ``d_r`` does not cycle, raises ``DegeneratePriceError`` naming its
+    first unit: that unit's real-time slope is unbounded.
+    """
+    D, tN = np.empty(S), np.empty(S)
+    for dec, units, thetas in groups:
+        if dec.n_half_cycles == 0:
+            raise DegeneratePriceError(
+                f"storage {units[0]} has no day-ahead cycling; its real-time slope is unbounded"
+            )
+        Nd = dec.map @ d_r
+        D_map = float(Nd @ Nd)
+        if D_map <= 0.0:
+            raise DegeneratePriceError(
+                f"residual demand produces no cycling through storage {units[0]}'s day-ahead map"
+            )
+        D[units] = D_map
+        tN[units] = _dots(thetas, Nd)
+    return D, tN
+
+
+def _slope_table(params, norm2, gd, D, tN, storage):
+    """Each unaware participant's first-order slope on the residual-demand
+    ray, one row per window.
 
     At price = d_r / xi participant i re-bids k_i - xi * m_i (generators
     first): k_j = 1/c_j and m_j = <g_j, d_r>/||d_r||^2 for a generator, and
     k_s = ||d_r||^2/(b_s D_s), m_s = <theta_s, N_s d_r>/(b_s D_s) with
-    D_s = ||N_s d_r||^2 for a storage unit.  Returns (k, m, K, B, numer):
-    the slopes sum to F(xi) = K - xi * B, and F(xi) = xi gives
-    omega = 1/xi = numer / K with numer = 1 + B, both summed term by term.
-    A ``d_r`` that is not a finite vector over the view's horizon raises
-    ``InvalidInputError``.
+    D_s = ||N_s d_r||^2 for a storage unit.  The inputs hold ||d_r||^2,
+    <g_j, d_r>, D_s and <theta_s, N_s d_r> per window.  Returns
+    (k, m, K, B, numer): the slopes sum to F(xi) = K - xi * B, and
+    F(xi) = xi gives omega = 1/xi = numer / K with numer = 1 + B, each sum
+    taken term by term in participant order.  A window whose ``storage``
+    is False clears generators only: its storage terms are 0 and its sums
+    run over the generators.
     """
-    if d_r.shape != da.g.shape[1:] or not np.isfinite(d_r).all():
-        raise InvalidInputError(
-            f"residual demand must be a finite vector of {da.g.shape[1]} intervals")
+    J = params.n_generators
+    b = np.array([st.b for st in params.storages])
+    k_gen = np.array([1.0 / gen.c for gen in params.generators])
+    bD = b * D
+    cycles = storage[:, None]
+    k = np.concatenate([np.broadcast_to(k_gen, gd.shape),
+                        np.divide(norm2[:, None], bD, out=np.zeros_like(bD), where=cycles)], axis=1)
+    m = np.concatenate([gd / norm2[:, None],
+                        np.divide(tN, bD, out=np.zeros_like(bD), where=cycles)], axis=1)
+    K = np.full(norm2.size, float(k_gen.sum()))
+    numer, B = np.ones(norm2.size), np.zeros(norm2.size)
+    for i in range(k.shape[1]):
+        if i >= J:
+            K = K + k[:, i]
+        numer = numer + m[:, i]
+        B = B + m[:, i]
+    return k, m, K, B, numer
+
+
+def _unaware_table(params, da, d_r):
+    """One window's row of ``_slope_table``, read from the day-ahead view
+    ``da``: returns k and m as vectors and K, B and numer as floats.
+    A ``d_r`` that is not a finite vector over the view's horizon raises
+    ``InvalidInputError``, a zero one ``DegenerateDemandError``, and a
+    storage map it does not cycle ``DegeneratePriceError``.
+    """
+    _check_residual(d_r, da.g.shape[1])
     norm2 = float(d_r @ d_r)
     if norm2 <= 0.0:
         raise DegenerateDemandError("zero residual demand: proportional price undefined")
+    groups = {}
+    for s in range(params.n_storages):
+        groups.setdefault(id(da.maps[s]), (da.maps[s], []))[1].append(s)
+    D, tN = _storage_terms(
+        [(dec, units, np.array([da.cycle_prices[s] for s in units], dtype=float))
+         for dec, units in groups.values()], d_r, params.n_storages)
+    k, m, K, B, numer = _slope_table(params, np.array([norm2]), _dots(da.g, d_r)[None],
+                                     D[None], tN[None], np.array([True]))
+    return k[0], m[0], float(K[0]), float(B[0]), float(numer[0])
+
+
+def _unaware_results(params, d_r, slopes, price, coeff):
+    """Windows of one length, one row each: bids ``slopes`` (generators,
+    then storage) cleared at ``price`` against residual demand ``d_r``, with
+    ``coeff`` the price coefficient of each.  Returns one ``RealTimeResult``
+    per row; slopes that are not finite raise ``InvalidInputError``."""
+    if not np.isfinite(slopes).all():
+        raise InvalidInputError("real-time bid slopes must be finite")
     J = params.n_generators
-    k = np.empty(J + params.n_storages)
-    m = np.empty_like(k)
-    for j, gen in enumerate(params.generators):
-        k[j] = 1.0 / gen.c
-        m[j] = float(da.g[j] @ d_r) / norm2
-    for s, st in enumerate(params.storages):
-        dec = da.maps[s]
-        if dec.n_half_cycles == 0:
-            raise DegeneratePriceError(
-                f"storage {s} has no day-ahead cycling; its real-time slope is unbounded"
-            )
-        Nd = dec.map @ d_r
-        D = float(Nd @ Nd)
-        if D <= 0.0:
-            raise DegeneratePriceError(
-                f"residual demand produces no cycling through storage {s}'s day-ahead map"
-            )
-        k[J + s] = norm2 / (st.b * D)
-        m[J + s] = float(np.asarray(da.cycle_prices[s], dtype=float) @ Nd) / (st.b * D)
-    K = float(k[:J].sum())
-    for term in k[J:].tolist():
-        K += term
-    numer, B = 1.0, 0.0
-    for term in m.tolist():
-        numer += term
-        B += term
-    return k, m, K, B, numer
+    g_r = slopes[:, :J, None] * price[:, None, :]
+    u_r = slopes[:, J:, None] * price[:, None, :]
+    residual = np.max(np.abs(g_r.sum(axis=1) + u_r.sum(axis=1) - d_r), axis=1) \
+        / np.maximum(1.0, np.max(np.abs(d_r), axis=1))
+    return [RealTimeResult(g_r=g_r[i], u_r=u_r[i], price=price[i], price_coeff=coeff[i],
+                           iterations=0, kkt_residual=float(residual[i]))
+            for i in range(len(coeff))]
+
+
+def _clear_unaware(params, d_r, k, m, K, numer):
+    """The closed form on windows of one length, one row each, from their
+    rows of the slope table: omega = numer / K, bids k - m / omega and
+    price omega * d_r.  Returns the bids and one ``RealTimeResult`` per
+    row."""
+    omega = [float(num) / float(den) for num, den in zip(numer, K)]
+    col = np.array(omega)[:, None]
+    slopes = k - m / col
+    return slopes, _unaware_results(params, d_r, slopes, col * d_r, omega)
+
+
+def _bids(params, slopes):
+    J = params.n_generators
+    return RealTimeBids(alpha_r=slopes[:J], beta_r=slopes[J:])
 
 
 def equilibrium_unaware(params: MarketParams, d_r, da):
@@ -137,26 +219,12 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     zero this reduces to the price-plus-aggregate-slope form
     omega = <lambda_da, d_r>/||d_r||^2 + 1/K.  The half-cycle map of each
     storage is required to survive the adjustment; ``map_stable`` reports
-    whether it does.
+    whether it does.  This is the rolling day's clearing on one window.
     """
     d_r = np.asarray(d_r, dtype=float)
     k, m, K, _, numer = _unaware_table(params, da, d_r)
-    omega = numer / K
-    return _unaware_result(params, d_r, k - m / omega, omega * d_r, omega)
-
-
-def _unaware_result(params, d_r, slopes, price, coeff):
-    """Bids ``slopes`` (generators, then storage) cleared at ``price``,
-    which is ``coeff * d_r``."""
-    J = params.n_generators
-    bids = RealTimeBids(alpha_r=slopes[:J], beta_r=slopes[J:])
-    g_r = np.outer(bids.alpha_r, price)
-    u_r = np.outer(bids.beta_r, price)
-    return bids, RealTimeResult(
-        g_r=g_r, u_r=u_r, price=price, price_coeff=coeff, iterations=0,
-        kkt_residual=float(np.max(np.abs(g_r.sum(axis=0) + u_r.sum(axis=0) - d_r)))
-        / max(1.0, float(np.max(np.abs(d_r)))),
-    )
+    slopes, (result,) = _clear_unaware(params, d_r[None], k[None], m[None], [K], [numer])
+    return _bids(params, slopes[0]), result
 
 
 def map_stable(params: MarketParams, da, result) -> bool:
@@ -215,9 +283,11 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
         # point reached by extrapolating across xi = 0 gets one more secant step
         if abs(F - xi) <= tol * max(1.0, xi) or (
                 trace and trace[-1] <= tol * max(1.0, d_max / abs(xi))):
-            bids, result = _unaware_result(params, d_r, k - xi * m, d_r / xi, inv)
+            slopes = k - xi * m
+            (result,) = _unaware_results(params, d_r[None], slopes[None], (d_r / xi)[None],
+                                         [inv])
             result.iterations = it
-            return bids, result
+            return _bids(params, slopes), result
         if prev_point is not None and abs(xi - prev_point[0]) > 0:
             # secant solve of F(xi) = xi; exact for the affine best response
             slope = (F - prev_point[1]) / (xi - prev_point[0])
@@ -239,17 +309,21 @@ def aware_bids(params: MarketParams, d_total) -> RealTimeBids:
     """Equilibrium day-ahead-aware slopes for a total demand vector.
 
     alpha_r = 1/c per generator and beta_r = ||d||^2 / (b * ||N(d) d||^2)
-    per storage; raises ``DegeneratePriceError`` when d has no cycling
-    content, since the storage slope is then unbounded.
+    per storage, with d mapped once per ``(capacity_E, x0)``; raises
+    ``DegeneratePriceError`` when d has no cycling content, since the
+    storage slope is then unbounded.
     """
     d = np.asarray(d_total, dtype=float)
     norm2 = float(d @ d)
     alpha_r = np.array([1.0 / gen.c for gen in params.generators])
     beta_r = np.zeros(params.n_storages)
+    denoms = {}  # ||N(d) d||^2 per (capacity_E, x0)
     for s, st in enumerate(params.storages):
-        dec = rainflow_map(d, st.capacity_E, st.x0)
-        Nd = dec.map @ d
-        denom = float(Nd @ Nd)
+        key = (st.capacity_E, st.x0)
+        if key not in denoms:
+            Nd = rainflow_map(d, *key).map @ d
+            denoms[key] = float(Nd @ Nd)
+        denom = denoms[key]
         if denom <= 0.0:
             raise DegeneratePriceError(
                 "total demand produces no cycling content; the storage slope is unbounded"

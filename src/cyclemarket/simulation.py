@@ -20,13 +20,20 @@ from .dayahead import DayAheadResult, clear_general, clear_uniform, equilibrium_
 from .errors import DegeneratePriceError, InfeasibleError, InvalidInputError
 from .qp import idle_dispatch
 from .rainflow import rainflow_map
+from .realtime import (  # unused here: perfbench's tracing hooks the two solvers by name
+    best_response_unaware,
+    equilibrium_unaware,
+)
 from .realtime import (
     MODES,
     RealTimeResult,
+    _check_residual,
+    _clear_unaware,
+    _dots,
+    _slope_table,
+    _storage_terms,
     aware_bids,
-    best_response_unaware,  # unused here: perfbench's tracing hooks it by this name
     clear_constrained_aware,
-    equilibrium_unaware,
 )
 
 __all__ = [
@@ -112,6 +119,32 @@ def _window_demand(scenario, hour):
     return w
 
 
+def _storage_groups(params, da):
+    """The storage units that read one half-cycle map in every window, as
+    (units, capacity_E, x0, b) in the order of each group's first unit, with
+    ``b`` the units' cycle cost coefficients.  Under a uniform result
+    (``da.shares`` set) a group holds the units of one ``(capacity_E, x0)``,
+    as ``clear_uniform`` maps the aggregate dispatch; a general result keeps
+    one map per unit."""
+    groups = {}
+    for s, st in enumerate(params.storages):
+        groups.setdefault(s if da.shares is None else (st.capacity_E, st.x0), []).append(s)
+    return [(units, params.storages[units[0]].capacity_E, params.storages[units[0]].x0,
+             np.array([params.storages[s].b for s in units])) for units in groups.values()]
+
+
+def _window_maps(groups, u_idle, hour, end):
+    """Per storage group of ``_storage_groups``, the window's half-cycle map
+    of the group's total idle dispatch, with each member's depths
+    nu_s = N u_s and bid-consistent cycle prices theta_s = b_s nu_s
+    (beta = 1/b), one row per member: yields (map, units, nu, theta)."""
+    for units, capacity_E, x0, b in groups:
+        U = u_idle[units, hour:end]
+        dec = rainflow_map(U.sum(axis=0), capacity_E, x0)
+        nu = (dec.map @ U[:, :, None])[:, :, 0]
+        yield dec, units, nu, b[:, None] * nu
+
+
 def _window_da_view(da, params, hour, end, u_idle):
     """Day-ahead quantities restricted to a window, with window-local
     cycle structure (maps, depths, prices) so the unaware-bid formulas stay
@@ -120,34 +153,21 @@ def _window_da_view(da, params, hour, end, u_idle):
     idle (``qp.idle_dispatch``), so they do not follow the sign of those
     entries.
 
-    Under a uniform result (``da.shares`` set) the units of one
-    ``(capacity_E, x0)`` form a storage group that shares one map object,
-    the map of the group's total idle dispatch over the window, as
-    ``clear_uniform`` maps the aggregate dispatch; where a unit's own map
-    would break an exact SoC tie another way, the unit reads the group's.
-    A general result keeps one map per unit.  Depths and prices stay per
-    unit: nu_s = N u_s and theta_s = b_s nu_s."""
+    The units of one storage group (``_storage_groups``) share one map
+    object, the map of the group's total idle dispatch over the window;
+    where a unit's own map would break an exact SoC tie another way, the
+    unit reads the group's.  Depths and prices stay per unit
+    (``_window_maps``)."""
+    S = params.n_storages
     view = DayAheadResult(
-        g=da.g[:, hour:end], u=da.u[:, hour:end], nu=[], energy_price=da.energy_price[hour:end],
-        cycle_prices=[], periodicity_duals=da.periodicity_duals, shares=da.shares,
-        objective=0.0, kkt_residual=da.kkt_residual,
+        g=da.g[:, hour:end], u=da.u[:, hour:end], nu=[None] * S,
+        energy_price=da.energy_price[hour:end], cycle_prices=[None] * S,
+        periodicity_duals=da.periodicity_duals, shares=da.shares,
+        objective=0.0, kkt_residual=da.kkt_residual, maps=[None] * S,
     )
-    group_maps = {}
-    for s, st in enumerate(params.storages):
-        u_s = u_idle[s, hour:end]
-        if da.shares is None:
-            dec = rainflow_map(u_s, st.capacity_E, st.x0)
-        else:
-            key = (st.capacity_E, st.x0)
-            if key not in group_maps:
-                members = [i for i, o in enumerate(params.storages)
-                           if (o.capacity_E, o.x0) == key]
-                group_maps[key] = rainflow_map(u_idle[members, hour:end].sum(axis=0), *key)
-            dec = group_maps[key]
-        nu = dec.map @ u_s
-        view.maps.append(dec)
-        view.nu.append(nu)
-        view.cycle_prices.append(st.b * nu)  # bid-consistent local prices (beta = 1/b)
+    for dec, units, nu, theta in _window_maps(_storage_groups(params, da), u_idle, hour, end):
+        for i, s in enumerate(units):
+            view.maps[s], view.nu[s], view.cycle_prices[s] = dec, nu[i], theta[i]
     return view
 
 
@@ -168,11 +188,13 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     cost has several certified points (a rainflow tie, a two-map kink) a
     seed may select another of them.
     ``unaware`` mode clears each window at the balance-only equilibrium in
-    closed form (``equilibrium_unaware``), the simplified setting its theory
-    covers; power limits are not imposed on those adjustments.  After
-    uniform clearing each window builds one half-cycle map per storage
-    group, units of one capacity and initial state of charge, rather than
-    one per unit (``_window_da_view``).  Any other mode raises
+    closed form, the simplified setting its theory covers; power limits are
+    not imposed on those adjustments.  No unaware window reads the state of
+    charge, so the windows are independent and the day clears in one pass
+    (``_unaware_day``); ``equilibrium_unaware`` is the same code on one
+    window.  After uniform clearing each window builds one half-cycle map
+    per storage group, units of one capacity and initial state of charge,
+    rather than one per unit (``_storage_groups``).  Any other mode raises
     ``InvalidInputError``.
     """
     if mode not in MODES:
@@ -191,19 +213,18 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
         soc[s, 0] = st.x0
     x0_run = [st.x0 for st in params.storages]
     prev_g, prev_u = da.g, da.u  # the seed's source, from the window's first hour on
-    u_idle = idle_dispatch(da.u)  # what the unaware windows read
+    steps = _unaware_day(scenario, params, da) if mode == "unaware" else []
 
     for hour in range(BINDING_HOURS):
-        end = min(hour + WINDOW_HOURS, scenario.horizon)
-        w = _window_demand(scenario, hour)
         if mode == "aware":
+            end = min(hour + WINDOW_HOURS, scenario.horizon)
+            w = _window_demand(scenario, hour)
             start = _window_seed(w.size, prev_g, prev_u)
             res = _aware_window(w, da, params, hour, end, x0_run, start)
             prev_g = (da.g[:, hour:end] + res.g_r)[:, 1:]
             prev_u = (da.u[:, hour:end] + res.u_r)[:, 1:]
-        else:
-            res = _unaware_window(w, scenario.forecast[hour:end], da, params, hour, end, u_idle)
-        steps.append(res)
+            steps.append(res)
+        res = steps[hour]
         for j in range(J):
             g_rt[j, hour] = res.g_r[j, 0]
         for s in range(S):
@@ -246,24 +267,67 @@ def _aware_window(w, da, params, hour, end, x0_run, start):
         ) from exc
 
 
-def _unaware_window(w, forecast, da, params, hour, end, u_idle):
-    d_r = w - forecast
+def _unaware_day(scenario, params, da):
+    """Every binding hour's unaware window, cleared in one pass.
+
+    No window reads the state of charge, so the windows are independent.
+    Per window only what reads its maps is formed: one map per storage
+    group (``_window_maps``), and N d_r once per map with the dot products
+    on it (``realtime._storage_terms``).  The slope table, omega, the bids,
+    prices, adjustments and residuals of all windows are then formed as
+    arrays, by the code ``equilibrium_unaware`` runs on one window.  A
+    window without residual demand adjusts nothing; one whose maps the
+    residual does not cycle clears with generators only, on the generator
+    terms of the same table.
+    """
     J, S = params.n_generators, params.n_storages
-    W = w.size
-    if float(d_r @ d_r) <= 1e-24 * max(1.0, float(w @ w)):
-        return RealTimeResult(
-            g_r=np.zeros((J, W)), u_r=np.zeros((S, W)), price=np.zeros(W),
-            price_coeff=0.0, iterations=0,
-        )
-    view = _window_da_view(da, params, hour, end, u_idle)
-    try:
-        return equilibrium_unaware(params, d_r, view)[1]
-    except DegeneratePriceError:
-        # storage schedule is flat inside this window: clear with generators
-        # only, in closed form; without storage units the bids read only view.g
-        res = equilibrium_unaware(MarketParams(generators=params.generators), d_r, view)[1]
-        res.u_r = np.zeros((S, W))
-        return res
+    u_idle = idle_dispatch(da.u)
+    groups = _storage_groups(params, da)
+    steps = [None] * BINDING_HOURS
+    hours, d_rs, norm2, gd, D, tN, storage = [], [], [], [], [], [], []
+    for hour in range(BINDING_HOURS):
+        end = min(hour + WINDOW_HOURS, scenario.horizon)
+        w = _window_demand(scenario, hour)
+        d_r = w - scenario.forecast[hour:end]
+        W = w.size
+        n2 = float(d_r @ d_r)
+        if n2 <= 1e-24 * max(1.0, float(w @ w)):
+            steps[hour] = RealTimeResult(
+                g_r=np.zeros((J, W)), u_r=np.zeros((S, W)), price=np.zeros(W),
+                price_coeff=0.0, iterations=0,
+            )
+            continue
+        maps = [(dec, units, theta) for dec, units, _, theta
+                in _window_maps(groups, u_idle, hour, end)]
+        _check_residual(d_r, W)
+        try:
+            D_w, tN_w = _storage_terms(maps, d_r, S)
+            storage.append(True)
+        except DegeneratePriceError:
+            # storage schedule is flat inside this window: generators only
+            D_w, tN_w = np.zeros(S), np.zeros(S)
+            storage.append(False)
+        hours.append(hour)
+        d_rs.append(d_r)
+        norm2.append(n2)
+        gd.append(_dots(da.g[:, hour:end], d_r))
+        D.append(D_w)
+        tN.append(tN_w)
+    if not hours:
+        return steps
+    k, m, K, _, numer = _slope_table(params, np.array(norm2), np.array(gd), np.array(D),
+                                     np.array(tN), np.array(storage))
+    by_length = {}  # a horizon that cuts windows short gives them fewer hours
+    for i, d_r in enumerate(d_rs):
+        by_length.setdefault(d_r.size, []).append(i)
+    for rows in by_length.values():
+        _, results = _clear_unaware(params, np.array([d_rs[i] for i in rows]),
+                                    k[rows], m[rows], K[rows], numer[rows])
+        for i, res in zip(rows, results):
+            if not storage[i]:
+                res.u_r = np.zeros((S, d_rs[i].size))
+            steps[hours[i]] = res
+    return steps
 
 
 def settle(da: DayAheadResult, rt_prices, g_rt, u_rt, scenario: DemandScenario,

@@ -92,6 +92,17 @@ class TestClearUniform:
         assert res.g.sum(axis=0) == pytest.approx(d)
         assert res.g[0] == pytest.approx(0.05 * d / 0.15)
 
+    @pytest.mark.parametrize("d", [np.r_[np.nan, np.ones(3)], np.r_[np.inf, np.ones(3)],
+                                   np.ones((2, 4)), np.zeros(0)],
+                             ids=["nan", "inf", "2-d", "empty"])
+    def test_no_storage_demand_not_a_finite_vector_rejected(self, d):
+        # the storage-free branch never reaches the dispatch template, so it
+        # applies the template's demand rule before it: a NaN hour gave a NaN
+        # price and residual, a 2-d or empty demand numpy's bare ValueError
+        params = MarketParams(generators=[GeneratorParams(c=20.0)])
+        with pytest.raises(InvalidInputError, match="vector of at least one interval"):
+            clear_uniform(equilibrium_bids_dayahead(params), d, params)
+
     def test_beta_proportional_dispatch_and_shared_theta(self):
         params = MarketParams(
             generators=[GeneratorParams(c=20.0)],

@@ -21,6 +21,7 @@ from cyclemarket.errors import (
 )
 from cyclemarket.realtime import (
     RealTimeBids,
+    aware_bids,
     best_response_unaware,
     clear_constrained_aware,
     equilibrium_aware,
@@ -405,6 +406,32 @@ class TestEquilibriumAware:
         _, res = equilibrium_aware(params, d, da)
         rel = np.max(np.abs(res.price - res.price_coeff * d)) / max(1e-10, np.max(np.abs(res.price)))
         assert rel < 1e-10
+
+    @pytest.mark.parametrize("units, maps", [
+        ([(50.0, 0.5)] * 4, 1),
+        ([(50.0, 0.5), (100.0, 0.5), (50.0, 0.5), (50.0, 0.3)], 3),
+    ], ids=["one-group", "three-groups"])
+    def test_demand_mapped_once_per_capacity_and_initial_soc(self, monkeypatch, units, maps):
+        # units of one (capacity_E, x0) read one map of the demand, and each
+        # slope keeps the bits of the per-unit formula
+        rng = np.random.default_rng(28)
+        params = MarketParams(
+            generators=[GeneratorParams(c=20.0)],
+            storages=[StorageParams(capacity_E=E, b=float(rng.uniform(0.5, 4.0)), x0=x0)
+                      for E, x0 in units])
+        d = 600 + 200 * np.sin(2 * np.pi * (np.arange(24.0) - 8) / 24)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return rainflow_map(*args)
+
+        monkeypatch.setattr(realtime, "rainflow_map", counted)
+        bids = aware_bids(params, d)
+        assert sorted(calls) == sorted(set(units)) and len(calls) == maps
+        for s, st in enumerate(params.storages):
+            Nd = rainflow_map(d, st.capacity_E, st.x0).map @ d
+            assert bids.beta_r[s] == float(d @ d) / (st.b * float(Nd @ Nd))
 
     def test_zero_total_demand_rejected(self):
         rng = np.random.default_rng(14)

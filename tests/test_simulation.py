@@ -196,20 +196,29 @@ class TestRunRealTime:
             + (rec.da_result.u[:, :BINDING_HOURS] + rec.u_rt).sum(axis=0)
         assert total == pytest.approx(scn.actual, abs=1e-6)
 
-    @pytest.mark.parametrize("config", [
-        default_config(),
-        MarketConfig(generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}],
-                     storages=[{"capacity_E": 50.0, "capital_cost_B": b}
-                               for b in (100.0, 150.0, 250.0, 400.0)]),
-    ], ids=["fixture", "four-units"])
-    def test_unaware_windows_clear_in_closed_form(self, config):
+    FOUR_UNITS = MarketConfig(generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}],
+                              storages=[{"capacity_E": 50.0, "capital_cost_B": b}
+                                        for b in (100.0, 150.0, 250.0, 400.0)])
+
+    @pytest.mark.parametrize("config, clearing, hours, with_storage", [
+        (default_config(), "general", 48, 7),
+        (FOUR_UNITS, "general", 48, 7),
+        (FOUR_UNITS, "uniform", 48, 22),
+        (default_config(), "general", 30, 7),
+        (FOUR_UNITS, "uniform", 30, 22),
+    ], ids=["fixture", "four-units", "four-units-uniform", "fixture-30h", "four-units-uniform-30h"])
+    def test_unaware_windows_clear_in_closed_form(self, config, clearing, hours, with_storage):
         # each window is, bit for bit, the closed form on its view, or its
-        # generator-only form where the view does not cycle; none iterates
-        scn = load_demand_csv(bundled_demand_path())
+        # generator-only form where the view does not cycle; none iterates.
+        # Uniform clearing gives the units one map per window, and a 30-hour
+        # forecast cuts the windows from hour 7 on short
+        fixture = load_demand_csv(bundled_demand_path())
+        scn = DemandScenario(forecast=fixture.forecast[:hours], actual=fixture.actual)
         params = build_params(config, scn)
-        rec = run_two_stage(scn, params, mode="unaware")
+        rec = run_two_stage(scn, params, mode="unaware",
+                            mechanism_config=MechanismConfig(clearing=clearing))
         u_idle = qp.idle_dispatch(rec.da_result.u)
-        with_storage = 0
+        found = 0
         for hour, step in enumerate(rec.rt_steps):
             end = min(hour + 24, scn.horizon)
             d_r = np.r_[scn.actual[hour], scn.forecast[hour + 1:end]] - scn.forecast[hour:end]
@@ -220,14 +229,25 @@ class TestRunRealTime:
             view = _window_da_view(rec.da_result, params, hour, end, u_idle)
             try:
                 want = equilibrium_unaware(params, d_r, view)[1]
-                with_storage += 1
+                found += 1
             except DegeneratePriceError:
                 want = equilibrium_unaware(MarketParams(generators=params.generators),
                                            d_r, view)[1]
                 want.u_r = np.zeros_like(step.u_r)
             for name in ("g_r", "u_r", "price", "price_coeff", "kkt_residual"):
-                assert np.array_equal(getattr(step, name), getattr(want, name)), (hour, name)
-        assert with_storage == 7  # on both rosters; the others adjust nothing or no storage
+                got, expected = getattr(step, name), getattr(want, name)
+                assert np.array_equal(got, expected), (hour, name)
+                assert np.shape(got) == np.shape(expected), (hour, name)
+        assert found == with_storage  # the others adjust nothing or no storage
+
+    def test_non_finite_realized_hour_raises_from_an_unaware_run(self, fixture_setup):
+        scn, params = fixture_setup
+        da = run_day_ahead(scn, params)
+        actual = scn.actual.copy()
+        actual[5] = np.nan
+        bad = DemandScenario(forecast=scn.forecast, actual=actual, timestamps=scn.timestamps)
+        with pytest.raises(InvalidInputError, match="finite vector"):
+            run_real_time(bad, params, da, mode="unaware")
 
     def test_demand_spike_only_nearby_windows_adjust(self, fixture_setup):
         scn0, params = fixture_setup
