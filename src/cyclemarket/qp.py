@@ -59,8 +59,8 @@ parts GZ are gathered the same way from Z, and G'mu sums the weights per
 picked entry, then each unit's prefix-sum entries from the last.  The
 ratio test needs G p for each step p, and divides only on the rows that
 the step moves toward their limits.  G x is formed once per point: a
-problem's start keeps the G x its admission check formed, and a round that
-starts where the last solve ended reads the G x that solve tracked.
+state keeps the G x its start check formed, and a round that starts where
+the last solve ended reads the G x that solve tracked.
 
 A market solve runs that core on one active-set state (``_ActiveSet``).  Its
 first round forms what depends only on A, b, G and h (x_r, G x_r and the
@@ -69,9 +69,10 @@ starts at the last round's optimum from the rows that round kept, tests
 none of the rows parked since its last drop again unless a kept row left,
 and rebuilds only what depends on its Hessian (Z'HZ, the reduced gradient
 and T).  The kink bisection starts once, and each probe solves from a copy
-of that start.  A state starts where it stands, so a start checks nothing;
-``solve_qp`` checks its caller's ``x0`` and places a fresh state there, on
-a view it reduces from its own A and dense G.
+of that start.  A state is built at a point it checks itself, the one
+start rule: ``solve_qp`` places one at its caller's ``x0``, on a view it
+reduces from its own A and dense G, and ``_Problem.start_from`` one at a
+dispatch pair on the problem's structure.
 """
 
 import copy
@@ -87,7 +88,7 @@ from .rainflow import rainflow_map
 __all__ = ["QPSolution", "solve_qp", "MarketQPResult", "solve_market_qp"]
 
 _KKT_TOL = 1e-8  # the certificate: the largest KKT residual a certified answer may carry
-_START_TOL = 1e-7  # how far solve_qp's starting point may break a constraint
+_START_TOL = 1e-7  # how far the point an _ActiveSet starts at may break a constraint
 _MAX_ITER = 2000  # active-set iterations per solve (a solve_qp call or one round)
 _MAX_ROUNDS = 200  # alternation rounds per solve_market_qp start
 _STRUCTURES = 4  # constraint structures _structure keeps; a sweep point uses 3
@@ -374,33 +375,38 @@ class _ActiveSet:
     """The state of the active-set solves over one null-space view of A and
     G (``_Problem.structure``, or the one ``solve_qp`` builds), b and h.
 
-    What depends on them alone is formed once: the minimum-norm solution
-    x_r of the equalities, G x_r and the rows' right-hand sides h - G x_r.
     The state stands at one feasible point ``x``, with its ``Gx`` = G x:
-    first the point its owner places it at (``_Problem.active_set`` places
-    it at the point ``admits`` accepted, ``solve_qp`` at the caller's
-    checked ``x0``), later the one its last solve ended at, with the G x
-    that solve tracked.  ``start`` carries the working rows to that point
-    from wherever the last solve left them (``_WorkingRows.carry``), so a
-    solve that starts where the last one ended rebuilds only what depends
-    on its Hessian: Z'HZ, the reduced gradient and T.  ``fork`` copies a
-    started state, so that solves with different Hessians can run from one
-    start.
+    first the point it is built at, later the one its last solve ended at,
+    with the G x that solve tracked.  The point it is built at must meet
+    |Ax - b| <= ``_START_TOL`` and Gx - h <= ``_START_TOL``, where a NaN
+    entry fails; otherwise ``InvalidInputError`` names the equalities or
+    the inequalities.  Dependent equality rows then raise
+    ``SolverFailureError`` carrying that point.  What depends on the view,
+    b and h alone is formed once: the minimum-norm solution x_r of the
+    equalities, G x_r and the rows' right-hand sides h - G x_r.  ``start``
+    carries the working rows to the state's point from wherever the last
+    solve left them (``_WorkingRows.carry``), so a solve that starts where
+    the last one ended rebuilds only what depends on its Hessian: Z'HZ, the
+    reduced gradient and T.  ``fork`` copies a started state, so that
+    solves with different Hessians can run from one start.
     """
 
-    def __init__(self, view, b, h):
-        self.view, self.h = view, h
-        self.x = self.Gx = None
-        if view.independent:
-            self.x_r = view.A_plus @ b
-            self.Gx_r = view.product(self.x_r)
-            self.rows = _WorkingRows(view.GZ, h - self.Gx_r, view.thresholds)
+    def __init__(self, view, b, h, x):
+        self.view, self.h, self.x = view, h, x
+        if not np.all(np.abs(view.A @ x - b) <= _START_TOL):
+            raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
+        self.Gx = view.product(x)
+        if not np.all(self.Gx - h <= _START_TOL):
+            raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
+        if not view.independent:
+            raise SolverFailureError("solve_qp requires linearly independent equality rows",
+                                     best_iterate=x)
+        self.x_r = view.A_plus @ b
+        self.Gx_r = view.product(self.x_r)
+        self.rows = _WorkingRows(view.GZ, h - self.Gx_r, view.thresholds)
 
     def start(self):
         """Start at the state's point: the rows active there become the working set."""
-        if not self.view.independent:
-            raise SolverFailureError("solve_qp requires linearly independent equality rows",
-                                     best_iterate=self.x)
         self.rows.carry(self.h - self.Gx <= 1e-10 * np.maximum(1.0, np.abs(self.h)))
 
     def fork(self):
@@ -502,27 +508,28 @@ def solve_qp(H, q, A=None, b=None, G=None, h=None, x0=None):
     Optimization*, 2nd ed., 2006, section 16.5).  The starting working set
     is tested in index order.
 
-    A start that violates a constraint by more than 1e-7 raises
-    ``InvalidInputError``; dependent equality rows, the iteration cap and a
-    reduced Hessian M that is not positive definite where T is built or
-    bordered (H not positive definite on the working subspace) raise
+    A non-finite entry in any argument, and a start that violates a
+    constraint by more than 1e-7 (``_ActiveSet``), raise
+    ``InvalidInputError``; an absent limit is no row of G, not an infinite
+    entry of h.  Dependent equality rows, the iteration cap and a reduced
+    Hessian M that is not positive definite where T is built or bordered (H
+    not positive definite on the working subspace) raise
     ``SolverFailureError`` carrying the current iterate.
     """
+    H, q = np.asarray(H, float), np.asarray(q, float)
     n = H.shape[0]
     A = np.zeros((0, n)) if A is None else np.asarray(A, float)
     b = np.zeros(0) if b is None else np.asarray(b, float)
     G = np.zeros((0, n)) if G is None else np.asarray(G, float)
     h = np.zeros(0) if h is None else np.asarray(h, float)
     x = np.zeros(n) if x0 is None else np.asarray(x0, float).copy()
-    if A.shape[0] and np.max(np.abs(A @ x - b)) > _START_TOL:
-        raise InvalidInputError("solve_qp requires a feasible starting point (equalities)")
-    Gx = G @ x
-    if h.size and (h - Gx).min() < -_START_TOL:
-        raise InvalidInputError("solve_qp requires a feasible starting point (inequalities)")
-    state = _ActiveSet(_NullSpace(A, G), b, h)
-    state.x, state.Gx = x, Gx
+    for name, arr in (("H", H), ("q", q), ("A", A), ("b", b), ("G", G), ("h", h), ("x0", x)):
+        if not np.isfinite(arr).all():
+            note = "; an absent limit is no row, not an infinite h" if name == "h" else ""
+            raise InvalidInputError(f"solve_qp requires a finite {name}{note}")
+    state = _ActiveSet(_NullSpace(A, G), b, h, x)
     state.start()
-    return state.solve(np.asarray(H, float)[None], q)
+    return state.solve(H[None], q)
 
 
 @dataclass
@@ -577,9 +584,9 @@ class _Problem:
     limit, raise ``InvalidInputError``; an infinite limit is no limit.
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
-    Every starting point goes through ``start_from``, and every solve runs
-    on an ``active_set`` placed at the last point it admitted; ``maps``
-    gives the half-cycle maps of a storage dispatch.
+    Every solve runs on the active-set state that ``start_from`` places at
+    its starting point; ``maps`` gives the half-cycle maps of a storage
+    dispatch.
     """
 
     def __init__(self, alphas, a_lin, betas, capacities, x0s, demand,
@@ -603,7 +610,6 @@ class _Problem:
         self.periodic = periodic
         self.soc_bounds = soc_bounds
         self.n = (self.J + self.S) * self.T
-        self.admitted = (None, None)  # the last point ``admits`` accepted, with its G x
         self._assemble()
 
     def _tile(self, bound, count):
@@ -685,7 +691,7 @@ class _Problem:
     def storage_start(self):
         """Storage dispatch (S, T) at each box's point nearest 0, where the
         SoC corridor and periodicity allow; a box that excludes 0 by at most
-        ``solve_qp``'s 1e-7 start tolerance counts as holding it.  A forward
+        the start tolerance ``_START_TOL`` counts as holding it.  A forward
         pass bounds the reachable prefix sums, raising ``InfeasibleError``
         where none is left or none nets to 0 (periodic); a backward pass
         then keeps each entry at its box point wherever the next sum allows.
@@ -721,11 +727,11 @@ class _Problem:
         return u
 
     def start_from(self, g, u):
-        """The flat starting point for dispatch ``(g, u)``, shapes (J, T) and
-        (S, T): the generators take up what is left of each interval's
-        balance, in order and each within its limits.  Returns None where
-        the point still breaks a constraint by more than ``solve_qp``'s
-        start tolerance."""
+        """The ``_ActiveSet`` on this problem at the flat starting point for
+        dispatch ``(g, u)``, shapes (J, T) and (S, T): the generators take up
+        what is left of each interval's balance, in order and each within
+        its limits.  Returns None where the point still breaks a constraint
+        by more than ``_START_TOL``."""
         g = np.array(g, dtype=float)
         residual = self.demand - g.sum(axis=0) - u.sum(axis=0)
         for j in range(self.J):
@@ -733,31 +739,15 @@ class _Problem:
             g[j] += move
             residual -= move
         x = np.concatenate([g.ravel(), u.ravel()])
-        return x if self.admits(x) else None
+        try:
+            return _ActiveSet(self.structure, self.b, self.h, x)
+        except InvalidInputError:
+            return None
 
     def cold_start(self):
         """``start_from`` every participant at the point of its box nearest 0:
         the generators at ``np.clip(0, lo, hi)``, storage at ``storage_start``."""
         return self.start_from(np.clip(0.0, self.g_lo, self.g_hi), self.storage_start())
-
-    def admits(self, x):
-        """Whether ``x`` meets every constraint within ``solve_qp``'s start
-        tolerance, so that ``solve_qp`` accepts it as a starting point; an
-        admitted ``x`` is kept with its G x (``admitted``)."""
-        if not np.all(np.abs(self.A @ x - self.b) <= _START_TOL):
-            return False
-        Gx = self.structure.product(x)
-        if not np.all(Gx - self.h <= _START_TOL):
-            return False
-        self.admitted = x, Gx
-        return True
-
-    def active_set(self):
-        """A fresh ``_ActiveSet`` on this problem, at the point ``admits``
-        last accepted, so that a start there reads the G x formed once."""
-        state = _ActiveSet(self.structure, self.b, self.h)
-        state.x, state.Gx = self.admitted
-        return state
 
     def elastic_start(self):
         """Phase 1, where the generators cannot take up the cold start's
@@ -777,10 +767,9 @@ class _Problem:
                          self.betas, self.capacities, self.x0s, self.demand,
                          np.vstack([self.g_lo, zero, -inf]), np.vstack([self.g_hi, inf, zero]),
                          self.u_lo, self.u_hi, self.periodic, self.soc_bounds)
-        x = phase.cold_start()
-        if x is None:
+        state = phase.cold_start()
+        if state is None:
             raise SolverFailureError("rounding at this limit scale breaks phase 1's start")
-        state = phase.active_set()
         state.start()
         q = np.concatenate([np.repeat(phase.a_lin, T), np.zeros(self.S * T)])
         H = np.broadcast_to(np.eye(T) / (1e3 * scale), (J + 2 + self.S, T, T))
@@ -795,10 +784,10 @@ class _Problem:
                 f"in all; the worst is interval {worst} (shortfall {penalty[worst]:.6g} MW)",
                 interval=worst,
             )
-        x = self.start_from(g[:J], u)
-        if x is None:
+        state = self.start_from(g[:J], u)
+        if state is None:
             raise InfeasibleError("participant limits leave no dispatch within the start tolerance")
-        return x
+        return state
 
 
 def certified(residual):
@@ -847,13 +836,16 @@ def blended_stationarity_gap(target, pieces, u_s, beta):
     return target - (gamma * a + (1 - gamma) * bvec)
 
 
-def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
-    """Relative residual of the true stationarity/feasibility system.
+def market_kkt_residual(prob, result, mu):
+    """Relative residual of the true stationarity/feasibility system at the
+    ``MarketQPResult`` ``result``, with the QP's inequality duals ``mu``.
 
     Components are normalized by max(1, scale of the terms entering them) so
-    the figure is meaningful across price magnitudes.  ``pieces`` optionally
-    lists adjacent smooth pieces per storage for kink-seated optima.
+    the figure is meaningful across price magnitudes.  Each storage's
+    stationarity reads its ``stationarity_pieces``: one (weight, map) pair,
+    or two adjacent smooth pieces for a kink-seated optimum.
     """
+    g, u, price = result.g, result.u, result.price
     res = []
     d_scale = max(1.0, float(np.max(np.abs(prob.demand))) if prob.demand.size else 1.0)
     balance = (g.sum(axis=0) if prob.J else 0.0) + (u.sum(axis=0) if prob.S else 0.0) - prob.demand
@@ -866,9 +858,9 @@ def market_kkt_residual(prob, g, u, price, per_duals, maps, mu, pieces=None):
     for s in range(prob.S):
         target = price - grad_extra[prob.u_slice(s)]
         if prob.periodic:
-            target = target - per_duals[s]
-        piece_list = pieces[s] if pieces else [(1.0, maps[s].map)]
-        gap = blended_stationarity_gap(target, piece_list, u[s], prob.betas[s])
+            target = target - result.periodicity_duals[s]
+        gap = blended_stationarity_gap(target, result.stationarity_pieces[s], u[s],
+                                       prob.betas[s])
         res.append(np.max(np.abs(gap)) / lam_scale)
         if prob.periodic:
             res.append(abs(u[s].sum()) / max(1.0, float(np.max(np.abs(u[s])))))
@@ -896,9 +888,7 @@ def _certify(prob, res, mu):
     """Whether ``res`` meets the certificate; its ``kkt_residual`` is
     computed the first time, from the QP's inequality duals ``mu``."""
     if math.isnan(res.kkt_residual):
-        res.kkt_residual = market_kkt_residual(prob, res.g, res.u, res.price,
-                                               res.periodicity_duals, res.maps, mu,
-                                               res.stationarity_pieces)
+        res.kkt_residual = market_kkt_residual(prob, res, mu)
     return certified(res.kkt_residual)
 
 
@@ -967,23 +957,19 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
         if g.shape != (prob.J, prob.T) or u.shape != (prob.S, prob.T):
             raise InvalidInputError(f"start must be a (g, u) pair of shapes ({prob.J}, {prob.T}) "
                                     f"and ({prob.S}, {prob.T})")
-        x = prob.start_from(g, u)
-        if x is not None:
+        state = prob.start_from(g, u)
+        if state is not None:
             try:
-                return _alternate(prob, x)
+                return _alternate(prob, state)
             except SolverFailureError:
                 pass  # the seed's maps led to no certified point; start cold
-    x = prob.cold_start()
-    if x is None:
-        x = prob.elastic_start()
-    return _alternate(prob, x)
+    return _alternate(prob, prob.cold_start() or prob.elastic_start())
 
 
-def _alternate(prob, x):
-    """Alternate fixed-map QP solves from the feasible point ``x``, every
-    round starting from the active-set state the last one ended in."""
-    state = prob.active_set()
-    maps = prob.maps(prob.split(x)[1])
+def _alternate(prob, state):
+    """Alternate fixed-map QP solves from the active-set ``state`` placed at
+    the starting point, every round starting where the last one ended."""
+    maps = prob.maps(prob.split(state.x)[1])
     sig = tuple(m.signature() for m in maps)
     seen = set()
     best = None  # the (result, QP solution) of least objective, for the failure

@@ -27,7 +27,6 @@ from .realtime import (  # unused here: perfbench's tracing hooks the two solver
 from .realtime import (
     MODES,
     RealTimeResult,
-    _check_residual,
     _clear_unaware,
     _dots,
     _slope_table,
@@ -276,9 +275,11 @@ def _unaware_day(scenario, params, da):
     on it (``realtime._storage_terms``).  The slope table, omega, the bids,
     prices, adjustments and residuals of all windows are then formed as
     arrays, by the code ``equilibrium_unaware`` runs on one window.  A
-    window without residual demand adjusts nothing; one whose maps the
-    residual does not cycle clears with generators only, on the generator
-    terms of the same table.
+    residual whose squared norm is not finite (a NaN, infinite or
+    overflowing realized hour) raises ``InvalidInputError``; a window
+    without residual demand adjusts nothing; one whose maps the residual
+    does not cycle clears with generators only, on the generator terms of
+    the same table.
     """
     J, S = params.n_generators, params.n_storages
     u_idle = idle_dispatch(da.u)
@@ -290,7 +291,11 @@ def _unaware_day(scenario, params, da):
         w = _window_demand(scenario, hour)
         d_r = w - scenario.forecast[hour:end]
         W = w.size
-        n2 = float(d_r @ d_r)
+        with np.errstate(over="ignore"):  # an overflowing norm raises here, unwarned
+            n2 = float(d_r @ d_r)
+        if not np.isfinite(n2):
+            raise InvalidInputError(f"residual demand at hour {hour} must be a finite vector "
+                                    "with a finite squared norm")
         if n2 <= 1e-24 * max(1.0, float(w @ w)):
             steps[hour] = RealTimeResult(
                 g_r=np.zeros((J, W)), u_r=np.zeros((S, W)), price=np.zeros(W),
@@ -299,7 +304,6 @@ def _unaware_day(scenario, params, da):
             continue
         maps = [(dec, units, theta) for dec, units, _, theta
                 in _window_maps(groups, u_idle, hour, end)]
-        _check_residual(d_r, W)
         try:
             D_w, tN_w = _storage_terms(maps, d_r, S)
             storage.append(True)

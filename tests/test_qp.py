@@ -83,6 +83,42 @@ class TestActiveSetCore:
             solve_qp(np.eye(2), np.zeros(2), None, None, np.eye(2), np.ones(2),
                      x0=np.array([2.0, 0.0]))
 
+    @pytest.mark.parametrize("name, value", [
+        ("H", np.nan), ("q", np.nan), ("A", np.nan), ("b", np.nan), ("G", np.nan),
+        ("h", np.nan), ("h", np.inf), ("x0", np.nan),
+    ])
+    def test_non_finite_data_raises_naming_its_argument(self, name, value):
+        # H = I, q = (-1, -1), x1 = x2 and x <= (2, 1), with one entry of one
+        # argument replaced; a NaN limit once dropped its row, an infinite one
+        # read as active at the start, and the rest ran to the iteration cap
+        args = dict(H=np.eye(2), q=np.array([-1.0, -1.0]), A=np.array([[1.0, -1.0]]),
+                    b=np.zeros(1), G=np.eye(2), h=np.array([2.0, 1.0]), x0=np.zeros(2))
+        args[name].flat[0] = value
+        with pytest.raises(InvalidInputError, match=rf"finite {name}\b") as err:
+            solve_qp(**args)
+        assert name != "h" or "an absent limit is no row" in str(err.value)
+
+    @pytest.mark.parametrize("offset, accepted", [(0.9e-7, True), (2e-7, False), (np.nan, False)])
+    def test_solve_qp_and_start_from_share_one_start_rule(self, offset, accepted):
+        # one generator and one storage unit, demand 2 at both intervals: the
+        # unit stands ``offset`` past its upper limit 1 at interval 0, and the
+        # generator takes up the balance exactly, so ``start_from`` places its
+        # state at the very point that ``solve_qp`` gets as ``x0``
+        prob = qp._Problem([1.0], [0.0], [1.0], [2.0], [0.5], [2.0, 2.0], 0.0, np.inf,
+                           -1.0, 1.0, periodic=False, soc_bounds=False)
+        u = np.array([[1.0 + offset, -1.0]])
+        g = 2.0 - u
+        x = np.concatenate([g.ravel(), u.ravel()])
+        args = (np.eye(4), np.zeros(4), prob.A, prob.b, _problem_rows(prob), prob.h, x)
+        state = prob.start_from(g, u)
+        if accepted:
+            assert np.array_equal(state.x, x)
+            assert solve_qp(*args).x == pytest.approx(np.ones(4))
+        else:
+            assert state is None
+            with pytest.raises(InvalidInputError):
+                solve_qp(*args)
+
     def test_stationarity_of_random_instances(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
@@ -957,18 +993,18 @@ class TestSeededStart:
         calls = []
         inner = qp._alternate
 
-        def alternate(prob, x, *args):
-            calls.append(x.copy())
+        def alternate(prob, state):
+            calls.append(state.x.copy())
             if len(calls) == 1:
                 raise SolverFailureError("seeded alternation stalls")
-            return inner(prob, x, *args)
+            return inner(prob, state)
 
         monkeypatch.setattr(qp, "_alternate", alternate)
         res = solve_market_qp(**self.WINDOW, start=(cold.g, cold.u))
         prob = qp._Problem(**self.WINDOW)
         assert len(calls) == 2
-        assert np.array_equal(calls[0], prob.start_from(cold.g, cold.u))
-        assert np.array_equal(calls[1], prob.cold_start())
+        assert np.array_equal(calls[0], prob.start_from(cold.g, cold.u).x)
+        assert np.array_equal(calls[1], prob.cold_start().x)
         assert np.array_equal(_flat(res), _flat(cold))
         assert np.array_equal(res.price, cold.price)
         assert res.iterations == cold.iterations
@@ -1027,9 +1063,9 @@ class TestStructureCache:
         views = []
         inner = qp._ActiveSet.__init__
 
-        def recorded(state, view, b, h):
+        def recorded(state, view, b, h, x):
             views.append(view)
-            inner(state, view, b, h)
+            inner(state, view, b, h, x)
 
         monkeypatch.setattr(qp._ActiveSet, "__init__", recorded)
         cleared = solve_market_qp(**template)
@@ -1037,9 +1073,9 @@ class TestStructureCache:
         # a market solve's state runs on its problem's structure
         assert views and all(view is qp._Problem(**template).structure for view in views)
         # a view reduced per call from writeable copies of A and the signed picks
-        monkeypatch.setattr(qp._ActiveSet, "__init__", lambda state, view, b, h: inner(
+        monkeypatch.setattr(qp._ActiveSet, "__init__", lambda state, view, b, h, x: inner(
             state, qp._NullSpace(np.array(view.A), pick=np.array(view.pick),
-                                 sign=np.array(view.sign), prefix=view.prefix), b, h))
+                                 sign=np.array(view.sign), prefix=view.prefix), b, h, x))
         per_call = solve_market_qp(**template)
         for res in (warm, per_call):
             for name in ("g", "u", "price", "iterations", "kkt_residual"):

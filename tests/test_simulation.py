@@ -240,11 +240,14 @@ class TestRunRealTime:
                 assert np.shape(got) == np.shape(expected), (hour, name)
         assert found == with_storage  # the others adjust nothing or no storage
 
-    def test_non_finite_realized_hour_raises_from_an_unaware_run(self, fixture_setup):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_realized_hour_raises_from_an_unaware_run(self, fixture_setup, value):
+        # an infinite hour, or one whose squared residual overflows, once
+        # read as no news: zero adjustments at a zero price
         scn, params = fixture_setup
         da = run_day_ahead(scn, params)
         actual = scn.actual.copy()
-        actual[5] = np.nan
+        actual[5] = value
         bad = DemandScenario(forecast=scn.forecast, actual=actual, timestamps=scn.timestamps)
         with pytest.raises(InvalidInputError, match="finite vector"):
             run_real_time(bad, params, da, mode="unaware")
