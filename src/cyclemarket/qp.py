@@ -553,16 +553,20 @@ def _structure(J, S, T, periodic, soc_bounds, finite):
 
     ``finite`` is the bytes of the boolean mask, per variable in x order,
     of its upper then its lower limit being finite.  A holds the balance
-    rows, then the periodicity rows.  The inequality rows are signed picks
-    (``_NullSpace``), never a matrix: the finite limits' rows in that
-    order, +x then -x, then per storage unit and interval the SoC
-    corridor's, +cumsum(u) then -cumsum(u).  A view lives while the cache
-    or a ``_Problem`` holds it.
+    rows, then the periodicity rows.  Without generators the balance rows
+    sum to the units' periodicity rows, so the last unit's row is left
+    out: the balance implies it, and its dual reads 0 (``_evaluate``); the
+    certificate still checks every unit's net energy.  The inequality rows
+    are signed picks (``_NullSpace``), never a matrix: the finite limits'
+    rows in that order, +x then -x, then per storage unit and interval the
+    SoC corridor's, +cumsum(u) then -cumsum(u).  A view lives while the
+    cache or a ``_Problem`` holds it.
     """
     n = (J + S) * T
     A = np.tile(np.eye(T), J + S)
     if periodic:
-        A = np.vstack([A, np.hstack([np.zeros((S, J * T)), np.kron(np.eye(S), np.ones(T))])])
+        periodicity = np.hstack([np.zeros((S, J * T)), np.kron(np.eye(S), np.ones(T))])
+        A = np.vstack([A, periodicity[:-1] if J == 0 < S else periodicity])
     units = S if soc_bounds else 0
     rows = np.concatenate([np.frombuffer(finite, dtype=bool), np.ones(2 * units * T, bool)])
     pick = np.repeat(np.arange(n + units * T), 2)[rows]
@@ -624,12 +628,6 @@ class _Problem:
             return arr.copy()
         raise InvalidInputError("bound must be scalar, per-participant, or (count, T)")
 
-    def g_slice(self, j):
-        return slice(j * self.T, (j + 1) * self.T)
-
-    def u_slice(self, s):
-        return slice((self.J + s) * self.T, (self.J + s + 1) * self.T)
-
     def _assemble(self):
         # per variable in x order: its upper row, then its lower row, where finite
         rhs = np.stack([np.vstack([self.g_hi, self.u_hi]).ravel(),
@@ -638,9 +636,7 @@ class _Problem:
         self.structure = _structure(self.J, self.S, self.T, bool(self.periodic),
                                     bool(self.soc_bounds), keep.tobytes())
         self.A = self.structure.A
-        self.b = self.demand.copy()
-        if self.periodic:
-            self.b = np.concatenate([self.demand, np.zeros(self.S)])
+        self.b = np.concatenate([self.demand, np.zeros(self.A.shape[0] - self.T)])
         self.h = rhs[keep]
         if self.soc_bounds:
             # per storage and interval: 0 <= x0 - cumsum(u)/E <= 1, as E * (x0, 1 - x0)
@@ -846,17 +842,16 @@ def market_kkt_residual(prob, result, mu):
     or two adjacent smooth pieces for a kink-seated optimum.
     """
     g, u, price = result.g, result.u, result.price
-    res = []
-    d_scale = max(1.0, float(np.max(np.abs(prob.demand))) if prob.demand.size else 1.0)
-    balance = (g.sum(axis=0) if prob.J else 0.0) + (u.sum(axis=0) if prob.S else 0.0) - prob.demand
-    res.append(np.max(np.abs(balance)) / d_scale if prob.T else 0.0)
+    d_scale = max(1.0, float(np.max(np.abs(prob.demand))))
+    res = [np.max(np.abs(g.sum(axis=0) + u.sum(axis=0) - prob.demand)) / d_scale]
     lam_scale = max(1.0, float(np.max(np.abs(price))))
-    grad_extra = prob.structure.transpose_product(mu)  # box/soc dual contributions per variable
+    # box/soc dual contributions, one row per participant
+    extra = prob.structure.transpose_product(mu).reshape(prob.J + prob.S, prob.T)
     for j in range(prob.J):
-        stat = g[j] / prob.alphas[j] + prob.a_lin[j] - price + grad_extra[prob.g_slice(j)]
+        stat = g[j] / prob.alphas[j] + prob.a_lin[j] - price + extra[j]
         res.append(np.max(np.abs(stat)) / lam_scale)
     for s in range(prob.S):
-        target = price - grad_extra[prob.u_slice(s)]
+        target = price - extra[prob.J + s]
         if prob.periodic:
             target = target - result.periodicity_duals[s]
         gap = blended_stationarity_gap(target, result.stationarity_pieces[s], u[s],
@@ -867,17 +862,19 @@ def market_kkt_residual(prob, result, mu):
     if prob.h.size:
         viol = prob.structure.product(np.concatenate([g.ravel(), u.ravel()]))
         res.append(max(0.0, float(np.max(viol - prob.h))) / d_scale)
-    return float(max(res)) if res else 0.0
+    return float(max(res))
 
 
 def _evaluate(prob, sol, iterations, pieces=None):
     """One fixed-map QP solution with its maps and true objective.  Its
     ``kkt_residual`` stays NaN until ``_certify`` computes it, which only a
-    result that may be returned needs."""
+    result that may be returned needs.  A periodicity row that ``_structure``
+    leaves out reports a dual of 0."""
     g, u = prob.split(sol.x)
     maps = prob.maps(u)
     price = -sol.eq_duals[: prob.T]
-    per_duals = sol.eq_duals[prob.T:] if prob.periodic else np.zeros(prob.S)
+    per_duals = np.zeros(prob.S)
+    per_duals[:sol.eq_duals.size - prob.T] = sol.eq_duals[prob.T:]
     return MarketQPResult(g=g, u=u, price=price, periodicity_duals=per_duals, maps=maps,
                           objective=prob.objective(g, u, maps), kkt_residual=math.nan,
                           iterations=iterations,

@@ -311,9 +311,12 @@ def aware_bids(params: MarketParams, d_total) -> RealTimeBids:
     alpha_r = 1/c per generator and beta_r = ||d||^2 / (b * ||N(d) d||^2)
     per storage, with d mapped once per ``(capacity_E, x0)``; raises
     ``DegeneratePriceError`` when d has no cycling content, since the
-    storage slope is then unbounded.
+    storage slope is then unbounded, and ``InvalidInputError`` when d is
+    not a vector.
     """
     d = np.asarray(d_total, dtype=float)
+    if d.ndim != 1:
+        raise InvalidInputError("total demand must be a vector")
     norm2 = float(d @ d)
     alpha_r = np.array([1.0 / gen.c for gen in params.generators])
     beta_r = np.zeros(params.n_storages)
@@ -340,8 +343,13 @@ def equilibrium_aware(params: MarketParams, d_total, da):
     evaluated on the demand vector directly).  The price is
     lambda_r = phi * d with 1/phi the aggregate slope, which clears the
     market identically: day-ahead commitments cancel out of the balance.
+    A ``da`` whose schedule does not cover d's intervals raises
+    ``InvalidInputError``.
     """
     d = np.asarray(d_total, dtype=float)
+    if d.ndim != 1 or da.g.shape != (params.n_generators, d.size) \
+            or da.u.shape != (params.n_storages, d.size):
+        raise InvalidInputError("the day-ahead schedule must cover the total demand's intervals")
     if float(d @ d) <= 0.0:
         raise DegenerateDemandError("zero total demand: proportional price undefined")
     bids = aware_bids(params, d)
@@ -373,20 +381,28 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     plus adjustment) as a pair ``(g, u)`` of shapes (J, W) and (S, W).  The
     generators repair its balance, and a start that still breaks a
     constraint is ignored (see ``solve_market_qp``).
+
+    Bids that do not match the participant lists, commitments not shaped
+    (J, W) and (S, W), and ``x0s`` other than one state of charge in
+    [0, 1] per unit raise ``InvalidInputError``.
     """
     w = np.asarray(window_demand, dtype=float)
     W = w.size
     if w.ndim != 1 or W < 1:
         raise InvalidInputError("window must be a vector of at least one interval")
     J, S = params.n_generators, params.n_storages
-    g_da = np.asarray(g_committed, dtype=float).reshape(J, W) if J else np.zeros((0, W))
-    u_da = np.asarray(u_committed, dtype=float).reshape(S, W) if S else np.zeros((0, W))
+    if bids.alpha_r.size != J or bids.beta_r.size != S:
+        raise InvalidInputError("bid vector sizes must match the participant lists")
+    g_da, u_da = np.asarray(g_committed, dtype=float), np.asarray(u_committed, dtype=float)
+    if g_da.shape != (J, W) or u_da.shape != (S, W):
+        raise InvalidInputError(f"commitments must be shaped ({J}, {W}) and ({S}, {W})")
     if np.any(bids.alpha_r <= 0):
         raise InvalidInputError("constrained clearing needs positive generator slopes")
-    if S and np.any(bids.beta_r <= 0):
+    if np.any(bids.beta_r <= 0):
         raise InvalidInputError("constrained clearing needs positive storage slopes")
-    if x0s is None:
-        x0s = [st.x0 for st in params.storages]
+    x0s = np.asarray([st.x0 for st in params.storages] if x0s is None else x0s, dtype=float)
+    if x0s.shape != (S,) or not np.all((x0s >= 0.0) & (x0s <= 1.0)):
+        raise InvalidInputError(f"x0s must hold {S} states of charge in [0, 1]")
 
     u_lo = np.zeros((S, W))
     u_hi = np.zeros((S, W))

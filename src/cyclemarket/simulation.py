@@ -174,9 +174,15 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
                   mode: str = "aware"):
     """Roll 24-hour windows across the binding day, committing one hour each.
 
+    Both modes step through one loop over the binding hours.  The realized
+    state of charge lives in the returned ``soc`` (S, 25) alone: hour h
+    reads column h clamped to [0, 1], and column h + 1 is that value less
+    the hour's total storage dispatch over E, recorded unclamped.  The
+    commitments ``g_rt`` (J, 24), ``u_rt`` (S, 24) and ``prices`` (24,)
+    are the steps' first entries.
     ``aware`` mode re-optimizes total dispatch under the constant equilibrium
     slopes with power limits and the SoC corridor (no periodicity).  Each
-    window is seeded near its optimum with a (g, u) pair: window 0 with the
+    window is seeded near its optimum with one (g, u) pair: window 0 with the
     day-ahead schedule over its intervals, and each later window with the
     previous window's total dispatch shifted by one hour, at 0 in the hour
     it appends (a window cut short by the horizon appends none).  The
@@ -190,11 +196,11 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     closed form, the simplified setting its theory covers; power limits are
     not imposed on those adjustments.  No unaware window reads the state of
     charge, so the windows are independent and the day clears in one pass
-    (``_unaware_day``); ``equilibrium_unaware`` is the same code on one
-    window.  After uniform clearing each window builds one half-cycle map
-    per storage group, units of one capacity and initial state of charge,
-    rather than one per unit (``_storage_groups``).  Any other mode raises
-    ``InvalidInputError``.
+    (``_unaware_day``) before the loop; ``equilibrium_unaware`` is the same
+    code on one window.  After uniform clearing each window builds one
+    half-cycle map per storage group, units of one capacity and initial
+    state of charge, rather than one per unit (``_storage_groups``).  Any
+    other mode raises ``InvalidInputError``.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -203,54 +209,28 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
             f"need {BINDING_HOURS} realized hours, have {scenario.n_realized}"
         )
     J, S = params.n_generators, params.n_storages
-    steps = []
-    g_rt = np.zeros((J, BINDING_HOURS))
-    u_rt = np.zeros((S, BINDING_HOURS))
-    prices = np.zeros(BINDING_HOURS)
-    soc = np.zeros((S, BINDING_HOURS + 1))
-    for s, st in enumerate(params.storages):
-        soc[s, 0] = st.x0
-    x0_run = [st.x0 for st in params.storages]
-    prev_g, prev_u = da.g, da.u  # the seed's source, from the window's first hour on
+    E = np.array([st.capacity_E for st in params.storages])
+    soc = np.empty((S, BINDING_HOURS + 1))
+    soc[:, 0] = [st.x0 for st in params.storages]
     steps = _unaware_day(scenario, params, da) if mode == "unaware" else []
-
+    seed = da.g[:, :WINDOW_HOURS], da.u[:, :WINDOW_HOURS]
     for hour in range(BINDING_HOURS):
+        x0 = np.clip(soc[:, hour], 0.0, 1.0)  # binding-solve noise can overshoot by ~1e-14
         if mode == "aware":
             end = min(hour + WINDOW_HOURS, scenario.horizon)
-            w = _window_demand(scenario, hour)
-            start = _window_seed(w.size, prev_g, prev_u)
-            res = _aware_window(w, da, params, hour, end, x0_run, start)
-            prev_g = (da.g[:, hour:end] + res.g_r)[:, 1:]
-            prev_u = (da.u[:, hour:end] + res.u_r)[:, 1:]
+            res = _aware_window(_window_demand(scenario, hour), da, params, hour, end, x0, seed)
             steps.append(res)
-        res = steps[hour]
-        for j in range(J):
-            g_rt[j, hour] = res.g_r[j, 0]
-        for s in range(S):
-            u_rt[s, hour] = res.u_r[s, 0]
-        prices[hour] = res.price[0]
-        for s, st in enumerate(params.storages):
-            total = da.u[s, hour] + u_rt[s, hour]
-            x_next = x0_run[s] - total / st.capacity_E
-            # binding-solve noise can overshoot the corridor by ~1e-14
-            x0_run[s] = min(max(float(x_next), 0.0), 1.0)
-            soc[s, hour + 1] = x_next
+            tail = np.zeros((J + S, min(end + 1, scenario.horizon) - end))
+            seed = (np.hstack([(da.g[:, hour:end] + res.g_r)[:, 1:], tail[:J]]),
+                    np.hstack([(da.u[:, hour:end] + res.u_r)[:, 1:], tail[J:]]))
+        soc[:, hour + 1] = x0 - (da.u[:, hour] + steps[hour].u_r[:, 0]) / E
+    g_rt = np.stack([res.g_r[:, 0] for res in steps], axis=1)
+    u_rt = np.stack([res.u_r[:, 0] for res in steps], axis=1)
+    prices = np.array([res.price[0] for res in steps])
     return steps, g_rt, u_rt, prices, soc
 
 
-def _window_seed(W, prev_g, prev_u):
-    """The (g, u) seed for a ``W``-hour window: the leading intervals of
-    ``prev_g`` and ``prev_u``, zero past their end."""
-    seed = []
-    for prev in (prev_g, prev_u):
-        part = np.zeros((prev.shape[0], W))
-        k = min(W, prev.shape[1])
-        part[:, :k] = prev[:, :k]
-        seed.append(part)
-    return tuple(seed)
-
-
-def _aware_window(w, da, params, hour, end, x0_run, start):
+def _aware_window(w, da, params, hour, end, x0s, start):
     # constant slopes; the storage slope tracks the window's total demand
     try:
         bids = aware_bids(params, w)
@@ -258,7 +238,7 @@ def _aware_window(w, da, params, hour, end, x0_run, start):
         raise DegeneratePriceError(f"window at hour {hour} has no cycling content") from exc
     try:
         return clear_constrained_aware(
-            bids, w, da.g[:, hour:end], da.u[:, hour:end], params, x0s=list(x0_run), start=start,
+            bids, w, da.g[:, hour:end], da.u[:, hour:end], params, x0s=x0s, start=start,
         )
     except InfeasibleError as exc:
         raise InfeasibleError(
@@ -272,20 +252,21 @@ def _unaware_day(scenario, params, da):
     No window reads the state of charge, so the windows are independent.
     Per window only what reads its maps is formed: one map per storage
     group (``_window_maps``), and N d_r once per map with the dot products
-    on it (``realtime._storage_terms``).  The slope table, omega, the bids,
-    prices, adjustments and residuals of all windows are then formed as
-    arrays, by the code ``equilibrium_unaware`` runs on one window.  A
-    residual whose squared norm is not finite (a NaN, infinite or
-    overflowing realized hour) raises ``InvalidInputError``; a window
-    without residual demand adjusts nothing; one whose maps the residual
-    does not cycle clears with generators only, on the generator terms of
-    the same table.
+    on it (``realtime._storage_terms``), collected as one record per
+    window that clears.  The slope table, omega, the bids, prices,
+    adjustments and residuals of all windows are then formed as arrays, by
+    the code ``equilibrium_unaware`` runs on one window.  A residual whose
+    squared norm is not finite (a NaN, infinite or overflowing realized
+    hour) raises ``InvalidInputError``; a window without residual demand
+    adjusts nothing; one whose maps the residual does not cycle clears
+    with generators only, on the generator terms of the same table, and
+    raises ``DegeneratePriceError`` naming its hour where there are none.
     """
     J, S = params.n_generators, params.n_storages
     u_idle = idle_dispatch(da.u)
     groups = _storage_groups(params, da)
     steps = [None] * BINDING_HOURS
-    hours, d_rs, norm2, gd, D, tN, storage = [], [], [], [], [], [], []
+    windows = []  # per clearing window: hour, d_r, ||d_r||^2, <g, d_r>, D, <theta, N d_r>, cycles
     for hour in range(BINDING_HOURS):
         end = min(hour + WINDOW_HOURS, scenario.horizon)
         w = _window_demand(scenario, hour)
@@ -305,22 +286,19 @@ def _unaware_day(scenario, params, da):
         maps = [(dec, units, theta) for dec, units, _, theta
                 in _window_maps(groups, u_idle, hour, end)]
         try:
-            D_w, tN_w = _storage_terms(maps, d_r, S)
-            storage.append(True)
-        except DegeneratePriceError:
+            D, tN = _storage_terms(maps, d_r, S)
+            cycles = True
+        except DegeneratePriceError as exc:
+            if not J:
+                raise DegeneratePriceError(f"unaware window at hour {hour} has no generator, "
+                                           "and its residual cycles no storage") from exc
             # storage schedule is flat inside this window: generators only
-            D_w, tN_w = np.zeros(S), np.zeros(S)
-            storage.append(False)
-        hours.append(hour)
-        d_rs.append(d_r)
-        norm2.append(n2)
-        gd.append(_dots(da.g[:, hour:end], d_r))
-        D.append(D_w)
-        tN.append(tN_w)
-    if not hours:
+            D, tN, cycles = np.zeros(S), np.zeros(S), False
+        windows.append((hour, d_r, n2, _dots(da.g[:, hour:end], d_r), D, tN, cycles))
+    if not windows:
         return steps
-    k, m, K, _, numer = _slope_table(params, np.array(norm2), np.array(gd), np.array(D),
-                                     np.array(tN), np.array(storage))
+    hours, d_rs, norm2, gd, D, tN, storage = zip(*windows)
+    k, m, K, _, numer = _slope_table(params, *map(np.array, (norm2, gd, D, tN, storage)))
     by_length = {}  # a horizon that cuts windows short gives them fewer hours
     for i, d_r in enumerate(d_rs):
         by_length.setdefault(d_r.size, []).append(i)

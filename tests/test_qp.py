@@ -612,6 +612,29 @@ class TestMarketQP:
         assert res.u[0][1] > 0 > res.u[0][0]  # discharge at the peaks
         assert res.kkt_residual <= 1e-8
 
+    @pytest.mark.parametrize("betas, demand", [([1.0], [0.0, 0.0, 0.0]),
+                                               ([1.0, 2.0], [1.0, -1.0, 0.0])],
+                             ids=["one-unit", "two-units"])
+    def test_storage_only_periodic_market_certifies(self, betas, demand):
+        # without generators the balance rows sum to the periodicity rows, so
+        # the last unit's row is left out, with a dual of 0; the certificate
+        # still checks every unit's net energy
+        S = len(betas)
+        res = solve_market_qp(alphas=[], a_lin=[], betas=betas, capacities=[2.0] * S,
+                              x0s=[0.5] * S, demand=np.array(demand), g_lo=0.0, g_hi=1.0,
+                              u_lo=-1.0, u_hi=1.0, periodic=True)
+        assert res.kkt_residual <= 1e-8
+        assert res.periodicity_duals.shape == (S,) and res.periodicity_duals[-1] == 0.0
+        assert np.max(np.abs(res.u.sum(axis=1))) <= 1e-9
+        assert res.u.sum(axis=0) == pytest.approx(demand, abs=1e-9)
+
+    def test_storage_only_market_with_net_demand_names_the_intervals(self):
+        # no periodic dispatch meets a demand that does not net to 0
+        with pytest.raises(InfeasibleError, match="intervals 0, 2,"):
+            solve_market_qp(alphas=[], a_lin=[], betas=[1.0, 2.0], capacities=[2.0, 2.0],
+                            x0s=[0.5, 0.5], demand=np.array([1.0, -1.0, 0.5]), g_lo=0.0,
+                            g_hi=1.0, u_lo=-1.0, u_hi=1.0, periodic=True)
+
     def test_infeasible_demand_names_interval(self):
         with pytest.raises(InfeasibleError) as err:
             solve_market_qp(alphas=[1.0], a_lin=[0.0], betas=[], capacities=[], x0s=[],

@@ -9,6 +9,7 @@ from cyclemarket import GeneratorParams, MarketParams, StorageParams, realtime
 from cyclemarket.dayahead import (
     DayAheadBids,
     DayAheadResult,
+    clear_general,
     clear_uniform,
     equilibrium_bids_dayahead,
 )
@@ -576,3 +577,37 @@ class TestClearConstrainedAware:
     def test_non_finite_bid_slopes_rejected(self, alpha_r, beta_r):
         with pytest.raises(InvalidInputError, match="must be finite"):
             RealTimeBids(alpha_r=alpha_r, beta_r=beta_r)
+
+
+class TestMalformedInput:
+    """The real-time entry points name malformed input with
+    ``InvalidInputError`` rather than failing inside numpy or the solver."""
+
+    @staticmethod
+    def _setup():
+        params = MarketParams(generators=[GeneratorParams(c=20.0)],
+                              storages=[StorageParams(capacity_E=50.0)])
+        d = 100.0 + 10.0 * np.sin(2 * np.pi * np.arange(24) / 24)
+        return params, d, clear_general(equilibrium_bids_dayahead(params), d, params)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, d, da, b: clear_constrained_aware(b, d, da.g[:, 1:], da.u, p), "commitments"),
+        (lambda p, d, da, b: clear_constrained_aware(b, d, da.g, da.u[:, 1:], p), "commitments"),
+        (lambda p, d, da, b: clear_constrained_aware(b, d, da.g, da.u, p, x0s=[0.5, 0.5]),
+         "states of charge"),
+        (lambda p, d, da, b: clear_constrained_aware(b, d, da.g, da.u, p, x0s=[1.5]),
+         "states of charge"),
+        (lambda p, d, da, b: clear_constrained_aware(
+            RealTimeBids(alpha_r=[0.05, 0.05], beta_r=b.beta_r), d, da.g, da.u, p), "bid vector"),
+        (lambda p, d, da, b: clear_constrained_aware(
+            RealTimeBids(alpha_r=b.alpha_r, beta_r=[1.0, 1.0]), d, da.g, da.u, p), "bid vector"),
+        (lambda p, d, da, b: clear_constrained_aware(
+            RealTimeBids(alpha_r=b.alpha_r, beta_r=[]), d, da.g, da.u, p), "bid vector"),
+        (lambda p, d, da, b: equilibrium_aware(p, d[:12], da), "day-ahead schedule"),
+        (lambda p, d, da, b: aware_bids(p, d.reshape(2, 12)), "must be a vector"),
+    ], ids=["g-shape", "u-shape", "x0s-length", "x0s-range", "alpha-size", "beta-size",
+            "beta-empty", "da-horizon", "2d-demand"])
+    def test_rejected(self, call, message):
+        params, d, da = self._setup()
+        with pytest.raises(InvalidInputError, match=message):
+            call(params, d, da, aware_bids(params, d))

@@ -330,6 +330,59 @@ class TestRunRealTime:
         assert not rec.u_rt.any() and not rec.rt_prices.any()
         assert rec.social_cost == 0.0
 
+    STORAGE_FREE = MarketConfig(generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}], storages=[])
+
+    @pytest.mark.parametrize("mode", ["aware", "unaware"])
+    @pytest.mark.parametrize("config", [default_config(), STORAGE_FREE],
+                             ids=["fixture", "storage-free"])
+    def test_commits_and_states_of_charge_are_read_from_the_steps(self, config, mode):
+        # bit for bit: each hour commits its window's first entries, and the
+        # state of charge after it is the clamped one before it less the
+        # hour's total storage dispatch over E
+        scn = load_demand_csv(bundled_demand_path())
+        params = build_params(config, scn)
+        da = run_day_ahead(scn, params)
+        steps, g_rt, u_rt, prices, soc = run_real_time(scn, params, da, mode=mode)
+        J, S = params.n_generators, params.n_storages
+        assert (g_rt.shape, u_rt.shape, prices.shape) == ((J, 24), (S, 24), (24,))
+        assert soc.shape == (S, 25)
+        assert np.array_equal(soc[:, 0], [st.x0 for st in params.storages])
+        E = np.array([st.capacity_E for st in params.storages])
+        for h, step in enumerate(steps):
+            assert np.array_equal(g_rt[:, h], step.g_r[:, 0])
+            assert np.array_equal(u_rt[:, h], step.u_r[:, 0])
+            assert prices[h] == step.price[0]
+            want = np.clip(soc[:, h], 0.0, 1.0) - (da.u[:, h] + step.u_r[:, 0]) / E
+            assert np.array_equal(soc[:, h + 1], want)
+
+    def test_unaware_window_without_generators_or_cycling_names_its_hour(self):
+        # one unit, no generator, and a schedule idle over the first window:
+        # nothing takes up the residual, which once divided by a zero slope sum
+        scn = load_demand_csv(bundled_demand_path())
+        params = build_params(MarketConfig(generators=[], storages=[{"capacity_E": 50.0}]), scn)
+        T = scn.horizon
+        idle = DayAheadResult(g=np.zeros((0, T)), u=np.zeros((1, T)), nu=[np.zeros(0)],
+                              energy_price=np.zeros(T), cycle_prices=[np.zeros(0)],
+                              periodicity_duals=np.zeros(1), shares=None, objective=0.0,
+                              kkt_residual=0.0)
+        with pytest.raises(DegeneratePriceError, match="window at hour 0 has no generator"):
+            run_real_time(scn, params, idle, mode="unaware")
+
+    @pytest.mark.parametrize("mode", ["aware", "unaware"])
+    def test_storage_only_roster_runs_two_stage(self, mode):
+        # without generators the day-ahead balance implies the unit's
+        # periodicity, which the clearing leaves out of its equality rows
+        forecast = 2.0 * np.sin(2 * np.pi * np.arange(48.0) / 24)
+        scn = DemandScenario(forecast=forecast, actual=forecast[:24])
+        params = build_params(MarketConfig(generators=[], storages=[{"capacity_E": 50.0}]), scn)
+        rec = run_two_stage(scn, params, mode=mode)
+        assert rec.da_result.kkt_residual <= 1e-8
+        assert rec.g_rt.shape == (0, 24) and rec.u_rt.shape == (1, 24)
+        assert rec.da_result.u.sum(axis=0) == pytest.approx(forecast, abs=1e-9)
+        assert (rec.da_result.u[:, :24] + rec.u_rt).sum(axis=0) == pytest.approx(scn.actual,
+                                                                                   abs=1e-9)
+        assert rec.soc_outside_corridor == 0
+
 
 class TestSeededWindows:
     def test_every_window_matches_cold_solve(self, fixture_setup, cold_starts):
