@@ -8,7 +8,9 @@ plus ``trace.csv`` (hourly demand, prices, dispatch, state of charge).
 for the mechanism and both social-planner benchmarks, writing ``sweep.csv``
 and one SVG chart per metric rendered straight from those CSV rows.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.
+Exit codes: 0 success, 1 runtime failure or a path that cannot be read or
+written (a missing file, a directory given as a file, an ``--out`` that is a
+file), 2 usage/validation error.
 """
 
 import argparse
@@ -263,10 +265,7 @@ def main(argv=None):
     except (ConfigError, DemandCSVError) as exc:
         print(f"cyclemarket: invalid input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cyclemarket: {exc}", file=sys.stderr)
-        return 1
-    except CycleMarketError as exc:
+    except (CycleMarketError, OSError) as exc:
         print(f"cyclemarket: {exc}", file=sys.stderr)
         return 1
 

@@ -190,7 +190,7 @@ def _entry_violations(where, entry, keys, required):
         else:
             no_limit = f" or {_NO_LIMIT[key]}" if key in _NO_LIMIT else ""
             found.append(f"{where}: {key} must be finite{no_limit}")
-    for key in ("c", "capacity_E", "duration_hours"):
+    for key in ("c", "capacity_E", "capital_cost_B", "rho", "duration_hours"):
         if not nums.get(key, 1.0) > 0:
             found.append(f"{where}: {key} must be positive")
     if not 0.0 <= nums.get("x0", 0.5) <= 1.0:

@@ -76,7 +76,7 @@ class DayAheadResult:
     objective: float
     kkt_residual: float
     maps: list = field(default_factory=list)
-    stationarity_pieces: list = field(default_factory=list)  # per storage: [(weight, map)]
+    stationarity_pieces: list = field(default_factory=list)  # per storage: its map, or a kink's two
 
 
 @dataclass
@@ -270,10 +270,9 @@ def verify_kkt_dayahead(result: DayAheadResult, bids: DayAheadBids, d_da, params
         if bids.beta.size and bids.beta[s] > 0:
             # stationarity lambda = sum_k gamma_k N_k'N_k u / beta + delta*1,
             # evaluated against the adjacent-piece hull at kink-seated optima
-            pieces = (result.stationarity_pieces[s]
-                      if result.stationarity_pieces else [(1.0, dec.map)])
+            maps = result.stationarity_pieces[s] if result.stationarity_pieces else [dec.map]
             target = lam - result.periodicity_duals[s]
-            gap = blended_stationarity_gap(target, pieces, result.u[s], bids.beta[s])
+            gap = blended_stationarity_gap(target, maps, result.u[s], bids.beta[s])
             comps[f"stationarity_st{s}"] = float(np.max(np.abs(gap))) / lam_scale
         u_scale = max(1.0, float(np.max(np.abs(result.u[s]))))
         comps[f"periodicity_st{s}"] = abs(float(result.u[s].sum())) / u_scale

@@ -15,10 +15,14 @@ active-set method, recompute the maps, and repeat until the assignment is
 stable and the true problem's KKT residual meets the fixed 1e-8 certificate
 (``certified``); the maps (``dispatch_map``) read rounding-level storage
 dispatch as idle.  A two-map assignment cycle means the optimum sits on an
-assignment boundary; a bisection over the blended-curvature weight lands on
-it with the matching convex subgradient weights.  A solve that settles
-neither way within its round budget (``_MAX_ROUNDS``) raises
-``SolverFailureError`` carrying the best iterate.
+assignment boundary.  The alternation has then solved under both maps: under
+A it landed on B, and an earlier round under B landed off B.  A bisection
+over the blended-curvature weight starts from that bracket and lands on the
+boundary; its result carries both maps of each unit
+(``stationarity_pieces``), between which the certificate fits each unit's
+subgradient weight.  A solve that settles neither way within its round
+budget (``_MAX_ROUNDS``) raises ``SolverFailureError`` carrying the best
+iterate.
 
 Every starting point is built from a dispatch pair (g, u): the generators
 take up what is left of each interval's balance within their limits, and
@@ -543,7 +547,7 @@ class MarketQPResult:
     kkt_residual: float
     iterations: int
     fallback_used: bool = False  # no fallback path remains; perfbench's tracing still reads it
-    stationarity_pieces: list = field(default_factory=list)  # per storage: [(weight, map)]
+    stationarity_pieces: list = field(default_factory=list)  # per storage: its map, or a kink's two
 
 
 @functools.lru_cache(maxsize=_STRUCTURES)
@@ -815,14 +819,15 @@ def dispatch_map(u_s, capacity, x0):
     return rainflow_map(idle_dispatch(u_s), capacity, x0)
 
 
-def blended_stationarity_gap(target, pieces, u_s, beta):
+def blended_stationarity_gap(target, maps, u_s, beta):
     """Distance from ``target`` to the piece-gradient hull {sum_k w_k N_k'N_k u / beta}.
 
-    ``pieces`` holds one (weight, map) pair, or two at a kink; for two pieces
-    the weight is refit by least squares and clamped to [0, 1], since any
-    convex combination of adjacent smooth pieces is a valid subgradient.
+    ``maps`` holds one half-cycle map, or the two adjacent pieces' maps at a
+    kink; for two the weight is fit by least squares and clamped to [0, 1],
+    since any convex combination of adjacent smooth pieces is a valid
+    subgradient.
     """
-    vecs = [(N.T @ (N @ u_s)) / beta for _, N in pieces]
+    vecs = [(N.T @ (N @ u_s)) / beta for N in maps]
     if len(vecs) == 1:
         return target - vecs[0]
     a, bvec = vecs
@@ -838,8 +843,8 @@ def market_kkt_residual(prob, result, mu):
 
     Components are normalized by max(1, scale of the terms entering them) so
     the figure is meaningful across price magnitudes.  Each storage's
-    stationarity reads its ``stationarity_pieces``: one (weight, map) pair,
-    or two adjacent smooth pieces for a kink-seated optimum.
+    stationarity reads its ``stationarity_pieces``: its one map, or the two
+    adjacent smooth pieces' maps for a kink-seated optimum.
     """
     g, u, price = result.g, result.u, result.price
     d_scale = max(1.0, float(np.max(np.abs(prob.demand))))
@@ -878,7 +883,7 @@ def _evaluate(prob, sol, iterations, pieces=None):
     return MarketQPResult(g=g, u=u, price=price, periodicity_duals=per_duals, maps=maps,
                           objective=prob.objective(g, u, maps), kkt_residual=math.nan,
                           iterations=iterations,
-                          stationarity_pieces=pieces or [[(1.0, m.map)] for m in maps])
+                          stationarity_pieces=pieces or [[m.map] for m in maps])
 
 
 def _certify(prob, res, mu):
@@ -890,42 +895,32 @@ def _certify(prob, res, mu):
 
 
 def _kink_bisection(prob, state, maps_a, maps_b, iterations):
-    """Resolve a two-map assignment cycle by bisecting the subgradient weight.
+    """Resolve a two-map assignment cycle by bisecting the blended-curvature weight.
 
     At a kink-seated optimum the stationarity holds with a convex combination
-    of the two adjacent pieces' curvatures.  Solving the blended QP and
-    bisecting the weight to the region boundary lands on that point exactly.
-    ``state`` stands at the optimum under ``maps_a`` alone (weight 1), whose
-    own maps are ``maps_b``; it starts there once, and each probe solves from
-    a fork of it, since only the Hessian depends on the weight.  Returns
-    the (result, QP solution) pair, or None where both endpoints lie in
-    one region; the result counts ``iterations`` plus every probe's.
+    of the two adjacent pieces' curvatures.  ``state`` stands at the optimum
+    under ``maps_a`` alone (weight 1), whose own maps are ``maps_b``; an
+    earlier round solved under ``maps_b`` alone (weight 0) and landed off
+    them, so the alternation has already found the bracket [0, 1], and
+    halving it lands on the boundary.  The state starts there once, and each
+    probe solves from a fork of it, since only the Hessian depends on the
+    weight.  Returns the last probe as a (result, QP solution) pair whose
+    stationarity pieces are both maps of each unit; the result counts
+    ``iterations`` plus every probe's.
     """
     state.start()
-    probe_iterations = 0
-
-    def solve_at(gamma):
-        nonlocal probe_iterations
-        sol = state.fork().solve(*prob.hessian(maps_a, maps_b, gamma))
-        probe_iterations += sol.iterations
-        sig = tuple(m.signature() for m in prob.maps(prob.split(sol.x)[1]))
-        return sol, sig
-
-    sig_ref = tuple(m.signature() for m in maps_b)
-    _, sig_lo = solve_at(0.0)
-    if sig_ref == sig_lo:
-        return None  # both endpoints in one region: not a two-piece kink
+    sig_b = tuple(m.signature() for m in maps_b)
     lo, hi = 0.0, 1.0
     for _ in range(50):  # halving [0, 1] is exact: the bracket ends 2**-50 wide
         mid = 0.5 * (lo + hi)
-        sol, sig = solve_at(mid)
-        if sig == sig_ref:
+        sol = state.fork().solve(*prob.hessian(maps_a, maps_b, mid))
+        iterations += sol.iterations
+        if tuple(m.signature() for m in prob.maps(prob.split(sol.x)[1])) == sig_b:
             hi = mid
         else:
             lo = mid
-    gamma = 0.5 * (lo + hi)
-    pieces = [[(gamma, maps_a[s].map), (1.0 - gamma, maps_b[s].map)] for s in range(prob.S)]
-    return _evaluate(prob, sol, iterations + probe_iterations, pieces), sol
+    pieces = [[maps_a[s].map, maps_b[s].map] for s in range(prob.S)]
+    return _evaluate(prob, sol, iterations, pieces), sol
 
 
 def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
@@ -986,11 +981,10 @@ def _alternate(prob, state):
         if res_sig in seen:
             # assignment cycling: the optimum sits on a two-piece kink
             kink = _kink_bisection(prob, state, maps, res.maps, total_iters)
-            if kink is not None:
-                if _certify(prob, kink[0], kink[1].ineq_duals):
-                    return kink[0]
-                if kink[0].objective < best[0].objective:
-                    best = kink
+            if _certify(prob, kink[0], kink[1].ineq_duals):
+                return kink[0]
+            if kink[0].objective < best[0].objective:
+                best = kink
             break
         seen.update((sig, res_sig))
         maps, sig = res.maps, res_sig

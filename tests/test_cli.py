@@ -149,6 +149,21 @@ class TestRun:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--demand", "--config", "--spec", "--out"])
+    def test_unusable_path_exits_one_with_a_message(self, tmp_path, capsys, flag):
+        # a directory where an input file belongs, or a file where the output
+        # directory belongs (found only after the run has cleared)
+        path = tmp_path / "path"
+        if flag == "--out":
+            path.write_text("", encoding="utf-8")
+        else:
+            path.mkdir()
+        command = "sweep" if flag == "--spec" else "run"
+        out = [] if flag == "--out" else ["--out", str(tmp_path / "o")]
+        assert main([command, flag, str(path), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cyclemarket: ") and str(path) in err
+
     def test_zero_demand_exits_one_aware_and_clears_unaware(self, tmp_path, capsys):
         demand = tmp_path / "zero.csv"
         write_demand_csv(DemandScenario(forecast=[0.0] * 48, actual=[0.0] * 24), demand)

@@ -223,6 +223,10 @@ class TestMarketConfig:
          "storage 0: rho must be finite"),
         ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "x0": float("nan")}]},
          "storage 0: x0 must be finite"),
+        ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "capital_cost_B": 0}]},
+         "storage 0: capital_cost_B must be positive"),
+        ({"generators": [{"c": 1.0}], "storages": [{"capacity_E": 5.0, "rho": -1}]},
+         "storage 0: rho must be positive"),
         ({"generators": [{"a": 1.0}]}, "generator 0: missing 'c'"),
         ({"generators": [{"c": 1.0, "g_min": 5.0, "g_max": 1.0}]},
          "generator 0: g_min exceeds g_max"),

@@ -122,7 +122,7 @@ class TestClearUniform:
         # kink (2000.0042666253237) that 1e-14 MW there used to seat
         for pieces in res.stationarity_pieces:
             assert len(pieces) == 1
-            assert not pieces[0][1][:, [0, 4]].any()
+            assert not pieces[0][:, [0, 4]].any()
         assert res.objective == pytest.approx(2000.0042666239967, abs=1e-10)
         assert res.objective < 2000.0042666253237
 
@@ -159,7 +159,7 @@ class TestClearUniform:
             w = -res.u[0][0] * np.array([-1.0, 2.0, -2.0, 2.0, -1.0])
             lifted = qp.dispatch_map(w + 1e-9 * np.array([0.0, 0.0, -1.0, 1.0, 0.0]), E, x0)
             assert lifted.signature() != qp.dispatch_map(w, E, x0).signature()
-            res.u[0], res.maps[0], res.stationarity_pieces[0] = w, lifted, [(1.0, lifted.map)]
+            res.u[0], res.maps[0], res.stationarity_pieces[0] = w, lifted, [lifted.map]
             return res
 
         monkeypatch.setattr(dayahead, "solve_market_qp", on_the_tie)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp
+from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp, realtime
 from cyclemarket.data import (
     DemandScenario,
     MarketConfig,
@@ -446,6 +446,36 @@ class TestSeveralStorageUnits:
         assert rec.da_result.kkt_residual <= 1e-8
         assert len(rec.rt_steps) == BINDING_HOURS
         assert max(step.kkt_residual for step in rec.rt_steps) <= 1e-8
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 2(a): 11 of the 24 aware windows of the four-unit "
+                              "roster end on a kink where a unit's own map is neither piece")
+    def test_kink_results_hold_each_units_own_map(self, monkeypatch):
+        # the local kink certificate: each unit's own half-cycle map at a
+        # window's result is one of the maps its stationarity blends; the
+        # roster and demand are CI's four-unit smoke run
+        scn = load_demand_csv(bundled_demand_path())
+        config = MarketConfig(
+            generators=[{"c": 20.0}, {"c": 35.0, "a": 5.0}],
+            storages=[{"capacity_E": 50.0, "capital_cost_B": b}
+                      for b in (100.0, 150.0, 250.0, 400.0)],
+        )
+        windows = []
+        solve = realtime.solve_market_qp
+
+        def collected(**kwargs):
+            windows.append((kwargs, solve(**kwargs)))
+            return windows[-1][1]
+
+        monkeypatch.setattr(realtime, "solve_market_qp", collected)
+        run_two_stage(scn, build_params(config, scn), mode="aware")
+        assert len(windows) == BINDING_HOURS
+        strays = [(hour, s) for hour, (kwargs, res) in enumerate(windows)
+                  for s, pieces in enumerate(res.stationarity_pieces)
+                  if not any(np.array_equal(qp.dispatch_map(res.u[s], kwargs["capacities"][s],
+                                                            kwargs["x0s"][s]).map, piece)
+                             for piece in pieces)]
+        assert not strays
 
 
 class TestUniformUnawareWindows:
