@@ -56,11 +56,11 @@ def _load_inputs(args):
 def cmd_run(args):
     config, scenario = _load_inputs(args)
     params = build_params(config, scenario)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before clearing, so an unusable path fails at once
     mech = MechanismConfig(enforce_soc_bounds=config.enforce_soc_bounds)
     record = run_two_stage(scenario, params, mode=args.mode, mechanism_config=mech)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     st = record.settlement
     with open(out / "run_summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -172,6 +172,8 @@ def cmd_sweep(args):
     config, scenario = _load_inputs(args)
     if not config.storages:
         raise ConfigError("sweeps need at least one storage unit in the config")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before clearing, so an unusable path fails at once
     store = dict(config.storages[0])
     fixed = spec["fixed"]
     if spec["axis"] == "B" and "E" in fixed:
@@ -196,8 +198,6 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_point(t) for t in tasks]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sweep_csv = out / "sweep.csv"
     with open(sweep_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

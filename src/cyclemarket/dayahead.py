@@ -16,13 +16,7 @@ import numpy as np
 
 from .costs import MarketParams
 from .errors import InvalidInputError, SolverFailureError
-from .qp import (
-    blended_stationarity_gap,
-    certified,
-    demand_vector,
-    dispatch_map,
-    solve_market_qp,
-)
+from .qp import certified, demand_vector, dispatch_map, kkt_components, solve_market_qp
 from .rainflow import rainflow_map
 
 __all__ = [
@@ -114,6 +108,14 @@ def _common_capacity(params):
     return caps[0]
 
 
+def _bid_cost(bids, g, nu):
+    """sum_j ||g_j||^2 / (2 alpha_j) + sum_s ||nu_s||^2 / (2 beta_s) over the
+    positive slopes: a zero slope pins its participant at 0."""
+    a = bids.alpha > 0
+    return float(np.sum(g[a] * g[a] / (2 * bids.alpha[a, None]))) + sum(
+        float(nu_s @ nu_s) / (2 * beta) for nu_s, beta in zip(nu, bids.beta) if beta > 0)
+
+
 def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
     """Uniform-price day-ahead clearing (capacity constraints assumed slack).
 
@@ -148,8 +150,7 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
         result = DayAheadResult(
             g=g, u=np.zeros((S, T)), nu=[np.zeros(0)] * S, energy_price=lam,
             cycle_prices=[np.zeros(0)] * S, periodicity_duals=np.zeros(S),
-            shares=np.zeros(S), objective=float(np.sum(g * g / (2 * bids.alpha[:, None]))),
-            kkt_residual=0.0,
+            shares=np.zeros(S), objective=_bid_cost(bids, g, []), kkt_residual=0.0,
             maps=[rainflow_map(np.zeros(T), st.capacity_E, st.x0) for st in params.storages],
         )
         result.kkt_residual = verify_kkt_dayahead(result, bids, d, params).max_residual
@@ -167,15 +168,13 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
     theta = (dec.map @ w) / sum_beta  # one shared per-cycle price vector
     eps = bids.beta / sum_beta
     u = np.outer(eps, w)
-    nu = [eps_s * (dec.map @ w) for eps_s in eps]
+    # a unit bidding slope 0 holds no share: its depths are its own empty map's
+    nu = [eps_s * (dec.map @ w) if eps_s > 0 else np.zeros(0) for eps_s in eps]
     g = np.outer(bids.alpha, lam)
-    objective = float(np.sum(g * g / (2 * bids.alpha[:, None]))) + sum(
-        float(nu_s @ nu_s) / (2 * bids.beta[s]) for s, nu_s in enumerate(nu)
-    )
     result = DayAheadResult(
         g=g, u=u, nu=nu, energy_price=lam, cycle_prices=[theta] * S,
         periodicity_duals=np.full(S, res.periodicity_duals[0]), shares=eps,
-        objective=objective, kkt_residual=0.0, maps=[dec] * S,
+        objective=_bid_cost(bids, g, nu), kkt_residual=0.0, maps=[dec] * S,
         stationarity_pieces=[res.stationarity_pieces[0]] * S,
     )
     report = verify_kkt_dayahead(result, bids, d, params)
@@ -227,54 +226,34 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, enforce_soc_bo
 
 
 def verify_kkt_dayahead(result: DayAheadResult, bids: DayAheadBids, d_da, params: MarketParams):
-    """Max violation of the slack-limit optimality system of the clearing.
+    """The clearing's optimality system at slack limits, by named component.
 
-    Checks balance, bid consistency (g = alpha*lambda, nu = beta*theta),
-    the depth constraint nu = N(u) u at the reported dispatch, with N(u)
-    the ``qp.dispatch_map`` the clearing itself reads, stationarity
-    lambda = N'theta + delta*1 per storage, and periodicity.  Components are
-    normalized by max(1, magnitude of the terms involved).  Binding power
-    limits are outside this system; the general clearing carries a
-    bound-aware residual of its own.
+    The system is ``qp.kkt_components`` at the bids' slopes, no linear cost
+    and G'mu = 0, against the result's ``stationarity_pieces`` or else each
+    unit's own ``qp.dispatch_map``: ``balance``, ``stationarity_gen{j}``,
+    ``stationarity_st{s}`` and ``periodicity_st{s}``.  Two bid-consistency
+    checks per unit follow, over max(1, max |N(u) u|) with N(u) its
+    ``qp.dispatch_map``: ``depth_constraint_st{s}``, the reported depths nu
+    against N(u) u (1.0 where their shapes differ), and, for a positive
+    slope, ``cycling_bid_st{s}``, nu against beta * theta.  Binding power
+    limits are outside this system; the general clearing carries the
+    bound-aware residual of its own solve.
     """
-    d = np.asarray(d_da, dtype=float)
-    comps = {}
-    d_scale = max(1.0, float(np.max(np.abs(d)))) if d.size else 1.0
-    lam = result.energy_price
-    lam_scale = max(1.0, float(np.max(np.abs(lam)))) if lam.size else 1.0
-
-    total = (result.g.sum(axis=0) if result.g.size else np.zeros(d.size)) + (
-        result.u.sum(axis=0) if result.u.size else np.zeros(d.size))
-    comps["balance"] = float(np.max(np.abs(total - d))) / d_scale if d.size else 0.0
-
-    for j in range(result.g.shape[0]):
-        mismatch = result.g[j] - bids.alpha[j] * lam
-        comps[f"supply_function_gen{j}"] = float(np.max(np.abs(mismatch))) / max(
-            1.0, float(np.max(np.abs(result.g[j]))))
-
-    for s in range(result.u.shape[0]):
-        st = params.storages[s]
-        dec = dispatch_map(result.u[s], st.capacity_E, st.x0)
-        nu_ref = dec.map @ result.u[s]
-        nu_s = np.asarray(result.nu[s])
-        nu_scale = max(1.0, float(np.max(np.abs(nu_ref))) if nu_ref.size else 0.0)
-        if nu_s.shape == nu_ref.shape:
-            comps[f"depth_constraint_st{s}"] = float(
-                np.max(np.abs(nu_s - nu_ref)) if nu_ref.size else 0.0) / nu_scale
-        else:
-            comps[f"depth_constraint_st{s}"] = 1.0  # structurally different decomposition
+    d = demand_vector(d_da)
+    J, S = bids.alpha.size, bids.beta.size
+    decs = [dispatch_map(u_s, st.capacity_E, st.x0) for u_s, st in zip(result.u, params.storages)]
+    comps = kkt_components(d, bids.alpha, np.zeros(J), bids.beta, result.g, result.u,
+                           result.energy_price,
+                           result.stationarity_pieces or [[dec.map] for dec in decs],
+                           np.zeros((J + S, d.size)), result.periodicity_duals)
+    for s, dec in enumerate(decs):
+        nu_ref, nu_s = dec.map @ result.u[s], np.asarray(result.nu[s])
+        nu_scale = max(1.0, float(np.max(np.abs(nu_ref), initial=0.0)))
+        comps[f"depth_constraint_st{s}"] = float(
+            np.max(np.abs(nu_s - nu_ref), initial=0.0)) / nu_scale \
+            if nu_s.shape == nu_ref.shape else 1.0
         theta = np.asarray(result.cycle_prices[s])
-        if bids.beta.size and bids.beta[s] > 0 and theta.shape == nu_s.shape:
+        if bids.beta[s] > 0 and theta.shape == nu_s.shape:
             comps[f"cycling_bid_st{s}"] = float(
-                np.max(np.abs(nu_s - bids.beta[s] * theta)) if nu_s.size else 0.0) / nu_scale
-        if bids.beta.size and bids.beta[s] > 0:
-            # stationarity lambda = sum_k gamma_k N_k'N_k u / beta + delta*1,
-            # evaluated against the adjacent-piece hull at kink-seated optima
-            maps = result.stationarity_pieces[s] if result.stationarity_pieces else [dec.map]
-            target = lam - result.periodicity_duals[s]
-            gap = blended_stationarity_gap(target, maps, result.u[s], bids.beta[s])
-            comps[f"stationarity_st{s}"] = float(np.max(np.abs(gap))) / lam_scale
-        u_scale = max(1.0, float(np.max(np.abs(result.u[s]))))
-        comps[f"periodicity_st{s}"] = abs(float(result.u[s].sum())) / u_scale
-
-    return KKTReport(max_residual=float(max(comps.values())) if comps else 0.0, components=comps)
+                np.max(np.abs(nu_s - bids.beta[s] * theta), initial=0.0)) / nu_scale
+    return KKTReport(max_residual=max(comps.values()), components=comps)

@@ -13,11 +13,14 @@ with the half-cycle map N_s piecewise constant in u_s.  The solve alternates:
 freeze the maps, solve the resulting convex QP exactly with a primal
 active-set method, recompute the maps, and repeat until the assignment is
 stable and the true problem's KKT residual meets the fixed 1e-8 certificate
-(``certified``); the maps (``dispatch_map``) read rounding-level storage
-dispatch as idle.  A two-map assignment cycle means the optimum sits on an
-assignment boundary.  The alternation has then solved under both maps: under
-A it landed on B, and an earlier round under B landed off B.  A bisection
-over the blended-curvature weight starts from that bracket and lands on the
+(``certified``): the largest of the named components of ``kkt_components``
+(balance, each participant's stationarity, each unit's periodicity, the
+limits), which ``dayahead.verify_kkt_dayahead`` reads at slack limits.  The
+maps (``dispatch_map``) read rounding-level storage dispatch as idle.  A
+two-map assignment cycle means the optimum sits on an assignment boundary.
+The alternation has then solved under both maps: under A it landed on B,
+and an earlier round under B landed off B.  A bisection over the
+blended-curvature weight starts from that bracket and lands on the
 boundary; its result carries both maps of each unit
 (``stationarity_pieces``), between which the certificate fits each unit's
 subgradient weight.  A solve that settles neither way within its round
@@ -837,37 +840,53 @@ def blended_stationarity_gap(target, maps, u_s, beta):
     return target - (gamma * a + (1 - gamma) * bvec)
 
 
-def market_kkt_residual(prob, result, mu):
-    """Relative residual of the true stationarity/feasibility system at the
-    ``MarketQPResult`` ``result``, with the QP's inequality duals ``mu``.
-
-    Components are normalized by max(1, scale of the terms entering them) so
-    the figure is meaningful across price magnitudes.  Each storage's
-    stationarity reads its ``stationarity_pieces``: its one map, or the two
-    adjacent smooth pieces' maps for a kink-seated optimum.
-    """
-    g, u, price = result.g, result.u, result.price
-    d_scale = max(1.0, float(np.max(np.abs(prob.demand))))
-    res = [np.max(np.abs(g.sum(axis=0) + u.sum(axis=0) - prob.demand)) / d_scale]
+def kkt_components(demand, alphas, a_lin, betas, g, u, price, pieces, extra,
+                   periodicity_duals=None, excess=None):
+    """Named relative residuals of the template's optimality system at the
+    dispatch ``(g, u)``, balance prices ``price`` and G'mu ``extra`` (one row
+    per participant): ``balance`` over max(1, max |demand|);
+    ``stationarity_gen{j}`` and ``stationarity_st{s}``, the latter against
+    the hull of the unit's ``pieces`` (``blended_stationarity_gap``), over
+    max(1, max |price|); ``periodicity_st{s}`` over max(1, max |u_s|), where
+    ``periodicity_duals`` are given; and ``limits``, the largest ``excess``
+    G x - h of the inequality rows over the demand scale, where given.  A
+    zero slope pins its participant's dispatch at 0, checked over the
+    demand scale instead."""
+    d_scale = max(1.0, float(np.max(np.abs(demand))))
     lam_scale = max(1.0, float(np.max(np.abs(price))))
-    # box/soc dual contributions, one row per participant
-    extra = prob.structure.transpose_product(mu).reshape(prob.J + prob.S, prob.T)
-    for j in range(prob.J):
-        stat = g[j] / prob.alphas[j] + prob.a_lin[j] - price + extra[j]
-        res.append(np.max(np.abs(stat)) / lam_scale)
-    for s in range(prob.S):
-        target = price - extra[prob.J + s]
-        if prob.periodic:
-            target = target - result.periodicity_duals[s]
-        gap = blended_stationarity_gap(target, result.stationarity_pieces[s], u[s],
-                                       prob.betas[s])
-        res.append(np.max(np.abs(gap)) / lam_scale)
-        if prob.periodic:
-            res.append(abs(u[s].sum()) / max(1.0, float(np.max(np.abs(u[s])))))
-    if prob.h.size:
-        viol = prob.structure.product(np.concatenate([g.ravel(), u.ravel()]))
-        res.append(max(0.0, float(np.max(viol - prob.h))) / d_scale)
-    return float(max(res))
+    comps = {"balance": np.max(np.abs(g.sum(axis=0) + u.sum(axis=0) - demand)) / d_scale}
+    for j, alpha in enumerate(alphas):
+        comps[f"stationarity_gen{j}"] = (
+            np.max(np.abs(g[j] / alpha + a_lin[j] - price + extra[j])) / lam_scale
+            if alpha > 0 else np.max(np.abs(g[j])) / d_scale)
+    for s, beta in enumerate(betas):
+        if beta > 0:
+            target = price - extra[len(alphas) + s]
+            if periodicity_duals is not None:
+                target = target - periodicity_duals[s]
+            gap = blended_stationarity_gap(target, pieces[s], u[s], beta)
+            comps[f"stationarity_st{s}"] = np.max(np.abs(gap)) / lam_scale
+        else:
+            comps[f"stationarity_st{s}"] = np.max(np.abs(u[s])) / d_scale
+        if periodicity_duals is not None:
+            comps[f"periodicity_st{s}"] = abs(u[s].sum()) / max(1.0, float(np.max(np.abs(u[s]))))
+    if excess is not None:
+        comps["limits"] = max(0.0, float(np.max(excess))) / d_scale
+    return {name: float(value) for name, value in comps.items()}
+
+
+def market_kkt_residual(prob, result, mu):
+    """The largest ``kkt_components`` at the ``MarketQPResult`` ``result``
+    with the QP's inequality duals ``mu``; each unit's stationarity reads its
+    ``stationarity_pieces``, its one map or a kink's two."""
+    g, u = result.g, result.u
+    excess = prob.structure.product(np.concatenate([g.ravel(), u.ravel()])) - prob.h \
+        if prob.h.size else None
+    return max(kkt_components(
+        prob.demand, prob.alphas, prob.a_lin, prob.betas, g, u, result.price,
+        result.stationarity_pieces,
+        prob.structure.transpose_product(mu).reshape(prob.J + prob.S, prob.T),
+        result.periodicity_duals if prob.periodic else None, excess).values())
 
 
 def _evaluate(prob, sol, iterations, pieces=None):

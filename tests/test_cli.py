@@ -21,14 +21,21 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def run_at_threads(args, threads):
+def run_python(args, threads="1"):
     """Run ``python args`` in a fresh process with ``threads`` BLAS threads and
-    return its standard output."""
+    return the completed process."""
     path = os.pathsep.join([str(Path(cyclemarket.__file__).resolve().parents[1]),
                             os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, check=True, timeout=600,
-                          capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, timeout=600,
+                          capture_output=True, text=True)
+
+
+def run_at_threads(args, threads):
+    """``run_python`` that must exit 0; returns its standard output."""
+    proc = run_python(args, threads)
+    proc.check_returncode()
+    return proc.stdout
 
 
 def run_cli_at_threads(args, out, threads):
@@ -150,19 +157,36 @@ class TestRun:
         assert "nope.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--demand", "--config", "--spec", "--out"])
-    def test_unusable_path_exits_one_with_a_message(self, tmp_path, capsys, flag):
+    def test_unusable_path_exits_one_with_a_message(self, tmp_path, capsys, monkeypatch, flag):
         # a directory where an input file belongs, or a file where the output
-        # directory belongs (found only after the run has cleared)
+        # directory belongs, found before anything clears
+        for name in ("run_two_stage", "solve_planner"):
+            monkeypatch.setattr(f"cyclemarket.cli.{name}",
+                                lambda *args, **kwargs: pytest.fail("cleared first"))
         path = tmp_path / "path"
         if flag == "--out":
             path.write_text("", encoding="utf-8")
         else:
             path.mkdir()
-        command = "sweep" if flag == "--spec" else "run"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"axis": "B", "values": [150.0]}), encoding="utf-8")
+        commands = {"--spec": [["sweep"]], "--out": [["run"], ["sweep", "--spec", str(spec)]]}
         out = [] if flag == "--out" else ["--out", str(tmp_path / "o")]
-        assert main([command, flag, str(path), *out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("cyclemarket: ") and str(path) in err
+        for command in commands.get(flag, [["run"]]):
+            assert main([*command, flag, str(path), *out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("cyclemarket: ") and str(path) in err
+
+    @pytest.mark.parametrize("flag, code", [("--config", 2), ("--out", 1)])
+    def test_module_exits_with_a_message(self, tmp_path, flag, code):
+        # ``python -m cyclemarket.cli`` passes main's code to sys.exit: a
+        # malformed config, or an --out that names a file
+        path = tmp_path / "path"
+        path.write_text("{" if flag == "--config" else "", encoding="utf-8")
+        out = [] if flag == "--out" else ["--out", str(tmp_path / "o")]
+        proc = run_python(["-m", "cyclemarket.cli", "run", flag, str(path), *out])
+        assert proc.returncode == code
+        assert "cyclemarket:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_zero_demand_exits_one_aware_and_clears_unaware(self, tmp_path, capsys):
         demand = tmp_path / "zero.csv"

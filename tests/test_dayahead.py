@@ -92,6 +92,20 @@ class TestClearUniform:
         assert res.g.sum(axis=0) == pytest.approx(d)
         assert res.g[0] == pytest.approx(0.05 * d / 0.15)
 
+    @pytest.mark.parametrize("alpha, beta", [([0.05, 0.0], [0.5]), ([0.05, 1 / 30], [0.5, 0.0]),
+                                             ([0.05, 0.0], [0.5, 0.0])],
+                             ids=["generator", "storage", "both"])
+    def test_zero_slope_bid_certifies(self, alpha, beta):
+        # a zero slope pins its participant at 0: the objective leaves it out,
+        # and a unit with no share reports the empty depths of its own idle
+        # dispatch, not K zeros on the aggregate map
+        params = MarketParams(generators=[GeneratorParams(c=20.0), GeneratorParams(c=30.0)],
+                              storages=[StorageParams(capacity_E=200.0, b=2.0) for _ in beta])
+        d = 600 + 200 * np.sin(2 * np.pi * np.arange(24) / 24)
+        res = clear_uniform(DayAheadBids(alpha=alpha, beta=beta), d, params)
+        assert np.isfinite(res.objective)
+        assert res.kkt_residual <= 1e-8
+
     @pytest.mark.parametrize("d", [np.r_[np.nan, np.ones(3)], np.r_[np.inf, np.ones(3)],
                                    np.ones((2, 4)), np.zeros(0)],
                              ids=["nan", "inf", "2-d", "empty"])
@@ -310,6 +324,10 @@ class TestVerifyKKT:
         res = clear_uniform(bids, d, params)
         report = verify_kkt_dayahead(res, bids, d, params)
         assert report.max_residual <= 1e-8
+        assert list(report.components) == [
+            "balance", "stationarity_gen0", "stationarity_st0", "periodicity_st0",
+            "depth_constraint_st0", "cycling_bid_st0"]
+        assert report.max_residual == max(report.components.values())
 
     def test_perturbed_dispatch_detected(self):
         rng = np.random.default_rng(8)

@@ -16,7 +16,12 @@ from cyclemarket.data import (
     synthetic_scenario,
 )
 from cyclemarket.dayahead import DayAheadResult
-from cyclemarket.errors import DegeneratePriceError, InfeasibleError, InvalidInputError
+from cyclemarket.errors import (
+    DegeneratePriceError,
+    InfeasibleError,
+    InvalidInputError,
+    SolverFailureError,
+)
 from cyclemarket.planner import solve_planner
 from cyclemarket.rainflow import rainflow_map
 from cyclemarket.realtime import (
@@ -144,6 +149,17 @@ class TestRunDayAhead:
         with pytest.raises(InfeasibleError, match="cover at least the binding day"):
             run_day_ahead(short, params)
 
+    @pytest.mark.xfail(strict=True, raises=SolverFailureError,
+                       reason="ROADMAP item 6: without a generator the two units' alternation "
+                              "wanders through new map tuples to the round cap")
+    def test_generator_free_two_unit_day_ahead_certifies(self):
+        # item 6's smallest reproducer: 200 rounds, the best point at round 1
+        f = 2 * np.sin(2 * np.pi * np.arange(48) / 24)
+        scn = DemandScenario(forecast=f, actual=f[:BINDING_HOURS])
+        config = MarketConfig(generators=[], storages=[
+            {"capacity_E": 50.0, "capital_cost_B": b} for b in (150.0, 300.0)])
+        assert run_day_ahead(scn, build_params(config, scn)).kkt_residual <= 1e-8
+
 
 class TestRunRealTime:
     @pytest.mark.parametrize("run", [run_two_stage, run_real_time])
@@ -156,6 +172,21 @@ class TestRunRealTime:
     def test_24_steps_produced(self, aware_record):
         assert len(aware_record.rt_steps) == BINDING_HOURS
         assert aware_record.g_rt.shape == (1, BINDING_HOURS)
+
+    def test_each_certified_residual_is_its_largest_named_component(self, fixture_setup,
+                                                                     monkeypatch):
+        # the day-ahead and every window residual of the aware run is, bit for
+        # bit, the largest of the components qp.kkt_components named for it
+        solves = []
+        components = qp.kkt_components
+        monkeypatch.setattr(qp, "kkt_components",
+                            lambda *args: solves.append(components(*args)) or solves[-1])
+        rec = run_two_stage(*fixture_setup, mode="aware")
+        by_value = {max(comps.values()): comps for comps in solves}
+        certified = [rec.da_result.kkt_residual] + [step.kkt_residual for step in rec.rt_steps]
+        assert all(qp.certified(value) and value in by_value for value in certified)
+        assert {"balance", "stationarity_gen0", "stationarity_st0", "periodicity_st0",
+                "limits"} <= set(by_value[rec.da_result.kkt_residual])
 
     def test_soc_continuity_and_bounds(self, fixture_setup, aware_record):
         scn, params = fixture_setup
