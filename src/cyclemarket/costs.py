@@ -88,6 +88,11 @@ class MarketParams:
     def n_storages(self):
         return len(self.storages)
 
+    def check_roster(self, alpha, beta):
+        """Raise ``InvalidInputError`` unless each participant bids one slope."""
+        if (np.size(alpha), np.size(beta)) != (self.n_generators, self.n_storages):
+            raise InvalidInputError("bid vector sizes must match the participant lists")
+
 
 @dataclass
 class SubgradientInfo:

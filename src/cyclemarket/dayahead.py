@@ -41,8 +41,9 @@ class DayAheadBids:
         self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float)) \
             if np.size(self.beta) else np.zeros(0)
-        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.beta))):
-            raise InvalidInputError("day-ahead bid slopes must be finite")
+        if self.alpha.ndim > 1 or self.beta.ndim > 1 or not (
+                np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.beta))):
+            raise InvalidInputError("day-ahead bid slopes must be finite vectors")
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise InvalidInputError("bid slopes must be nonnegative")
         if self.alpha.sum() + self.beta.sum() <= 0:
@@ -130,14 +131,13 @@ def clear_uniform(bids: DayAheadBids, d_da, params: MarketParams):
     storage units by epsilon_s = beta_s / sum beta.  All storage units see
     the same per-cycle price vector theta = N(w) w / sum beta.  A split that
     ``verify_kkt_dayahead`` does not certify raises ``SolverFailureError``;
-    demand that is not a finite vector of at least one interval raises
-    ``InvalidInputError``, with or without storage.
+    bids off the roster (``MarketParams.check_roster``) and demand that is
+    not a finite vector (``qp.demand_vector``) raise ``InvalidInputError``,
+    with or without storage.
     """
     d = demand_vector(d_da)
-    T = d.size
-    J, S = params.n_generators, params.n_storages
-    if bids.alpha.size != J or bids.beta.size != S:
-        raise InvalidInputError("bid vector sizes must match the participant lists")
+    T, S = d.size, params.n_storages
+    params.check_roster(bids.alpha, bids.beta)
     sum_alpha = float(bids.alpha.sum())
     if sum_alpha <= 0:
         raise InvalidInputError("uniform clearing needs sum(alpha) > 0")
@@ -194,21 +194,15 @@ def clear_general(bids: DayAheadBids, d_da, params: MarketParams, enforce_soc_bo
     the cleared depths as theta_s = nu_s / beta_s.  SoC corridor enforcement
     is off by default (the cleared constraint set lists power limits and
     periodicity only) and can be switched on for physically tight schedules.
+    Bids off the roster and slopes that are not positive raise ``InvalidInputError``.
     """
-    d = np.asarray(d_da, dtype=float)
     J, S = params.n_generators, params.n_storages
-    if bids.alpha.size != J or bids.beta.size != S:
-        raise InvalidInputError("bid vector sizes must match the participant lists")
-    if np.any(bids.alpha <= 0):
-        raise InvalidInputError("general clearing requires positive generator slopes")
-    if S and np.any(bids.beta <= 0):
-        raise InvalidInputError("general clearing requires positive storage slopes")
-
+    params.check_roster(bids.alpha, bids.beta)
     res = solve_market_qp(
         alphas=bids.alpha, a_lin=np.zeros(J), betas=bids.beta,
         capacities=[st.capacity_E for st in params.storages],
         x0s=[st.x0 for st in params.storages],
-        demand=d,
+        demand=d_da,
         g_lo=[gen.g_min for gen in params.generators],
         g_hi=[gen.g_max for gen in params.generators],
         u_lo=[st.u_min for st in params.storages],

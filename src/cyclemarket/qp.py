@@ -591,8 +591,9 @@ class _Problem:
     ``A`` and the inequality rows come from ``_structure`` and are shared,
     read-only, by every problem of one structure; ``b`` and ``h`` are the
     problem's own.
-    Demand that is not a finite vector of at least one interval, and a NaN
-    limit, raise ``InvalidInputError``; an infinite limit is no limit.
+    A slope that is not positive, demand that is not a finite vector of at
+    least one interval, and a NaN limit, raise ``InvalidInputError``; an
+    infinite limit is no limit.
     Limits that cross (a lower limit above its upper limit) raise
     ``InfeasibleError`` naming the first interval where any participant's do.
     Every solve runs on the active-set state that ``start_from`` places at
@@ -605,6 +606,9 @@ class _Problem:
         self.alphas = np.asarray(alphas, float)
         self.a_lin = np.asarray(a_lin, float)
         self.betas = np.asarray(betas, float)
+        for name, slopes in (("generator", self.alphas), ("storage", self.betas)):
+            if not np.all(slopes > 0):  # the Hessian divides by each slope
+                raise InvalidInputError(f"the dispatch template needs positive {name} slopes")
         self.capacities = np.asarray(capacities, float)
         self.x0s = np.asarray(x0s, float)
         self.demand = demand_vector(demand)
@@ -946,13 +950,14 @@ def solve_market_qp(alphas, a_lin, betas, capacities, x0s, demand,
                     g_lo, g_hi, u_lo, u_hi, periodic=True, soc_bounds=False, start=None):
     """Alternating fixed-map solve of the dispatch template (see module doc).
 
-    ``start`` optionally seeds the solve with a dispatch pair ``(g, u)`` of
-    shapes (J, T) and (S, T); other shapes raise ``InvalidInputError``.  The
-    generators repair the seed's balance within their limits
-    (``_Problem.start_from``).  A seed that still breaks a limit or the SoC
-    corridor is ignored, and a seeded solve that fails runs again without
-    it.  Without a usable seed the solve starts from the cold start
-    (``_Problem.storage_start``), or from phase 1 where the generators
+    Malformed slopes, demand and limits raise ``InvalidInputError`` (see
+    ``_Problem``).  ``start`` optionally seeds the solve with a dispatch
+    pair ``(g, u)`` of shapes (J, T) and (S, T); other shapes raise
+    ``InvalidInputError``.  The generators repair the seed's balance within
+    their limits (``_Problem.start_from``).  A seed that still breaks a
+    limit or the SoC corridor is ignored, and a seeded solve that fails runs
+    again without it.  Without a usable seed the solve starts from the cold
+    start (``_Problem.storage_start``), or from phase 1 where the generators
     cannot take up its balance (``_Problem.elastic_start``); a template with
     no feasible point raises ``InfeasibleError`` in either.  The first
     half-cycle maps come from the starting point's storage dispatch, so a

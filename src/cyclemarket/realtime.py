@@ -36,7 +36,7 @@ from .errors import (
     InvalidInputError,
     NonConvergenceError,
 )
-from .qp import dispatch_map, solve_market_qp
+from .qp import demand_vector, dispatch_map, solve_market_qp
 from .rainflow import rainflow_map
 
 __all__ = [
@@ -63,8 +63,9 @@ class RealTimeBids:
         self.alpha_r = np.atleast_1d(np.asarray(self.alpha_r, dtype=float))
         self.beta_r = np.atleast_1d(np.asarray(self.beta_r, dtype=float)) \
             if np.size(self.beta_r) else np.zeros(0)
-        if not (np.all(np.isfinite(self.alpha_r)) and np.all(np.isfinite(self.beta_r))):
-            raise InvalidInputError("real-time bid slopes must be finite")
+        if self.alpha_r.ndim > 1 or self.beta_r.ndim > 1 or not (
+                np.all(np.isfinite(self.alpha_r)) and np.all(np.isfinite(self.beta_r))):
+            raise InvalidInputError("real-time bid slopes must be finite vectors")
 
 
 @dataclass
@@ -83,9 +84,15 @@ def _dots(rows, v):
     return (rows[:, None, :] @ v[:, None])[:, 0, 0]
 
 
-def _check_residual(d_r, T):
-    if d_r.shape != (T,) or not np.isfinite(d_r).all():
-        raise InvalidInputError(f"residual demand must be a finite vector of {T} intervals")
+def _residual_norm2(d_r, T, name="residual demand"):
+    """||d_r||^2, by the one residual rule: a ``d_r`` that is not a vector of
+    ``T`` intervals with a finite squared norm raises ``InvalidInputError``."""
+    with np.errstate(over="ignore"):  # an overflowing norm raises here, unwarned
+        norm2 = float(d_r @ d_r) if d_r.shape == (T,) else np.nan
+    if not np.isfinite(norm2):
+        raise InvalidInputError(f"{name} must be a finite vector of {T} intervals "
+                                "with a finite squared norm")
+    return norm2
 
 
 def _storage_terms(groups, d_r, S):
@@ -152,12 +159,11 @@ def _slope_table(params, norm2, gd, D, tN, storage):
 def _unaware_table(params, da, d_r):
     """One window's row of ``_slope_table``, read from the day-ahead view
     ``da``: returns k and m as vectors and K, B and numer as floats.
-    A ``d_r`` that is not a finite vector over the view's horizon raises
-    ``InvalidInputError``, a zero one ``DegenerateDemandError``, and a
-    storage map it does not cycle ``DegeneratePriceError``.
+    A ``d_r`` that breaks ``_residual_norm2`` over the view's horizon
+    raises ``InvalidInputError``, a zero one ``DegenerateDemandError``, and
+    a storage map it does not cycle ``DegeneratePriceError``.
     """
-    _check_residual(d_r, da.g.shape[1])
-    norm2 = float(d_r @ d_r)
+    norm2 = _residual_norm2(d_r, da.g.shape[1])
     if norm2 <= 0.0:
         raise DegenerateDemandError("zero residual demand: proportional price undefined")
     groups = {}
@@ -219,7 +225,8 @@ def equilibrium_unaware(params: MarketParams, d_r, da):
     zero this reduces to the price-plus-aggregate-slope form
     omega = <lambda_da, d_r>/||d_r||^2 + 1/K.  The half-cycle map of each
     storage is required to survive the adjustment; ``map_stable`` reports
-    whether it does.  This is the rolling day's clearing on one window.
+    whether it does.  This is the rolling day's clearing on one window.  A
+    ``d_r`` that breaks ``_residual_norm2`` raises ``InvalidInputError``.
     """
     d_r = np.asarray(d_r, dtype=float)
     k, m, K, _, numer = _unaware_table(params, da, d_r)
@@ -248,9 +255,10 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     start toward F; from then on secant steps solve F(xi) = xi, which is
     exact for an affine map, so the loop typically certifies convergence
     within a few rounds, also at a negative fixed point (price opposite to
-    residual demand).  Only a zero or non-finite aggregate slope raises
-    ``DivergenceError``.  The bids and result are evaluated once, at the
-    final xi, as k - xi * m.
+    residual demand).  A ``d_r`` that breaks ``_residual_norm2``, and
+    ``initial_bids`` off the roster, raise ``InvalidInputError``; only a
+    zero or non-finite aggregate slope raises ``DivergenceError``.  The bids
+    and result are evaluated once, at the final xi, as k - xi * m.
     """
     d_r = np.asarray(d_r, dtype=float)
     k, m, K, B, _ = _unaware_table(params, da, d_r)
@@ -259,10 +267,8 @@ def best_response_unaware(params: MarketParams, d_r, da, tol=1e-10, max_iter=200
     if initial_bids is None:
         xi = float(np.array([1.0 / gen.c for gen in params.generators]).sum()
                    + np.array([1.0 / st.b for st in params.storages]).sum())
-    elif (initial_bids.alpha_r.size, initial_bids.beta_r.size) != (
-            params.n_generators, params.n_storages):
-        raise InvalidInputError("initial bid sizes must match the participant lists")
     else:
+        params.check_roster(initial_bids.alpha_r, initial_bids.beta_r)
         xi = float(initial_bids.alpha_r.sum() + initial_bids.beta_r.sum())
     trace = []
     prev_point = None
@@ -312,11 +318,9 @@ def aware_bids(params: MarketParams, d_total) -> RealTimeBids:
     per storage, with d mapped once per ``(capacity_E, x0)``; raises
     ``DegeneratePriceError`` when d has no cycling content, since the
     storage slope is then unbounded, and ``InvalidInputError`` when d is
-    not a vector.
+    not a finite vector of at least one interval (``qp.demand_vector``).
     """
-    d = np.asarray(d_total, dtype=float)
-    if d.ndim != 1:
-        raise InvalidInputError("total demand must be a vector")
+    d = demand_vector(d_total)
     norm2 = float(d @ d)
     alpha_r = np.array([1.0 / gen.c for gen in params.generators])
     beta_r = np.zeros(params.n_storages)
@@ -343,12 +347,11 @@ def equilibrium_aware(params: MarketParams, d_total, da):
     evaluated on the demand vector directly).  The price is
     lambda_r = phi * d with 1/phi the aggregate slope, which clears the
     market identically: day-ahead commitments cancel out of the balance.
-    A ``da`` whose schedule does not cover d's intervals raises
-    ``InvalidInputError``.
+    Demand that is not a finite vector (``qp.demand_vector``), and a ``da``
+    whose schedule does not cover d's intervals, raise ``InvalidInputError``.
     """
-    d = np.asarray(d_total, dtype=float)
-    if d.ndim != 1 or da.g.shape != (params.n_generators, d.size) \
-            or da.u.shape != (params.n_storages, d.size):
+    d = demand_vector(d_total)
+    if da.g.shape != (params.n_generators, d.size) or da.u.shape != (params.n_storages, d.size):
         raise InvalidInputError("the day-ahead schedule must cover the total demand's intervals")
     if float(d @ d) <= 0.0:
         raise DegenerateDemandError("zero total demand: proportional price undefined")
@@ -382,42 +385,31 @@ def clear_constrained_aware(bids: RealTimeBids, window_demand, g_committed, u_co
     generators repair its balance, and a start that still breaks a
     constraint is ignored (see ``solve_market_qp``).
 
-    Bids that do not match the participant lists, commitments not shaped
-    (J, W) and (S, W), and ``x0s`` other than one state of charge in
-    [0, 1] per unit raise ``InvalidInputError``.
+    A window that is not a finite vector, bids off the roster, commitments
+    not shaped (J, W) and (S, W), ``x0s`` other than one state of charge in
+    [0, 1] per unit, and slopes that are not positive (the dispatch
+    template's rule) raise ``InvalidInputError``.
     """
-    w = np.asarray(window_demand, dtype=float)
+    w = demand_vector(window_demand)
     W = w.size
-    if w.ndim != 1 or W < 1:
-        raise InvalidInputError("window must be a vector of at least one interval")
     J, S = params.n_generators, params.n_storages
-    if bids.alpha_r.size != J or bids.beta_r.size != S:
-        raise InvalidInputError("bid vector sizes must match the participant lists")
+    params.check_roster(bids.alpha_r, bids.beta_r)
     g_da, u_da = np.asarray(g_committed, dtype=float), np.asarray(u_committed, dtype=float)
     if g_da.shape != (J, W) or u_da.shape != (S, W):
         raise InvalidInputError(f"commitments must be shaped ({J}, {W}) and ({S}, {W})")
-    if np.any(bids.alpha_r <= 0):
-        raise InvalidInputError("constrained clearing needs positive generator slopes")
-    if np.any(bids.beta_r <= 0):
-        raise InvalidInputError("constrained clearing needs positive storage slopes")
     x0s = np.asarray([st.x0 for st in params.storages] if x0s is None else x0s, dtype=float)
     if x0s.shape != (S,) or not np.all((x0s >= 0.0) & (x0s <= 1.0)):
         raise InvalidInputError(f"x0s must hold {S} states of charge in [0, 1]")
-
-    u_lo = np.zeros((S, W))
-    u_hi = np.zeros((S, W))
-    for s, st in enumerate(params.storages):
-        # total limit intersected with the adjustment's own rate limit
-        u_lo[s] = np.maximum(st.u_min, u_da[s] + st.u_min)
-        u_hi[s] = np.minimum(st.u_max, u_da[s] + st.u_max)
-
+    # total limits intersected with the adjustment's own rate limits
+    lo = np.array([st.u_min for st in params.storages]).reshape(S, 1)
+    hi = np.array([st.u_max for st in params.storages]).reshape(S, 1)
     res = solve_market_qp(
         alphas=bids.alpha_r, a_lin=np.zeros(J), betas=bids.beta_r,
         capacities=[st.capacity_E for st in params.storages],
         x0s=x0s, demand=w,
         g_lo=[gen.g_min for gen in params.generators],
         g_hi=[gen.g_max for gen in params.generators],
-        u_lo=u_lo, u_hi=u_hi,
+        u_lo=np.maximum(lo, u_da + lo), u_hi=np.minimum(hi, u_da + hi),
         periodic=False, soc_bounds=True, start=start,
     )
     g_r = res.g - g_da

@@ -20,19 +20,18 @@ from .dayahead import DayAheadResult, clear_general, clear_uniform, equilibrium_
 from .errors import DegeneratePriceError, InfeasibleError, InvalidInputError
 from .qp import idle_dispatch
 from .rainflow import rainflow_map
-from .realtime import (  # unused here: perfbench's tracing hooks the two solvers by name
-    best_response_unaware,
-    equilibrium_unaware,
-)
 from .realtime import (
     MODES,
     RealTimeResult,
     _clear_unaware,
     _dots,
+    _residual_norm2,
     _slope_table,
     _storage_terms,
     aware_bids,
+    best_response_unaware,  # unused here: perfbench's tracing hooks it by name
     clear_constrained_aware,
+    equilibrium_unaware,  # unused here: perfbench's tracing hooks it by name
 )
 
 __all__ = [
@@ -170,6 +169,11 @@ def _window_da_view(da, params, hour, end, u_idle):
     return view
 
 
+def _check_mode(mode):
+    if mode not in MODES:
+        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadResult,
                   mode: str = "aware"):
     """Roll 24-hour windows across the binding day, committing one hour each.
@@ -202,8 +206,7 @@ def run_real_time(scenario: DemandScenario, params: MarketParams, da: DayAheadRe
     state of charge, rather than one per unit (``_storage_groups``).  Any
     other mode raises ``InvalidInputError``.
     """
-    if mode not in MODES:
-        raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     if scenario.n_realized < BINDING_HOURS:
         raise InfeasibleError(
             f"need {BINDING_HOURS} realized hours, have {scenario.n_realized}"
@@ -255,12 +258,12 @@ def _unaware_day(scenario, params, da):
     on it (``realtime._storage_terms``), collected as one record per
     window that clears.  The slope table, omega, the bids, prices,
     adjustments and residuals of all windows are then formed as arrays, by
-    the code ``equilibrium_unaware`` runs on one window.  A residual whose
-    squared norm is not finite (a NaN, infinite or overflowing realized
-    hour) raises ``InvalidInputError``; a window without residual demand
-    adjusts nothing; one whose maps the residual does not cycle clears
-    with generators only, on the generator terms of the same table, and
-    raises ``DegeneratePriceError`` naming its hour where there are none.
+    the code ``equilibrium_unaware`` runs on one window.  A residual that
+    breaks ``realtime._residual_norm2`` raises ``InvalidInputError`` naming
+    its hour; a window without residual demand adjusts nothing; one whose
+    maps the residual does not cycle clears with generators only, on the
+    generator terms of the same table, and raises ``DegeneratePriceError``
+    naming its hour where there are none.
     """
     J, S = params.n_generators, params.n_storages
     u_idle = idle_dispatch(da.u)
@@ -272,11 +275,7 @@ def _unaware_day(scenario, params, da):
         w = _window_demand(scenario, hour)
         d_r = w - scenario.forecast[hour:end]
         W = w.size
-        with np.errstate(over="ignore"):  # an overflowing norm raises here, unwarned
-            n2 = float(d_r @ d_r)
-        if not np.isfinite(n2):
-            raise InvalidInputError(f"residual demand at hour {hour} must be a finite vector "
-                                    "with a finite squared norm")
+        n2 = _residual_norm2(d_r, W, f"residual demand at hour {hour}")
         if n2 <= 1e-24 * max(1.0, float(w @ w)):
             steps[hour] = RealTimeResult(
                 g_r=np.zeros((J, W)), u_r=np.zeros((S, W)), price=np.zeros(W),
@@ -351,7 +350,9 @@ def settle(da: DayAheadResult, rt_prices, g_rt, u_rt, scenario: DemandScenario,
 
 def run_two_stage(scenario: DemandScenario, params: MarketParams, mode: str = "aware",
                   mechanism_config: MechanismConfig | None = None) -> SimulationRecord:
-    """Full protocol: clear day ahead, roll real time, settle."""
+    """Full protocol: clear day ahead, roll real time, settle; a ``mode``
+    that ``run_real_time`` rejects raises before the day-ahead clearing."""
+    _check_mode(mode)
     cfg = mechanism_config or MechanismConfig()
     da = run_day_ahead(scenario, params, cfg)
     steps, g_rt, u_rt, prices, soc = run_real_time(scenario, params, da, mode=mode)

@@ -38,8 +38,9 @@ class TestEquilibriumBids:
             DayAheadBids(alpha=[-1.0], beta=[])
         with pytest.raises(InvalidInputError):
             DayAheadBids(alpha=[0.0], beta=[0.0])
+        # slopes that are not vectors once reached clear_general's float()
         for alpha, beta in (([np.nan], [1.0]), ([1.0], [np.nan]), ([np.inf], [1.0]),
-                            ([1.0], [np.inf])):
+                            ([1.0], [np.inf]), ([[0.05]], [0.5]), ([0.05], [[0.5]])):
             with pytest.raises(InvalidInputError, match="must be finite"):
                 DayAheadBids(alpha=alpha, beta=beta)
 

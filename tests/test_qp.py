@@ -805,6 +805,19 @@ class TestMarketQP:
                             x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
                             g_lo=-np.inf, g_hi=np.inf, u_lo=u_lo, u_hi=u_hi, periodic=True)
 
+    @pytest.mark.parametrize("alphas, betas, message", [
+        ([0.0], [2.0], "positive generator slopes"),
+        ([0.5], [0.0], "positive storage slopes"),
+        ([0.5], [-1.0], "positive storage slopes"),
+    ], ids=["zero-alpha", "zero-beta", "negative-beta"])
+    def test_nonpositive_slope_raises_invalid_input(self, alphas, betas, message):
+        # the Hessian divides by each slope: these once warned, then failed
+        # in the active-set core or the alternation
+        with pytest.raises(InvalidInputError, match=message):
+            solve_market_qp(alphas=alphas, a_lin=[0.0], betas=betas, capacities=[4.0],
+                            x0s=[0.5], demand=np.array([1.0, 3.0, 1.0, 3.0]),
+                            g_lo=-np.inf, g_hi=np.inf, u_lo=-10.0, u_hi=10.0)
+
     def test_bound_of_wrong_shape_raises_invalid_input(self):
         with pytest.raises(InvalidInputError, match="bound must be"):
             solve_market_qp(alphas=[0.5], a_lin=[0.0], betas=[2.0], capacities=[4.0],

@@ -108,11 +108,13 @@ class TestEquilibriumUnaware:
             equilibrium_unaware(params, np.zeros(8), da)
 
     @pytest.mark.parametrize("d_r", [np.ones(7), np.ones(9), np.ones((2, 4)),
-                                     np.full(8, np.nan), np.r_[np.inf, np.ones(7)]],
-                             ids=["short", "long", "2-d", "nan", "inf"])
+                                     np.full(8, np.nan), np.r_[np.inf, np.ones(7)],
+                                     np.r_[1e200, np.ones(7)]],
+                             ids=["short", "long", "2-d", "nan", "inf", "overflow"])
     @pytest.mark.parametrize("solve", [equilibrium_unaware, best_response_unaware])
     def test_residual_not_a_finite_vector_over_the_horizon_rejected(self, solve, d_r):
-        # one check in the shared slope table covers both solvers
+        # one residual rule covers both solvers; an hour whose square
+        # overflows once failed each solver another way
         rng = np.random.default_rng(2)
         params = make_market(rng)
         _, da = cleared_day_ahead(rng, params)
@@ -572,8 +574,9 @@ class TestClearConstrainedAware:
             clear_constrained_aware(bids, np.full(W, 3.0), np.full((1, W), 3.0),
                                     np.zeros((1, W)), params)
 
-    @pytest.mark.parametrize("alpha_r, beta_r", [([np.nan], [1.0]), ([1.0], [np.inf])],
-                             ids=["nan-alpha", "inf-beta"])
+    @pytest.mark.parametrize("alpha_r, beta_r", [([np.nan], [1.0]), ([1.0], [np.inf]),
+                                                 ([[0.05]], [1.0]), ([0.05], [[1.0]])],
+                             ids=["nan-alpha", "inf-beta", "2d-alpha", "2d-beta"])
     def test_non_finite_bid_slopes_rejected(self, alpha_r, beta_r):
         with pytest.raises(InvalidInputError, match="must be finite"):
             RealTimeBids(alpha_r=alpha_r, beta_r=beta_r)
@@ -604,9 +607,13 @@ class TestMalformedInput:
         (lambda p, d, da, b: clear_constrained_aware(
             RealTimeBids(alpha_r=b.alpha_r, beta_r=[]), d, da.g, da.u, p), "bid vector"),
         (lambda p, d, da, b: equilibrium_aware(p, d[:12], da), "day-ahead schedule"),
-        (lambda p, d, da, b: aware_bids(p, d.reshape(2, 12)), "must be a vector"),
+        (lambda p, d, da, b: aware_bids(p, d.reshape(2, 12)), "demand must be a finite vector"),
+        (lambda p, d, da, b: aware_bids(p, np.r_[np.nan, d[1:]]),
+         "demand must be a finite vector"),
+        (lambda p, d, da, b: equilibrium_aware(p, np.r_[np.nan, d[1:]], da),
+         "demand must be a finite vector"),
     ], ids=["g-shape", "u-shape", "x0s-length", "x0s-range", "alpha-size", "beta-size",
-            "beta-empty", "da-horizon", "2d-demand"])
+            "beta-empty", "da-horizon", "2d-demand", "nan-demand-bids", "nan-demand-equilibrium"])
     def test_rejected(self, call, message):
         params, d, da = self._setup()
         with pytest.raises(InvalidInputError, match=message):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp, realtime
+from cyclemarket import GeneratorParams, MarketParams, StorageParams, qp, realtime, simulation
 from cyclemarket.data import (
     DemandScenario,
     MarketConfig,
@@ -163,9 +163,11 @@ class TestRunDayAhead:
 
 class TestRunRealTime:
     @pytest.mark.parametrize("run", [run_two_stage, run_real_time])
-    def test_unknown_mode_raises_invalid_input(self, fixture_setup, run):
+    def test_unknown_mode_raises_invalid_input(self, fixture_setup, run, monkeypatch):
         scn, params = fixture_setup
         args = (scn, params) if run is run_two_stage else (scn, params, run_day_ahead(scn, params))
+        # the mode is checked before any clearing
+        monkeypatch.setattr(simulation, "run_day_ahead", lambda *a, **k: pytest.fail("cleared"))
         with pytest.raises(InvalidInputError, match="'aware', 'unaware'"):
             run(*args, mode="Aware")
 
